@@ -75,7 +75,6 @@ from .specs import (
     StrideBufferSpec,
     StructureSpec,
     SystemSpec,
-    TraceSpec,
     VictimCacheSpec,
     build,
     describe,
@@ -144,7 +143,6 @@ __all__ = [
     "StrideBufferSpec",
     "MultiWayStrideBufferSpec",
     "CompositeSpec",
-    "TraceSpec",
     "SystemSpec",
     "build",
     "describe",

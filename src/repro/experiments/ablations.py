@@ -18,66 +18,57 @@ Four questions the paper answers by construction, checked by measurement:
    the paper rejects for cycle-time reasons; the miss-rate comparison
    shows how much of 2-way's benefit a 4-entry VC recovers.
 
-All ablations run the data side of the baseline 4KB/16B cache.
+All ablations run the data side of the baseline 4KB/16B cache.  The
+structure columns are spec points run through the engine; the 2-way
+set-associative comparison has no spec and replays on the interpreter.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.miss_cache import MissCache
-from ..buffers.stream_buffer import StreamBuffer
-from ..buffers.victim_cache import VictimCache
-from ..caches.fully_associative import ReplacementPolicy
 from ..caches.set_associative import SetAssociativeCache
 from ..common.config import CacheConfig
 from ..common.stats import percent
-from .base import TableResult
-from .runner import run_level
+from ..specs import MissCacheSpec, StreamBufferSpec, VictimCacheSpec
+from .base import TableResult, run_point_columns
 from .workloads import suite
 
 __all__ = ["run"]
 
 CONFIG = CacheConfig(4096, 16)
 
+#: The spec-expressible columns, in table order.
+_STRUCTURES = (
+    VictimCacheSpec(4),
+    VictimCacheSpec(4, swap_on_hit=False),
+    MissCacheSpec(4),
+    VictimCacheSpec(4, policy="fifo"),
+    StreamBufferSpec(4),
+    StreamBufferSpec(4, head_only=False),
+)
 
-def _removed_percent(addresses, augmentation) -> float:
-    run = run_level(addresses, CONFIG, augmentation)
-    return percent(run.removed, run.misses)
 
-
-def _two_way_miss_reduction(addresses) -> float:
+def _two_way_miss_reduction(addresses, direct_misses: int) -> float:
     """Percent of direct-mapped misses avoided by a 2-way cache."""
-    direct = run_level(addresses, CONFIG)
     two_way = SetAssociativeCache(CONFIG, ways=2)
     misses = 0
     for address in addresses:
         if not two_way.access_and_fill(address >> CONFIG.offset_bits):
             misses += 1
-    return percent(direct.misses - misses, direct.misses)
+    return percent(direct_misses - misses, direct_misses)
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    columns = run_point_columns(traces, CONFIG, _STRUCTURES)
     rows = []
-    for trace in traces:
-        addresses = trace.data_addresses
+    for trace, *results in zip(traces, *columns):
+        misses = results[0].demand_misses
         rows.append(
-            [
-                trace.name,
-                round(_removed_percent(addresses, VictimCache(4)), 1),
-                round(_removed_percent(addresses, VictimCache(4, swap_on_hit=False)), 1),
-                round(_removed_percent(addresses, MissCache(4)), 1),
-                round(
-                    _removed_percent(
-                        addresses, VictimCache(4, policy=ReplacementPolicy.FIFO)
-                    ),
-                    1,
-                ),
-                round(_removed_percent(addresses, StreamBuffer(4)), 1),
-                round(_removed_percent(addresses, StreamBuffer(4, head_only=False)), 1),
-                round(_two_way_miss_reduction(addresses), 1),
-            ]
+            [trace.name]
+            + [round(percent(r.removed_misses, r.demand_misses), 1) for r in results]
+            + [round(_two_way_miss_reduction(trace.data_addresses, misses), 1)]
         )
     return TableResult(
         experiment_id="ablations",

@@ -7,11 +7,12 @@ behind the plot, since this is a terminal harness).  Both render to
 fixed-width text in the shape of the paper's artifact so measured and
 published values can be compared side by side.
 
-Figure experiments that replay per-(trace, side) level points can
-declare those points as :class:`~repro.specs.SystemSpec` values via
+Figure experiments that replay per-(trace, side) level points declare
+those points as :class:`~repro.specs.SystemSpec` values via
 :func:`level_point_specs` and evaluate them through the engine with
 :func:`run_point_specs` — the same declarative currency the grid and
-batch sweeps use, so a figure's points fan out over workers for free.
+batch sweeps use, so a figure's points run on the kernels, fan out over
+workers, and hit the result store point by point.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "format_value",
     "level_point_specs",
     "run_point_specs",
+    "run_point_columns",
 ]
 
 
@@ -36,33 +38,48 @@ def level_point_specs(
     sides: Sequence[str] = ("i", "d"),
     classify: bool = False,
     warmup: int = 0,
-) -> Optional[List]:
+) -> List:
     """SystemSpecs for every (side, trace) level point, in nested order.
 
-    Ordering is ``for side in sides: for trace in traces``.  Returns
-    None when any trace lacks a registry rebuild recipe — the caller
-    then replays inline on the live trace objects instead.
+    Ordering is ``for side in sides: for trace in traces``.  *traces*
+    may mix workload specs and spec-built traces; a hand-made trace
+    raises :class:`~repro.common.errors.ConfigurationError` (see
+    :meth:`~repro.specs.SystemSpec.for_level`).
     """
     from ..specs import SystemSpec
 
-    specs = []
-    for side in sides:
-        for trace in traces:
-            spec = SystemSpec.for_level(
-                trace, config, side=side, structure=structure,
-                classify=classify, warmup=warmup,
-            )
-            if spec is None:
-                return None
-            specs.append(spec)
-    return specs
+    return [
+        SystemSpec.for_level(
+            trace, config, side=side, structure=structure,
+            classify=classify, warmup=warmup,
+        )
+        for side in sides
+        for trace in traces
+    ]
 
 
 def run_point_specs(specs, jobs: Optional[int] = None, resilience=None) -> List:
-    """LevelSummaries for spec points, via the (optionally parallel) engine."""
+    """LevelSummaries for spec points, via the engine (inline at ``jobs=1``)."""
     from .engine import LevelJob, run_jobs
 
     return run_jobs([LevelJob(spec) for spec in specs], jobs=jobs, resilience=resilience)
+
+
+def run_point_columns(traces, config, structures, side: str = "d") -> List[List]:
+    """One column of LevelSummaries per structure, each in trace order.
+
+    *structures* holds structure specs (None is the bare baseline); all
+    ``len(structures) * len(traces)`` points run as one engine batch.
+    """
+    traces = list(traces)
+    specs = [
+        spec
+        for structure in structures
+        for spec in level_point_specs(traces, config, structure=structure, sides=(side,))
+    ]
+    summaries = run_point_specs(specs)
+    n = len(traces)
+    return [summaries[k * n:(k + 1) * n] for k in range(len(structures))]
 
 Value = Union[int, float, str]
 

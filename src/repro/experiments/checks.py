@@ -13,18 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..buffers.base import CompositeAugmentation
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
-from ..buffers.victim_cache import VictimCache
 from ..common.config import CacheConfig
 from ..common.stats import percent, safe_div
-from .runner import run_level
-from .sweeps import miss_cache_sweep, victim_cache_sweep
+from ..specs import CompositeSpec, MultiWayStreamBufferSpec, StreamBufferSpec, VictimCacheSpec
+from .base import run_point_columns
+from .sweeps import batch_entry_sweeps
 from .workloads import suite
 
 __all__ = ["ShapeCheck", "CheckOutcome", "run_checks", "render_outcomes"]
 
 CONFIG = CacheConfig(4096, 16)
+
+SB1 = StreamBufferSpec(4)
+SB4 = MultiWayStreamBufferSpec(4, 4)
+#: The abstract's combined system: I-side stream buffer, D-side VC4 + 4-way SB.
+COMBINED = {"i": SB1, "d": CompositeSpec((VictimCacheSpec(4), SB4))}
 
 
 @dataclass(frozen=True)
@@ -50,40 +53,31 @@ def _average(values: List[float]) -> float:
 
 def _measurements(traces) -> Dict:
     """One pass of everything the checks need."""
-    data: Dict = {"vc": {}, "mc": {}}
-    for trace in traces:
-        addresses = trace.data_addresses
-        data["vc"][trace.name] = victim_cache_sweep(addresses, CONFIG)
-        data["mc"][trace.name] = miss_cache_sweep(addresses, CONFIG)
-    for side in ("i", "d"):
-        single: Dict[str, Optional[float]] = {}
-        multi: Dict[str, Optional[float]] = {}
-        for trace in traces:
-            stream = trace.stream(side)
-            base = run_level(stream, CONFIG)
-            if base.misses == 0:
-                single[trace.name] = None
-                multi[trace.name] = None
-                continue
-            single[trace.name] = percent(
-                run_level(stream, CONFIG, StreamBuffer(4)).removed, base.misses
-            )
-            multi[trace.name] = percent(
-                run_level(stream, CONFIG, MultiWayStreamBuffer(4, 4)).removed,
-                base.misses,
-            )
-        data[f"sb1_{side}"] = single
-        data[f"sb4_{side}"] = multi
+    traces = list(traces)
+    names = [trace.name for trace in traces]
+    data: Dict = {
+        "vc": dict(zip(names, batch_entry_sweeps(traces, CONFIG, kind="victim", sides=("d",)))),
+        "mc": dict(zip(names, batch_entry_sweeps(traces, CONFIG, kind="miss", sides=("d",)))),
+    }
     # Combined system: misses reaching L2, base vs improved.
     base_total = improved_total = 0
-    for trace in traces:
-        for side, make in (
-            ("i", lambda: StreamBuffer(4)),
-            ("d", lambda: CompositeAugmentation([VictimCache(4), MultiWayStreamBuffer(4, 4)])),
-        ):
-            stream = trace.stream(side)
-            base_total += run_level(stream, CONFIG).stats.misses_to_next_level
-            improved_total += run_level(stream, CONFIG, make()).stats.misses_to_next_level
+    for side in ("i", "d"):
+        bases, singles, multis, combined = run_point_columns(
+            traces, CONFIG, [None, SB1, SB4, COMBINED[side]], side=side
+        )
+        single: Dict[str, Optional[float]] = {}
+        multi: Dict[str, Optional[float]] = {}
+        for name, base, sb1, sb4 in zip(names, bases, singles, multis):
+            if base.demand_misses == 0:
+                single[name] = None
+                multi[name] = None
+                continue
+            single[name] = percent(sb1.removed_misses, base.demand_misses)
+            multi[name] = percent(sb4.removed_misses, base.demand_misses)
+        data[f"sb1_{side}"] = single
+        data[f"sb4_{side}"] = multi
+        base_total += sum(s.misses_to_next_level for s in bases)
+        improved_total += sum(s.misses_to_next_level for s in combined)
     data["combined"] = (base_total, improved_total)
     return data
 

@@ -43,13 +43,12 @@ repeated invocation re-simulates nothing and still prints row-for-row
 identical output.  ``repro-experiments store {stats|gc|clear}``
 inspects or cleans the store.
 
-``--backend {auto,python,numpy}`` (or the ``REPRO_BACKEND`` environment
-variable) selects the simulation kernel backend: ``auto`` (the default)
-runs qualifying structure-free points on the vectorized numpy kernel
-when numpy is installed, ``python`` forces the reference interpreter
-everywhere, and ``numpy`` asks for the kernel explicitly (stateful
-structures still fall back to the interpreter — never an error).
-Malformed values exit with status 2 like ``--jobs 0`` does.
+``--backend {numpy,python}`` (or the ``REPRO_BACKEND`` environment
+variable) selects the simulation kernel backend: ``numpy`` (the default)
+runs every qualifying spec point on the vectorized kernels (structures
+without a kernel mode still run on the interpreter — never an error),
+and ``python`` forces the reference interpreter everywhere.  Malformed
+values exit with status 2 like ``--jobs 0`` does.
 
 Resilience flags: ``--job-timeout SECONDS`` (or ``REPRO_JOB_TIMEOUT``)
 bounds each engine job's wall clock, ``--retries N`` (or
@@ -160,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BACKEND",
         default=None,
         help=(
-            "simulation kernel backend: auto, python, or numpy "
-            "(default: REPRO_BACKEND or auto)"
+            "simulation kernel backend: numpy or python "
+            "(default: REPRO_BACKEND or numpy)"
         ),
     )
     parser.add_argument(

@@ -15,9 +15,9 @@ and fans jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   inherited copy-on-write, so warming is effectively free).
 * **Deterministic ordering** — results always come back in job-submission
   order, so a parallel run is row-for-row identical to a serial one.
-* **Serial fallback** — with ``jobs=1`` (the default, or via the
-  ``REPRO_JOBS`` environment variable) everything runs inline in the
-  calling process; no pool, no pickling, byte-identical results.
+* **Inline execution** — with ``jobs=1`` (the default, or via the
+  ``REPRO_JOBS`` environment variable) everything runs in the calling
+  process; no pool, no pickling, byte-identical results.
 
 Job kinds
 ---------
@@ -35,9 +35,7 @@ Job kinds
 Each job carries a :class:`~repro.specs.SystemSpec` — a frozen,
 picklable description of trace, geometry, and helper structure — so
 *every* registered structure configuration fans out, default options or
-not.  The legacy string codes (``"mc4"``, ``"vc4"``, ``"sb4"``,
-``"sb4x4"``) survive as deprecated shims over
-:func:`repro.specs.parse_structure_code`.
+not.
 """
 
 from __future__ import annotations
@@ -54,21 +52,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..buffers.base import L1Augmentation
 from ..common.errors import ConfigurationError
 from ..common.stats import percent, safe_div
 from ..kernels import MISS_REPLAY, NUMPY, PYTHON, kernel_mode, select_backend
-from ..specs import (
-    SpecError,
-    SystemSpec,
-    TraceSpec,
-    WorkloadSpec,
-    describe,
-    parse_structure_code,
-)
-from ..specs import build as build_spec
-from ..specs import spec_hash
-from ..specs import structure_code as _structure_code
+from ..specs import NamedWorkloadSpec, SystemSpec, WorkloadSpec, spec_hash
 from ..store import ResultKey, current_store
 from ..telemetry.core import JobProgress, ProgressCallback, record_fallback
 from ..telemetry.core import current as _telemetry_scope
@@ -82,7 +69,6 @@ from .sweeps import (
 from .workloads import BENCHMARK_NAMES, suite
 
 __all__ = [
-    "TraceKey",
     "LevelJob",
     "LevelSummary",
     "EntrySweepJob",
@@ -94,8 +80,6 @@ __all__ = [
     "JobFailedError",
     "ENV_JOB_TIMEOUT",
     "ENV_RETRIES",
-    "build_structure",
-    "spec_of",
     "default_jobs",
     "resolve_jobs",
     "validate_jobs",
@@ -109,55 +93,10 @@ __all__ = [
 ]
 
 
-# -- trace identity -----------------------------------------------------------
-
-#: Identity of a registry trace: enough to rebuild it anywhere.  Now an
-#: alias of :class:`repro.specs.TraceSpec`; the engine historically
-#: called it a TraceKey and tests/callers may keep using that name.
-TraceKey = TraceSpec
-
-
-# -- legacy structure codes (deprecated shims) --------------------------------
-
-
-def build_structure(spec: Optional[str]) -> Optional[L1Augmentation]:
-    """Deprecated: build a helper structure from its legacy string code.
-
-    Use :func:`repro.specs.build` with a
-    :class:`~repro.specs.StructureSpec` instead; this shim parses the
-    code into a spec and builds it.
-    """
-    warnings.warn(
-        "build_structure(code) is deprecated; use repro.specs.build("
-        "parse_structure_code(code)) or construct a StructureSpec directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_spec(parse_structure_code(spec))
-
-
-def spec_of(structure: Optional[L1Augmentation]) -> Optional[str]:
-    """Deprecated: legacy string code for a default-option structure.
-
-    Use :func:`repro.specs.describe`, which returns a full
-    :class:`~repro.specs.StructureSpec` for *any* registered structure.
-    This shim preserves the old contract: the short code for structures
-    built with the paper's default options, None for everything else.
-    """
-    warnings.warn(
-        "spec_of(structure) is deprecated; use repro.specs.describe(structure), "
-        "which covers non-default options too",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        spec = describe(structure)
-    except SpecError:
-        return None
-    return _structure_code(spec)
-
-
 # -- jobs ---------------------------------------------------------------------
+
+
+_ENTRY_SWEEP_KINDS = ("miss", "victim")
 
 
 def _require_trace(system: SystemSpec, job_kind: str) -> None:
@@ -165,6 +104,13 @@ def _require_trace(system: SystemSpec, job_kind: str) -> None:
         raise ConfigurationError(
             f"{job_kind} needs a SystemSpec with a trace reference; "
             "config-only specs cannot be executed"
+        )
+
+
+def _require_at_least(job_kind: str, name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(
+            f"{job_kind}: {name} must be an integer >= {minimum}, got {value!r}"
         )
 
 
@@ -223,6 +169,12 @@ class EntrySweepJob:
 
     def __post_init__(self) -> None:
         _require_trace(self.system, "EntrySweepJob")
+        if self.kind not in _ENTRY_SWEEP_KINDS:
+            raise ConfigurationError(
+                f"entry-sweep kind must be one of {', '.join(_ENTRY_SWEEP_KINDS)}; "
+                f"got {self.kind!r}"
+            )
+        _require_at_least("EntrySweepJob", "max_entries", self.max_entries, 0)
 
 
 @dataclass(frozen=True)
@@ -241,6 +193,9 @@ class RunSweepJob:
 
     def __post_init__(self) -> None:
         _require_trace(self.system, "RunSweepJob")
+        _require_at_least("RunSweepJob", "ways", self.ways, 1)
+        _require_at_least("RunSweepJob", "entries", self.entries, 1)
+        _require_at_least("RunSweepJob", "max_run", self.max_run, 0)
 
 
 @dataclass(frozen=True)
@@ -273,8 +228,8 @@ def _sweep_system(job: Union["EntrySweepJob", "RunSweepJob"]) -> SystemSpec:
     An entry sweep is one run with a tracked-depth structure of capacity
     ``max_entries + 1``; a run sweep is one run with an offset-tracking
     (multi-way) stream buffer.  Routing backend selection through the
-    equivalent spec keeps ``REPRO_BACKEND`` semantics, availability
-    probing, and the vector/miss-replay mode table in one place
+    equivalent spec keeps ``REPRO_BACKEND`` semantics and the
+    vector/miss-replay mode table in one place
     (:func:`repro.kernels.select_backend`).
     """
     from dataclasses import replace
@@ -287,9 +242,7 @@ def _sweep_system(job: Union["EntrySweepJob", "RunSweepJob"]) -> SystemSpec:
     )
 
     if isinstance(job, EntrySweepJob):
-        spec_cls = {"miss": MissCacheSpec, "victim": VictimCacheSpec}.get(job.kind)
-        if spec_cls is None:
-            raise ConfigurationError(f"unknown entry-sweep kind {job.kind!r}")
+        spec_cls = {"miss": MissCacheSpec, "victim": VictimCacheSpec}[job.kind]
         structure = spec_cls(entries=job.max_entries + 1, track_depths=True)
     elif job.ways == 1:
         structure = StreamBufferSpec(entries=job.entries, track_run_offsets=True)
@@ -305,7 +258,7 @@ def execute_job(job: Job):
 
     ``LevelJob``s are backend-dispatched: when
     :func:`repro.kernels.select_backend` picks numpy (spec qualifies,
-    numpy importable, ``REPRO_BACKEND`` not forcing ``python``),
+    ``REPRO_BACKEND`` not forcing ``python``),
     structure-free specs run the vectorized direct-mapped kernel and
     structure-carrying specs run the assist kernel (vector or
     miss-replay mode per :func:`repro.kernels.kernel_mode`); sweep jobs
@@ -342,8 +295,6 @@ def execute_job(job: Job):
         )
     if isinstance(job, EntrySweepJob):
         system = job.system
-        if job.kind not in ("miss", "victim"):
-            raise ConfigurationError(f"unknown entry-sweep kind {job.kind!r}")
         if select_backend(_sweep_system(job)) == NUMPY:
             from ..kernels.assist import entry_sweep_summary
 
@@ -664,10 +615,7 @@ def _job_backend(job: Job) -> Optional[str]:
     if isinstance(job, LevelJob):
         system = job.system
     elif isinstance(job, (EntrySweepJob, RunSweepJob)):
-        try:
-            system = _sweep_system(job)
-        except ConfigurationError:
-            return PYTHON
+        system = _sweep_system(job)
     else:
         return None
     backend = select_backend(system)
@@ -1233,6 +1181,10 @@ def run_jobs(
             backend=backend_note,
         )
     else:
+        if backends.keys() - {PYTHON}:
+            # Load the kernels (and numpy) before forking, so workers
+            # inherit them instead of each importing numpy again.
+            from ..kernels import assist  # noqa: F401
         initializer, initargs, segments, note = _pool_setup(
             _distinct_trace_keys([entry.job for entry in entries])
         )
@@ -1306,7 +1258,7 @@ def run_experiments(
         # memory via the initializer (or rebuild once per worker when
         # shared memory is unavailable).
         suite(scale, seed)
-        suite_keys = tuple(TraceKey(name, scale, seed) for name in BENCHMARK_NAMES)
+        suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
         initializer, initargs, segments, note = _pool_setup(suite_keys)
         try:
             computed, failures = _execute_entries(

@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..common.config import CacheConfig
-from .base import TableResult
-from .runner import run_level
+from ..common.stats import percent
+from ..specs import SystemSpec
+from .base import TableResult, run_point_specs
 from .workloads import suite
 
 __all__ = ["run"]
@@ -27,23 +28,25 @@ CONFIG = CacheConfig(4096, 16)
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    specs = [
+        SystemSpec.for_level(trace, CONFIG, classify=True, warmup=warmup)
+        for trace in traces
+        for warmup in (0, len(trace.data_addresses) // 3)
+    ]
+    summaries = run_point_specs(specs)
     rows = []
-    for trace in traces:
-        addresses = trace.data_addresses
-        warmup = len(addresses) // 3
-        cold = run_level(addresses, CONFIG, classify=True)
-        warm = run_level(addresses, CONFIG, classify=True, warmup=warmup)
-        cold_rate = cold.stats.miss_rate
-        warm_rate = warm.stats.miss_rate
+    for trace, cold, warm in zip(traces, summaries[::2], summaries[1::2]):
+        cold_rate = cold.miss_rate
+        warm_rate = warm.miss_rate
         rows.append(
             [
                 trace.name,
                 round(cold_rate, 4),
                 round(warm_rate, 4),
                 round(100.0 * (cold_rate - warm_rate) / max(1e-12, cold_rate), 1),
-                round(cold.classifier.percent_conflict, 1),
-                round(warm.classifier.percent_conflict, 1),
+                round(percent(cold.conflict_misses, cold.demand_misses), 1),
+                round(percent(warm.conflict_misses, warm.demand_misses), 1),
             ]
         )
     return TableResult(

@@ -21,9 +21,8 @@ from typing import Optional
 
 from ..common.config import CacheConfig
 from ..common.stats import average_percent_reduction
-from .base import TableResult
-from .runner import run_level
-from .sweeps import miss_cache_sweep, victim_cache_sweep
+from .base import TableResult, level_point_specs, run_point_specs
+from .sweeps import batch_entry_sweeps
 from .workloads import suite
 
 __all__ = ["run"]
@@ -33,17 +32,17 @@ BIG = CacheConfig(8192, 16)
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
-    doubling_pairs = []
-    mc_sweeps = {}
-    vc_sweeps = {}
-    for trace in traces:
-        addresses = trace.data_addresses
-        small_misses = run_level(addresses, SMALL).misses
-        big_misses = run_level(addresses, BIG).misses
-        doubling_pairs.append((small_misses, big_misses))
-        mc_sweeps[trace.name] = miss_cache_sweep(addresses, SMALL, max_entries=4)
-        vc_sweeps[trace.name] = victim_cache_sweep(addresses, SMALL, max_entries=4)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    names = [trace.name for trace in traces]
+    small = run_point_specs(level_point_specs(traces, SMALL, sides=("d",)))
+    big = run_point_specs(level_point_specs(traces, BIG, sides=("d",)))
+    doubling_pairs = [(s.demand_misses, b.demand_misses) for s, b in zip(small, big)]
+    mc_sweeps = dict(
+        zip(names, batch_entry_sweeps(traces, SMALL, kind="miss", sides=("d",), max_entries=4))
+    )
+    vc_sweeps = dict(
+        zip(names, batch_entry_sweeps(traces, SMALL, kind="victim", sides=("d",), max_entries=4))
+    )
 
     doubling_reduction = average_percent_reduction(doubling_pairs)
     extra_lines = BIG.num_lines - SMALL.num_lines

@@ -27,7 +27,7 @@ caveat, restated on modern traffic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..common.config import CacheConfig
 from ..specs import (
@@ -91,9 +91,9 @@ def _jobs_for(workloads: Sequence[WorkloadSpec]) -> List[LevelJob]:
     jobs: List[LevelJob] = []
     for workload in workloads:
         for structure in [None] + [spec for _, spec in STRUCTURES]:
-            system = SystemSpec.for_level(workload, CONFIG, side="d", structure=structure)
-            assert system is not None  # WorkloadSpec input never returns None
-            jobs.append(LevelJob(system))
+            jobs.append(
+                LevelJob(SystemSpec.for_level(workload, CONFIG, side="d", structure=structure))
+            )
     return jobs
 
 

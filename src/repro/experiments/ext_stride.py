@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
-from ..buffers.stride import MultiWayStrideBuffer, StrideStreamBuffer
 from ..common.config import CacheConfig
 from ..common.stats import percent
-from ..traces.registry import build_trace
-from .base import TableResult
-from .runner import run_level
+from ..specs import (
+    MultiWayStreamBufferSpec,
+    MultiWayStrideBufferSpec,
+    NamedWorkloadSpec,
+    StreamBufferSpec,
+    StrideBufferSpec,
+)
+from .base import TableResult, run_point_columns
 from .workloads import suite
 
 __all__ = ["run"]
@@ -28,29 +31,24 @@ __all__ = ["run"]
 CONFIG = CacheConfig(4096, 16)
 
 _BUFFERS = [
-    ("seq 1-way", lambda: StreamBuffer(4)),
-    ("seq 4-way", lambda: MultiWayStreamBuffer(4, 4)),
-    ("stride 1-way", lambda: StrideStreamBuffer(4)),
-    ("stride 4-way", lambda: MultiWayStrideBuffer(4, 4)),
+    ("seq 1-way", StreamBufferSpec(4)),
+    ("seq 4-way", MultiWayStreamBufferSpec(4, 4)),
+    ("stride 1-way", StrideBufferSpec(4)),
+    ("stride 4-way", MultiWayStrideBufferSpec(4, 4)),
 ]
 
 
-def _row(name: str, addresses) -> list:
-    baseline = run_level(addresses, CONFIG)
-    row: list = [name, baseline.misses]
-    for _, make in _BUFFERS:
-        result = run_level(addresses, CONFIG, make())
-        row.append(round(percent(result.removed, baseline.misses), 1))
-    return row
-
-
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
     matcol_scale = scale if scale is not None else 60_000
-    matcol = build_trace("matcol", matcol_scale, seed).materialize()
-    rows = [_row("matcol (non-unit)", matcol.data_addresses)]
-    for trace in traces:
-        rows.append(_row(trace.name, trace.data_addresses))
+    workloads = [NamedWorkloadSpec("matcol", matcol_scale, seed)] + list(traces)
+    names = ["matcol (non-unit)"] + [trace.name for trace in traces]
+    columns = run_point_columns(workloads, CONFIG, [None] + [b for _, b in _BUFFERS])
+    rows = [
+        [name, baseline.demand_misses]
+        + [round(percent(r.removed_misses, baseline.demand_misses), 1) for r in results]
+        for name, baseline, *results in zip(names, *columns)
+    ]
     return TableResult(
         experiment_id="ext_stride",
         title="Extension (SS5): stride-detecting vs. sequential stream buffers, data side",

@@ -14,7 +14,6 @@ from typing import Optional
 from ..common.config import CacheConfig
 from ..common.stats import percent
 from .base import FigureResult, Series, level_point_specs, run_point_specs
-from .runner import run_level
 from .workloads import suite
 
 __all__ = ["run"]
@@ -33,20 +32,11 @@ def run(
     traces = list(traces) if traces is not None else suite(scale, seed)
     config = CacheConfig(4096, 16)
     names = [trace.name for trace in traces]
-    specs = level_point_specs(traces, config, classify=True)
-    if specs is not None:
-        # Declarative points through the engine (parallel with jobs > 1).
-        summaries = run_point_specs(specs, jobs=jobs, resilience=resilience)
-        i_pct = [percent(s.conflict_misses, s.demand_misses) for s in summaries[: len(traces)]]
-        d_pct = [percent(s.conflict_misses, s.demand_misses) for s in summaries[len(traces):]]
-    else:
-        # Hand-made traces carry no rebuild recipe: replay them inline.
-        i_pct, d_pct = [], []
-        for trace in traces:
-            irun = run_level(trace.instruction_addresses, config, classify=True)
-            drun = run_level(trace.data_addresses, config, classify=True)
-            i_pct.append(irun.classifier.percent_conflict)
-            d_pct.append(drun.classifier.percent_conflict)
+    summaries = run_point_specs(
+        level_point_specs(traces, config, classify=True), jobs=jobs, resilience=resilience
+    )
+    i_pct = [percent(s.conflict_misses, s.demand_misses) for s in summaries[: len(traces)]]
+    d_pct = [percent(s.conflict_misses, s.demand_misses) for s in summaries[len(traces):]]
     names.append("average")
     i_pct.append(sum(i_pct) / len(i_pct))
     d_pct.append(sum(d_pct) / len(d_pct))

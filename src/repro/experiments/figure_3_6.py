@@ -10,12 +10,12 @@ conflicts become rarer as sets multiply.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..common.config import CacheConfig
 from ..common.stats import safe_div
 from .base import FigureResult, Series
-from .sweeps import victim_cache_sweep
+from .sweeps import batch_entry_sweeps
 from .workloads import suite
 
 __all__ = ["run", "CACHE_SIZES_KB", "VC_ENTRIES"]
@@ -24,32 +24,46 @@ CACHE_SIZES_KB = [1, 2, 4, 8, 16, 32, 64, 128]
 VC_ENTRIES = [1, 2, 4, 15]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def victim_curves(traces, configs: Sequence[CacheConfig], x_values) -> List[Series]:
+    """Data-side victim-cache removal curves over a sequence of geometries.
+
+    One series per :data:`VC_ENTRIES` size — the average percent of
+    conflict misses removed over benchmarks that have conflicts — plus
+    the average conflict share of misses, each with one point per
+    config.  Figures 3-6 and 3-7 differ only in the geometry axis.
+    """
     removal_curves: List[List[float]] = [[] for _ in VC_ENTRIES]
     conflict_percent: List[float] = []
-    for size_kb in CACHE_SIZES_KB:
-        config = CacheConfig(size_kb * 1024, 16)
-        per_entry_percents: List[List[float]] = [[] for _ in VC_ENTRIES]
+    for config in configs:
+        sweeps = batch_entry_sweeps(
+            traces, config, kind="victim", sides=("d",), max_entries=max(VC_ENTRIES)
+        )
+        per_entry: List[List[float]] = [[] for _ in VC_ENTRIES]
         conflict_shares: List[float] = []
-        for trace in traces:
-            sweep = victim_cache_sweep(trace.data_addresses, config, max(VC_ENTRIES))
+        for sweep in sweeps:
             if sweep.conflict_misses == 0:
                 continue
             for slot, entries in enumerate(VC_ENTRIES):
-                per_entry_percents[slot].append(sweep.percent_of_conflicts_removed(entries))
+                per_entry[slot].append(sweep.percent_of_conflicts_removed(entries))
             conflict_shares.append(100.0 * safe_div(sweep.conflict_misses, sweep.total_misses))
         for slot in range(len(VC_ENTRIES)):
-            values = per_entry_percents[slot]
+            values = per_entry[slot]
             removal_curves[slot].append(sum(values) / len(values) if values else 0.0)
         conflict_percent.append(
             sum(conflict_shares) / len(conflict_shares) if conflict_shares else 0.0
         )
     series = [
-        Series(f"{entries}-entry victim cache", CACHE_SIZES_KB, removal_curves[slot])
+        Series(f"{entries}-entry victim cache", x_values, removal_curves[slot])
         for slot, entries in enumerate(VC_ENTRIES)
     ]
-    series.append(Series("percent conflict misses", CACHE_SIZES_KB, conflict_percent))
+    series.append(Series("percent conflict misses", x_values, conflict_percent))
+    return series
+
+
+def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
+    traces = traces if traces is not None else suite(scale, seed)
+    configs = [CacheConfig(size_kb * 1024, 16) for size_kb in CACHE_SIZES_KB]
+    series = victim_curves(traces, configs, CACHE_SIZES_KB)
     return FigureResult(
         experiment_id="figure_3_6",
         title="Victim cache performance vs. direct-mapped data cache size",

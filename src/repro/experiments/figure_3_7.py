@@ -10,47 +10,23 @@ more from long lines than systems without.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..common.config import CacheConfig
-from ..common.stats import safe_div
-from .base import FigureResult, Series
-from .sweeps import victim_cache_sweep
+from .base import FigureResult
+from .figure_3_6 import VC_ENTRIES, victim_curves
 from .workloads import suite
 
 __all__ = ["run", "LINE_SIZES", "VC_ENTRIES"]
 
 LINE_SIZES = [8, 16, 32, 64, 128, 256]
-VC_ENTRIES = [1, 2, 4, 15]
 CACHE_BYTES = 4096
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     traces = traces if traces is not None else suite(scale, seed)
-    removal_curves: List[List[float]] = [[] for _ in VC_ENTRIES]
-    conflict_percent: List[float] = []
-    for line_size in LINE_SIZES:
-        config = CacheConfig(CACHE_BYTES, line_size)
-        per_entry: List[List[float]] = [[] for _ in VC_ENTRIES]
-        conflict_shares: List[float] = []
-        for trace in traces:
-            sweep = victim_cache_sweep(trace.data_addresses, config, max(VC_ENTRIES))
-            if sweep.conflict_misses == 0:
-                continue
-            for slot, entries in enumerate(VC_ENTRIES):
-                per_entry[slot].append(sweep.percent_of_conflicts_removed(entries))
-            conflict_shares.append(100.0 * safe_div(sweep.conflict_misses, sweep.total_misses))
-        for slot in range(len(VC_ENTRIES)):
-            values = per_entry[slot]
-            removal_curves[slot].append(sum(values) / len(values) if values else 0.0)
-        conflict_percent.append(
-            sum(conflict_shares) / len(conflict_shares) if conflict_shares else 0.0
-        )
-    series = [
-        Series(f"{entries}-entry victim cache", LINE_SIZES, removal_curves[slot])
-        for slot, entries in enumerate(VC_ENTRIES)
-    ]
-    series.append(Series("percent conflict misses", LINE_SIZES, conflict_percent))
+    configs = [CacheConfig(CACHE_BYTES, line_size) for line_size in LINE_SIZES]
+    series = victim_curves(traces, configs, LINE_SIZES)
     return FigureResult(
         experiment_id="figure_3_7",
         title="Victim cache performance vs. data cache line size (4KB cache)",

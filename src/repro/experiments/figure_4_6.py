@@ -11,58 +11,64 @@ surviving misses.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
 from ..common.config import CacheConfig
-from .base import FigureResult, Series
-from .runner import run_level
+from ..specs import MultiWayStreamBufferSpec, StreamBufferSpec
+from .base import FigureResult, Series, level_point_specs, run_point_specs
 from .workloads import suite
 
 __all__ = ["run", "CACHE_SIZES_KB"]
 
 CACHE_SIZES_KB = [1, 2, 4, 8, 16, 32, 64, 128]
 
+#: (series label, side, buffer) for each curve of Figures 4-6 and 4-7.
+CURVES = (
+    ("single, I-cache", "i", StreamBufferSpec(4)),
+    ("single, D-cache", "d", StreamBufferSpec(4)),
+    ("4-way, I-cache", "i", MultiWayStreamBufferSpec(4, 4)),
+    ("4-way, D-cache", "d", MultiWayStreamBufferSpec(4, 4)),
+)
 
-def _average_removal(traces, side: str, config: CacheConfig, make_buffer) -> float:
-    percents: List[float] = []
-    for trace in traces:
-        stream = trace.stream(side)
-        run = run_level(stream, config, make_buffer())
-        if run.misses == 0:
-            continue
-        percents.append(100.0 * run.removed / run.misses)
+
+def _average_removal(summaries) -> float:
+    percents = [
+        100.0 * s.removed_misses / s.demand_misses for s in summaries if s.demand_misses
+    ]
     return sum(percents) / len(percents) if percents else 0.0
+
+
+def removal_curves(traces, configs: Sequence[CacheConfig], x_values) -> List[Series]:
+    """Average percent of misses removed, per :data:`CURVES` entry and config.
+
+    Every (config, curve, trace) point goes to the engine as one batch.
+    """
+    traces = list(traces)
+    specs = [
+        spec
+        for config in configs
+        for _, side, buffer in CURVES
+        for spec in level_point_specs(traces, config, structure=buffer, sides=(side,))
+    ]
+    summaries = iter(run_point_specs(specs))
+    curves: List[List[float]] = [[] for _ in CURVES]
+    for _ in configs:
+        for values in curves:
+            values.append(_average_removal([next(summaries) for _ in traces]))
+    return [
+        Series(label, x_values, values) for (label, _, _), values in zip(CURVES, curves)
+    ]
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     traces = traces if traces is not None else suite(scale, seed)
-    curves = {
-        "single, I-cache": [],
-        "single, D-cache": [],
-        "4-way, I-cache": [],
-        "4-way, D-cache": [],
-    }
-    for size_kb in CACHE_SIZES_KB:
-        config = CacheConfig(size_kb * 1024, 16)
-        curves["single, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: StreamBuffer(4))
-        )
-        curves["single, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: StreamBuffer(4))
-        )
-        curves["4-way, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
-        curves["4-way, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
+    configs = [CacheConfig(size_kb * 1024, 16) for size_kb in CACHE_SIZES_KB]
     return FigureResult(
         experiment_id="figure_4_6",
         title="Stream buffer performance vs. cache size (16B lines)",
         xlabel="cache size (KB)",
         ylabel="percent of misses removed (avg over benchmarks)",
-        series=[Series(label, CACHE_SIZES_KB, values) for label, values in curves.items()],
+        series=removal_curves(traces, configs, CACHE_SIZES_KB),
         notes=[
             "paper: I-side flat across sizes; single-buffer D-side improves with size",
             "(15% at 1KB to 35% at 128KB)",

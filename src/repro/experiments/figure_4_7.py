@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
 from ..common.config import CacheConfig
-from .base import FigureResult, Series
-from .figure_4_6 import _average_removal
+from .base import FigureResult
+from .figure_4_6 import removal_curves
 from .workloads import suite
 
 __all__ = ["run", "LINE_SIZES"]
@@ -27,32 +26,13 @@ CACHE_BYTES = 4096
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     traces = traces if traces is not None else suite(scale, seed)
-    curves = {
-        "single, I-cache": [],
-        "single, D-cache": [],
-        "4-way, I-cache": [],
-        "4-way, D-cache": [],
-    }
-    for line_size in LINE_SIZES:
-        config = CacheConfig(CACHE_BYTES, line_size)
-        curves["single, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: StreamBuffer(4))
-        )
-        curves["single, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: StreamBuffer(4))
-        )
-        curves["4-way, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
-        curves["4-way, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
+    configs = [CacheConfig(CACHE_BYTES, line_size) for line_size in LINE_SIZES]
     return FigureResult(
         experiment_id="figure_4_7",
         title="Stream buffer performance vs. line size (4KB caches)",
         xlabel="line size (bytes)",
         ylabel="percent of misses removed (avg over benchmarks)",
-        series=[Series(label, LINE_SIZES, values) for label, values in curves.items()],
+        series=removal_curves(traces, configs, LINE_SIZES),
         notes=[
             "paper: D-side falls steeply with line size (6.8x single / 4.5x 4-way",
             "from 8B to 128B); I-side still removes 40%+ at 128B lines",

@@ -18,42 +18,33 @@ a designer points at their own workload after reading the paper.
     )
     table = sweep_grid(traces, spec, side="d")
 
-Structure axis values are declarative :class:`~repro.specs.StructureSpec`
-instances (preferred — any registered structure, any options, always
-parallelizable) or legacy zero-argument factories.
+Structure axis values are declarative
+:class:`~repro.specs.StructureSpec` instances (any registered structure,
+any options) or None for the bare baseline; every grid point is an
+engine job, so it runs on the kernels, fans out over workers, and is
+memoized by an active result store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
-from ..buffers.base import L1Augmentation
 from ..common.config import CacheConfig
 from ..common.errors import ConfigurationError
-from ..common.stats import percent
 from ..specs import (
     MultiWayStreamBufferSpec,
     SpecError,
     StreamBufferSpec,
     StructureSpec,
     VictimCacheSpec,
-    build,
-    describe,
 )
 from .base import TableResult
-from .runner import run_level
 
 __all__ = ["GridSpec", "sweep_grid", "default_structures"]
 
-#: A structure axis value: None (bare baseline), a declarative
-#: :class:`~repro.specs.StructureSpec` (preferred — always job-able), or
-#: a zero-argument factory returning a live structure (legacy style;
-#: job-able only when the built structure is spec-describable).
-StructureFactory = Union[None, StructureSpec, Callable[[], L1Augmentation]]
 
-
-def default_structures() -> Dict[str, StructureFactory]:
+def default_structures() -> Dict[str, Optional[StructureSpec]]:
     """The paper's §5 shortlist as a ready-made structure axis."""
     return {
         "none": None,
@@ -63,116 +54,31 @@ def default_structures() -> Dict[str, StructureFactory]:
     }
 
 
-def _build_structure_value(value: StructureFactory) -> Optional[L1Augmentation]:
-    """Live structure for one axis value (spec, factory, or None)."""
-    if value is None or isinstance(value, StructureSpec):
-        return build(value)
-    return value()
-
-
-def _spec_of_value(value: StructureFactory) -> Optional[StructureSpec]:
-    """Declarative spec for one axis value, raising SpecError if none exists."""
-    if value is None or isinstance(value, StructureSpec):
-        return value
-    return describe(value())
-
-
 @dataclass
 class GridSpec:
     """Axes of a design-space sweep."""
 
     cache_sizes_kb: Sequence[int] = (4,)
     line_sizes: Sequence[int] = (16,)
-    structures: Dict[str, StructureFactory] = field(default_factory=default_structures)
+    structures: Dict[str, Optional[StructureSpec]] = field(
+        default_factory=default_structures
+    )
     #: Optional warm-up prefix (references) for steady-state numbers.
     warmup: int = 0
 
     def __post_init__(self) -> None:
         if not self.cache_sizes_kb or not self.line_sizes or not self.structures:
             raise ConfigurationError("every grid axis needs at least one point")
+        for label, value in self.structures.items():
+            if value is not None and not isinstance(value, StructureSpec):
+                raise SpecError(
+                    f"structure {label!r} must be a StructureSpec or None, "
+                    f"got {type(value).__name__}"
+                )
 
     @property
     def num_points(self) -> int:
         return len(self.cache_sizes_kb) * len(self.line_sizes) * len(self.structures)
-
-
-def _parallel_rows(
-    traces, spec: GridSpec, side: str, jobs: int, warn: bool = True, resilience=None
-) -> Optional[List[List]]:
-    """Grid rows via the engine, or None when the sweep is not job-able.
-
-    Every grid point must be expressible as a picklable job: each trace
-    needs a workload spec (:func:`~repro.specs.workload_spec_of` — any
-    spec-built trace qualifies, registry or pattern) and each structure
-    axis value must be declarative — a
-    :class:`~repro.specs.StructureSpec`, or a factory whose product
-    :func:`~repro.specs.describe` can turn into one.  Anything else —
-    hand-built traces, structures holding live callables, unregistered
-    classes — falls back to the serial path, surfaced (when *warn* is
-    set, i.e. the caller actually asked for parallelism) as a
-    :class:`~repro.telemetry.core.ParallelFallbackWarning` plus a
-    ``fallback_reason`` entry on the active telemetry scope.
-    """
-    from ..specs import SystemSpec, TraceSpec, unkeyed_reason
-    from ..telemetry.core import record_fallback
-    from .engine import LevelJob, run_jobs
-
-    trace_keys = [TraceSpec.of(trace) for trace in traces]
-    if any(key is None for key in trace_keys):
-        if warn:
-            reasons = [
-                unkeyed_reason(trace) for trace, key in zip(traces, trace_keys) if key is None
-            ]
-            record_fallback(
-                "sweep_grid",
-                f"trace(s) without a workload spec: {'; '.join(reasons)}",
-                stacklevel=4,
-            )
-        return None
-    structure_specs = {}
-    for label, value in spec.structures.items():
-        try:
-            structure_specs[label] = _spec_of_value(value)
-        except SpecError as exc:
-            if warn:
-                record_fallback(
-                    "sweep_grid",
-                    f"structure {label!r} cannot be described as a declarative spec: {exc}",
-                    stacklevel=4,
-                )
-            return None
-    job_list = []
-    points = []
-    for trace, key in zip(traces, trace_keys):
-        for size_kb in spec.cache_sizes_kb:
-            for line_size in spec.line_sizes:
-                config = CacheConfig(size_kb * 1024, line_size)
-                for label in spec.structures:
-                    job_list.append(
-                        LevelJob(
-                            SystemSpec.for_level(
-                                key,
-                                config,
-                                side=side,
-                                structure=structure_specs[label],
-                                warmup=spec.warmup,
-                            )
-                        )
-                    )
-                    points.append((trace.name, size_kb, line_size, label))
-    summaries = run_jobs(job_list, jobs=jobs, resilience=resilience)
-    return [
-        [
-            name,
-            size_kb,
-            line_size,
-            label,
-            round(summary.miss_rate, 4),
-            round(summary.percent_removed, 1),
-            round(summary.effective_miss_rate, 4),
-        ]
-        for (name, size_kb, line_size, label), summary in zip(points, summaries)
-    ]
 
 
 def sweep_grid(
@@ -189,51 +95,41 @@ def sweep_grid(
     % reaching the next level.  Suitable for pivoting/plotting by the
     caller; each row is one independent simulation.
 
-    With ``jobs > 1`` (or ``REPRO_JOBS`` set) the grid points fan out
-    over the parallel engine; row order and values are identical to the
-    serial sweep.  Traces without a registry recipe or structures the
-    engine cannot describe fall back to serial execution.  An active
-    result store also routes the grid through the engine at ``jobs=1``,
-    so every point is memoized — a repeated grid re-simulates nothing.
+    Every point is an engine job: inline at ``jobs=1``, fanned out over
+    worker processes with ``jobs > 1`` (or ``REPRO_JOBS``) with
+    identical row order and values, and memoized by an active result
+    store — a repeated grid re-simulates nothing.  Every trace needs a
+    workload spec: a hand-made one raises
+    :class:`~repro.common.errors.ConfigurationError`.
     """
-    from ..store import current_store
-    from .engine import resolve_jobs
+    from ..specs import SystemSpec
+    from .engine import LevelJob, run_jobs
 
-    traces = list(traces)
-    rows: Optional[List[List]] = None
-    if resolve_jobs(jobs) > 1 or current_store() is not None:
-        rows = _parallel_rows(
-            traces,
-            spec,
-            side,
-            resolve_jobs(jobs),
-            warn=resolve_jobs(jobs) > 1,
-            resilience=resilience,
-        )
-    if rows is None:
-        rows = []
-        for trace in traces:
-            addresses = trace.stream(side)
-            for size_kb in spec.cache_sizes_kb:
-                for line_size in spec.line_sizes:
-                    config = CacheConfig(size_kb * 1024, line_size)
-                    for label, value in spec.structures.items():
-                        augmentation = _build_structure_value(value)
-                        run = run_level(
-                            addresses, config, augmentation, warmup=spec.warmup
-                        )
-                        stats = run.stats
-                        rows.append(
-                            [
-                                trace.name,
-                                size_kb,
-                                line_size,
-                                label,
-                                round(stats.miss_rate, 4),
-                                round(percent(stats.removed_misses, stats.demand_misses), 1),
-                                round(stats.effective_miss_rate, 4),
-                            ]
-                        )
+    job_list = []
+    points = []
+    for trace in traces:
+        for size_kb in spec.cache_sizes_kb:
+            for line_size in spec.line_sizes:
+                config = CacheConfig(size_kb * 1024, line_size)
+                for label, structure in spec.structures.items():
+                    system = SystemSpec.for_level(
+                        trace, config, side=side, structure=structure, warmup=spec.warmup
+                    )
+                    job_list.append(LevelJob(system))
+                    points.append((trace.name, size_kb, line_size, label))
+    summaries = run_jobs(job_list, jobs=jobs, resilience=resilience)
+    rows = [
+        [
+            name,
+            size_kb,
+            line_size,
+            label,
+            round(summary.miss_rate, 4),
+            round(summary.percent_removed, 1),
+            round(summary.effective_miss_rate, 4),
+        ]
+        for (name, size_kb, line_size, label), summary in zip(points, summaries)
+    ]
     return TableResult(
         experiment_id=experiment_id,
         title=f"design-space grid sweep ({side}-side, {spec.num_points} points/trace)",

@@ -33,6 +33,7 @@ from ..buffers.miss_cache import MissCache
 from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
 from ..buffers.victim_cache import VictimCache
 from ..common.config import CacheConfig
+from .base import level_point_specs
 from .runner import run_level
 
 __all__ = [
@@ -147,9 +148,10 @@ def stream_buffer_run_sweep(
 #
 # One figure evaluates a sweep per (benchmark, side) — a dozen
 # independent simulations.  These helpers describe the whole batch as
-# picklable engine jobs so it can fan out over worker processes; with
-# jobs=1 they run inline and are exactly equivalent to calling the
-# single-sweep functions in a loop.
+# picklable engine jobs: inline at jobs=1, fanned out over worker
+# processes otherwise, and memoized point by point by an active result
+# store.  The single-sweep functions above stay the reference
+# interpreter the python backend runs.
 
 
 def batch_entry_sweeps(
@@ -164,51 +166,17 @@ def batch_entry_sweeps(
     """Entry sweeps for every (side, trace) pair, in nested order.
 
     Results are ordered ``for side in sides: for trace in traces`` —
-    the iteration order of Figures 3-3/3-5.  Traces without a registry
-    rebuild recipe run serially in the calling process; when that
-    overrides a ``jobs > 1`` request the fallback is surfaced with a
-    :class:`~repro.telemetry.core.ParallelFallbackWarning` and recorded
-    on the active telemetry scope.
-
-    An active result store also routes the batch through the engine at
-    ``jobs=1``: inline execution there is equivalent to this loop, and
-    engine jobs are what the store can memoize.
+    the iteration order of Figures 3-3/3-5.  Every trace needs a
+    workload spec: a hand-made one raises
+    :class:`~repro.common.errors.ConfigurationError`.
     """
-    from ..specs import SystemSpec, TraceSpec
-    from ..store import current_store
-    from .engine import EntrySweepJob, resolve_jobs, run_jobs
+    from .engine import EntrySweepJob, run_jobs
 
-    traces = list(traces)
-    pairs = [(side, trace) for side in sides for trace in traces]
-    keys = {id(trace): TraceSpec.of(trace) for trace in traces}
-    sweep_fn = {"miss": miss_cache_sweep, "victim": victim_cache_sweep}[kind]
-    if resolve_jobs(jobs) > 1 or current_store() is not None:
-        if all(key is not None for key in keys.values()):
-            job_list = [
-                EntrySweepJob(
-                    system=SystemSpec.for_level(keys[id(trace)], config, side=side),
-                    kind=kind,
-                    max_entries=max_entries,
-                )
-                for side, trace in pairs
-            ]
-            return run_jobs(job_list, jobs=jobs, resilience=resilience)
-        if resolve_jobs(jobs) > 1:
-            _note_fallback("batch_entry_sweeps", traces, keys)
-    return [sweep_fn(trace.stream(side), config, max_entries) for side, trace in pairs]
-
-
-def _note_fallback(component: str, traces, keys) -> None:
-    """Warn + record that a parallel batch degraded to serial execution."""
-    from ..specs import unkeyed_reason
-    from ..telemetry.core import record_fallback
-
-    reasons = [unkeyed_reason(trace) for trace in traces if keys[id(trace)] is None]
-    record_fallback(
-        component,
-        f"trace(s) without a workload spec: {'; '.join(reasons)}",
-        stacklevel=4,
-    )
+    job_list = [
+        EntrySweepJob(system=system, kind=kind, max_entries=max_entries)
+        for system in level_point_specs(traces, config, sides=sides)
+    ]
+    return run_jobs(job_list, jobs=jobs, resilience=resilience)
 
 
 def batch_run_sweeps(
@@ -223,33 +191,12 @@ def batch_run_sweeps(
 ) -> List[RunLengthSweep]:
     """Stream-buffer run sweeps for every (side, trace) pair, nested order.
 
-    Serial-fallback and result-store semantics match
-    :func:`batch_entry_sweeps`.
+    Ordering and spec requirements match :func:`batch_entry_sweeps`.
     """
-    from ..specs import SystemSpec, TraceSpec
-    from ..store import current_store
-    from .engine import RunSweepJob, resolve_jobs, run_jobs
+    from .engine import RunSweepJob, run_jobs
 
-    traces = list(traces)
-    pairs = [(side, trace) for side in sides for trace in traces]
-    keys = {id(trace): TraceSpec.of(trace) for trace in traces}
-    if resolve_jobs(jobs) > 1 or current_store() is not None:
-        if all(key is not None for key in keys.values()):
-            job_list = [
-                RunSweepJob(
-                    system=SystemSpec.for_level(keys[id(trace)], config, side=side),
-                    ways=ways,
-                    entries=entries,
-                    max_run=max_run,
-                )
-                for side, trace in pairs
-            ]
-            return run_jobs(job_list, jobs=jobs, resilience=resilience)
-        if resolve_jobs(jobs) > 1:
-            _note_fallback("batch_run_sweeps", traces, keys)
-    return [
-        stream_buffer_run_sweep(
-            trace.stream(side), config, ways=ways, entries=entries, max_run=max_run
-        )
-        for side, trace in pairs
+    job_list = [
+        RunSweepJob(system=system, ways=ways, entries=entries, max_run=max_run)
+        for system in level_point_specs(traces, config, sides=sides)
     ]
+    return run_jobs(job_list, jobs=jobs, resilience=resilience)

@@ -30,22 +30,20 @@ performance decision.
 Backend selection
 -----------------
 
-:func:`select_backend` is the single dispatch point.  It combines three
+:func:`select_backend` is the single dispatch point.  It combines two
 inputs:
 
-* the **request** — ``REPRO_BACKEND`` (``auto`` | ``python`` | ``numpy``,
-  default ``auto``) or the CLI's ``--backend`` flag, validated by
-  :func:`validate_backend`;
+* the **request** — ``REPRO_BACKEND`` (``numpy`` | ``python``, default
+  ``numpy``) or the CLI's ``--backend`` flag, validated by
+  :func:`validate_backend`; ``python`` forces the reference interpreter;
 * the **spec** — any :class:`~repro.specs.SystemSpec` whose structure is
   a registered spec kind qualifies; :func:`disqualification` (all
   reasons, ``"; "``-joined) and :func:`disqualifications` (one reason
   per offending part) name what is left out: non-spec inputs and
-  unregistered structure types;
-* **availability** — numpy is an optional dependency (the ``fast``
-  extra).  When it is missing the python backend runs instead; an
-  explicit ``REPRO_BACKEND=numpy`` request additionally records a
-  one-time :class:`KernelFallbackWarning` so the degradation is never
-  silent.
+  unregistered structure types.
+
+numpy is a required dependency, imported lazily by the kernel modules
+on first use so that importing the package stays cheap.
 
 Selection **never raises for a non-qualifying spec** — an undescribable
 structure under ``REPRO_BACKEND=numpy`` silently (and correctly) runs
@@ -56,22 +54,17 @@ sweep.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import List, Optional, Tuple
 
 from ..common.errors import ConfigurationError
 
 __all__ = [
-    "AUTO",
     "PYTHON",
     "NUMPY",
     "BACKENDS",
     "VECTOR",
     "MISS_REPLAY",
     "ENV_BACKEND",
-    "KernelFallbackWarning",
-    "numpy_available",
-    "numpy_unavailable_reason",
     "validate_backend",
     "default_backend",
     "structure_mode",
@@ -82,10 +75,9 @@ __all__ = [
     "select_backend",
 ]
 
-AUTO = "auto"
-PYTHON = "python"
 NUMPY = "numpy"
-BACKENDS = (AUTO, PYTHON, NUMPY)
+PYTHON = "python"
+BACKENDS = (NUMPY, PYTHON)
 
 #: Assist-structure execution modes on the numpy backend.
 VECTOR = "vector"
@@ -93,70 +85,6 @@ MISS_REPLAY = "miss-replay"
 
 #: Environment knob mirrored by the CLI's ``--backend`` flag.
 ENV_BACKEND = "REPRO_BACKEND"
-
-
-class KernelFallbackWarning(UserWarning):
-    """A requested vectorized backend was unavailable; python ran instead."""
-
-
-# -- availability -------------------------------------------------------------
-
-#: ``None`` until probed, then ``(available, reason_if_not)``.
-_NUMPY_PROBE: Optional[Tuple[bool, str]] = None
-_WARNED_UNAVAILABLE = False
-
-
-def _probe_numpy() -> Tuple[bool, str]:
-    global _NUMPY_PROBE
-    if _NUMPY_PROBE is None:
-        try:
-            import numpy  # noqa: F401
-
-            _NUMPY_PROBE = (True, "")
-        except Exception as exc:  # pragma: no cover - depends on environment
-            _NUMPY_PROBE = (False, f"numpy is not importable ({exc!r})")
-    return _NUMPY_PROBE
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can run (probed once per process)."""
-    return _probe_numpy()[0]
-
-
-def numpy_unavailable_reason() -> str:
-    """Why numpy is unavailable, or ``""`` when it is available."""
-    return _probe_numpy()[1]
-
-
-def _reset_probe_for_tests(
-    probe: Optional[Tuple[bool, str]] = None, warned: bool = False
-) -> None:
-    """Test hook: override (or clear) the availability probe state."""
-    global _NUMPY_PROBE, _WARNED_UNAVAILABLE
-    _NUMPY_PROBE = probe
-    _WARNED_UNAVAILABLE = warned
-
-
-def _warn_unavailable_once(reason: str) -> None:
-    """One recorded warning per process for an unsatisfiable numpy request.
-
-    The warning always fires (so an ignored ``REPRO_BACKEND=numpy`` is
-    visible without telemetry); when a
-    :class:`~repro.telemetry.core.MetricsScope` is active the event is
-    additionally recorded for the run record, next to the engine's
-    serial-fallback reasons.
-    """
-    global _WARNED_UNAVAILABLE
-    if _WARNED_UNAVAILABLE:
-        return
-    _WARNED_UNAVAILABLE = True
-    message = f"REPRO_BACKEND=numpy requested but {reason}; using the python backend"
-    warnings.warn(message, KernelFallbackWarning, stacklevel=3)
-    from ..telemetry.core import current as _telemetry_scope
-
-    scope = _telemetry_scope()
-    if scope is not None:
-        scope.record_fallback("kernels", message)
 
 
 # -- request validation -------------------------------------------------------
@@ -172,10 +100,10 @@ def validate_backend(value: str) -> str:
 
 
 def default_backend() -> str:
-    """The requested backend from ``REPRO_BACKEND`` (default ``auto``)."""
+    """The requested backend from ``REPRO_BACKEND`` (default ``numpy``)."""
     raw = os.environ.get(ENV_BACKEND, "")
     if not raw:
-        return AUTO
+        return NUMPY
     if raw not in BACKENDS:
         raise ConfigurationError(
             f"{ENV_BACKEND} must be one of {', '.join(BACKENDS)}; got {raw!r}"
@@ -304,17 +232,9 @@ def select_backend(system, requested: Optional[str] = None) -> str:
     *requested* overrides the environment (it must already be a valid
     backend name; CLI input goes through :func:`validate_backend`
     first).  Non-qualifying specs always fall back to python — never an
-    error — and an explicit numpy request on a machine without numpy
-    records a one-time :class:`KernelFallbackWarning`.
+    error.
     """
     request = default_backend() if requested is None else requested
-    if request == PYTHON:
-        return PYTHON
-    if disqualification(system) is not None:
-        return PYTHON
-    available, reason = _probe_numpy()
-    if not available:
-        if request == NUMPY:
-            _warn_unavailable_once(reason)
+    if request == PYTHON or disqualification(system) is not None:
         return PYTHON
     return NUMPY

@@ -396,6 +396,44 @@ def _count_at_most(depths: np.ndarray, limit: int) -> List[int]:
     return [0] + [int(cumulative[k - 1]) for k in range(1, limit + 1)]
 
 
+def _sweep_level_stats(ms: MissStream, stats: LevelStats) -> LevelStats:
+    """Complete a sweep's structure counters into whole-run level stats.
+
+    The counters are those of the interpreter's single tracked run, so
+    a sweep's telemetry observation matches the reference backend's.
+    """
+    stats.accesses = len(ms.lines)
+    stats.hits = len(ms.lines) - len(ms.positions)
+    stats.misses_to_next_level = stats.demand_misses - stats.removed_misses
+    return stats
+
+
+def _entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int):
+    from ..experiments.sweeps import EntrySweep
+
+    addresses = np.asarray(byte_addresses, dtype=_INT64)
+    lines = addresses >> config.offset_bits
+    ms = extract_miss_stream(lines, config.num_lines)
+    # The stats are those of the interpreter's tracked structure, which
+    # holds max_entries + 1 lines.
+    stats = LevelStats()
+    if kind == "miss":
+        seen, depth = _lru_depths(ms.miss_lines)
+        depths = depth[seen]
+        stats.miss_cache_hits = int(np.count_nonzero(depths <= max_entries))
+    else:  # victim
+        vc_hit, depth = _victim_depths(ms.miss_lines, ms.victims)
+        depths = depth[vc_hit]
+        stats.victim_hits = int(np.count_nonzero(depths <= max_entries))
+    classification = classify_misses(lines, ms.hits, config.num_lines)
+    sweep = EntrySweep(
+        total_misses=len(ms.positions),
+        conflict_misses=int(classification["conflict"]),
+        hits_by_entries=_count_at_most(depths, max_entries),
+    )
+    return sweep, _sweep_level_stats(ms, stats)
+
+
 def entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int):
     """One-pass miss/victim-cache entry sweep (Figures 3-3/3-5).
 
@@ -404,29 +442,48 @@ def entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int
     pass prices every capacity at once: ``hits_by_entries[k]`` is the
     number of lookups whose unbounded LRU depth is below ``k``.
     """
-    from ..experiments.sweeps import EntrySweep
+    return _entry_sweep(byte_addresses, config, kind, max_entries)[0]
 
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    ms = extract_miss_stream(lines, config.num_lines)
-    if kind == "miss":
-        seen, depth = _lru_depths(ms.miss_lines)
-        depths = depth[seen]
-    else:  # victim
-        vc_hit, depth = _victim_depths(ms.miss_lines, ms.victims)
-        depths = depth[vc_hit]
-    classification = classify_misses(lines, ms.hits, config.num_lines)
-    return EntrySweep(
-        total_misses=len(ms.positions),
-        conflict_misses=int(classification["conflict"]),
-        hits_by_entries=_count_at_most(depths, max_entries),
-    )
+
+def _observed(system, sweep_fn, *args):
+    """Run one sweep body over a spec point, observed like a level run."""
+    scope = _telemetry_scope()
+    started = perf_counter() if scope is not None else 0.0
+    addresses = stream_array(system.trace.trace(), system.side)
+    sweep, stats = sweep_fn(addresses, system.cache_config, *args)
+    if scope is not None:
+        scope.observe_level_run(stats, perf_counter() - started)
+    return sweep
 
 
 def entry_sweep_summary(system, kind: str, max_entries: int):
     """Vectorized :class:`~repro.experiments.engine.EntrySweepJob` body."""
-    addresses = stream_array(system.trace.trace(), system.side)
-    return entry_sweep(addresses, system.cache_config, kind, max_entries)
+    return _observed(system, _entry_sweep, kind, max_entries)
+
+
+def _run_length_sweep(
+    byte_addresses, config: CacheConfig, ways: int, entries: int, max_run: int
+):
+    from ..buffers.stream_buffer import MultiWayStreamBuffer
+    from ..experiments.sweeps import RunLengthSweep
+
+    addresses = np.asarray(byte_addresses, dtype=_INT64)
+    lines = addresses >> config.offset_bits
+    ms = extract_miss_stream(lines, config.num_lines)
+    if ways == 1:
+        sb_hit, offset = _stream_buffer_hits(ms.miss_lines, None)
+        removed = _count_at_most(offset[sb_hit] - 1, max_run)
+        stats = LevelStats()
+        stats.stream_hits = int(np.count_nonzero(sb_hit))
+    else:
+        buffer = MultiWayStreamBuffer(
+            ways=ways, entries=entries, track_run_offsets=True
+        )
+        stats, _ = _replay_structure(buffer, ms, 0)
+        offsets = buffer.run_offsets
+        removed = [offsets.count_at_most(k) for k in range(max_run + 1)]
+    sweep = RunLengthSweep(total_misses=len(ms.positions), removed_by_run=removed)
+    return sweep, _sweep_level_stats(ms, stats)
 
 
 def run_length_sweep(
@@ -438,26 +495,9 @@ def run_length_sweep(
     multi-way buffers replay the miss stream through the live structure
     and read its run-offset histogram.
     """
-    from ..buffers.stream_buffer import MultiWayStreamBuffer
-    from ..experiments.sweeps import RunLengthSweep
-
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    ms = extract_miss_stream(lines, config.num_lines)
-    if ways == 1:
-        sb_hit, offset = _stream_buffer_hits(ms.miss_lines, None)
-        removed = _count_at_most(offset[sb_hit] - 1, max_run)
-    else:
-        buffer = MultiWayStreamBuffer(
-            ways=ways, entries=entries, track_run_offsets=True
-        )
-        _replay_structure(buffer, ms, 0)
-        offsets = buffer.run_offsets
-        removed = [offsets.count_at_most(k) for k in range(max_run + 1)]
-    return RunLengthSweep(total_misses=len(ms.positions), removed_by_run=removed)
+    return _run_length_sweep(byte_addresses, config, ways, entries, max_run)[0]
 
 
 def run_length_sweep_summary(system, ways: int, entries: int, max_run: int):
     """Vectorized :class:`~repro.experiments.engine.RunSweepJob` body."""
-    addresses = stream_array(system.trace.trace(), system.side)
-    return run_length_sweep(addresses, system.cache_config, ways, entries, max_run)
+    return _observed(system, _run_length_sweep, ways, entries, max_run)

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend", metavar="BACKEND", default=None,
-        help="simulation kernel backend: auto, python, or numpy (default: REPRO_BACKEND or auto)",
+        help="simulation kernel backend: numpy or python (default: REPRO_BACKEND or numpy)",
     )
     parser.add_argument(
         "--request-deadline", metavar="SECONDS", type=float, default=None,

@@ -46,8 +46,8 @@ from ..common.config import baseline_system
 from ..common.errors import ConfigurationError, UnknownWorkloadError
 from ..specs import (
     SpecError,
+    NamedWorkloadSpec,
     SystemSpec,
-    TraceSpec,
     parse_structure_code,
     spec_hash,
     workload_from_dict,
@@ -330,7 +330,7 @@ def parse_query(payload: object) -> AdviseQuery:
         raise
     except (ConfigurationError, SpecError, KeyError, TypeError, ValueError) as exc:
         raise BadRequestError(f"invalid query: {exc}") from None
-    if isinstance(spec.trace, TraceSpec):
+    if isinstance(spec.trace, NamedWorkloadSpec):
         # Registry references are validated up front so an unknown name
         # is a 400, not a failed cold simulation.
         try:
@@ -369,7 +369,7 @@ def _spec_from_shorthand(payload: Dict) -> SystemSpec:
             size_bytes=int(cache_raw.get("size_bytes", cache.size_bytes)),
             line_size=int(cache_raw.get("line_size", cache.line_size)),
         )
-    spec = SystemSpec.for_level(
+    return SystemSpec.for_level(
         trace,
         cache,
         side=side,
@@ -377,8 +377,6 @@ def _spec_from_shorthand(payload: Dict) -> SystemSpec:
         warmup=int(payload.get("warmup", 0)),
         classify=bool(payload.get("classify", False)),
     )
-    assert spec is not None  # WorkloadSpec input never returns None
-    return spec
 
 
 def _summary_payload(summary) -> Dict[str, object]:
@@ -672,7 +670,7 @@ class AdvisorService:
         """
         job = LevelJob(spec)
         key = _store_key(job)
-        assert key is not None  # LevelJob with a TraceSpec is always keyable
+        assert key is not None  # LevelJob with a workload spec is always keyable
         cached, _nbytes = self.guarded_store.get(key)
         return job, key, cached
 

@@ -3,7 +3,7 @@
 ``StructureSpec`` variants name every helper structure the paper
 studies (miss cache, victim cache, stream buffers, stride buffers,
 composites); ``WorkloadSpec`` variants name every reference stream —
-registry traces (``NamedWorkloadSpec``, the old ``TraceSpec``),
+registry traces (``NamedWorkloadSpec``),
 parameterized access patterns (Zipfian, hotspot, bursty, pointer-chase,
 sequential, uniform-random), and the multi-tenant ``TenantMixSpec``
 mixer; ``SystemSpec`` binds workload +
@@ -32,7 +32,7 @@ from .structures import (
     structure_code,
     structure_from_dict,
 )
-from .system import SystemSpec, TraceSpec, spec_hash
+from .system import SystemSpec, spec_hash
 from .workloads import (
     WORKLOAD_PRESETS,
     BurstySpec,
@@ -87,7 +87,6 @@ __all__ = [
     "unkeyed_reason",
     "parse_workload",
     "WORKLOAD_PRESETS",
-    "TraceSpec",
     "SystemSpec",
     "spec_hash",
 ]

@@ -9,11 +9,6 @@ worker processes.  :class:`SystemSpec` combines a workload spec, a
 picklable value that fully determines a simulation run.  Canonical JSON
 via :meth:`SystemSpec.to_json` is what telemetry hashes and embeds, so a
 run record carries everything needed to replay the run.
-
-``TraceSpec`` — the old name-keyed trace reference — is now an alias of
-:class:`~repro.specs.workloads.NamedWorkloadSpec`, field for field
-compatible (``(name, scale, seed)``), and its ``of`` classmethod now
-recovers *any* spec-built trace, not just registry ones.
 """
 
 from __future__ import annotations
@@ -26,15 +21,11 @@ from typing import Dict, Mapping, Optional
 from ..common.config import BASELINE_L2_LINE, CacheConfig, SystemConfig, baseline_system
 from ..common.errors import ConfigurationError
 from .structures import SpecError, StructureSpec, describe, structure_from_dict
-from .workloads import NamedWorkloadSpec, WorkloadSpec, workload_from_dict, workload_spec_of
+from .workloads import WorkloadSpec, unkeyed_reason, workload_from_dict, workload_spec_of
 
-__all__ = ["TraceSpec", "SystemSpec", "spec_hash"]
+__all__ = ["SystemSpec", "spec_hash"]
 
 _SIDES = ("i", "d")
-
-#: Backward-compatible name: the registry-trace reference is now one
-#: kind ("named") in the workload-spec hierarchy.
-TraceSpec = NamedWorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -82,12 +73,16 @@ class SystemSpec:
         structure=None,
         warmup: int = 0,
         classify: bool = False,
-    ) -> Optional["SystemSpec"]:
-        """Spec for a single-level replay, or None for an unkeyed trace.
+    ) -> "SystemSpec":
+        """Spec for a single-level replay.
 
         ``trace`` may be any :class:`WorkloadSpec` (named, pattern, or
         mix), or a materialized trace whose spec is recovered via
-        :func:`~repro.specs.workloads.workload_spec_of`.  ``structure``
+        :func:`~repro.specs.workloads.workload_spec_of`; a trace with no
+        spec (a hand-made one) raises :class:`ConfigurationError` naming
+        :func:`~repro.specs.workloads.unkeyed_reason` — simulate such a
+        stream directly with :func:`repro.experiments.runner.run_level`.
+        ``structure
         may be a live structure (described on the spot) or already a
         spec.  The L2 line size is widened to the L1 line when the
         sweep's geometry exceeds the baseline L2 line — single-level
@@ -96,7 +91,10 @@ class SystemSpec:
         """
         trace_spec = trace if isinstance(trace, WorkloadSpec) else workload_spec_of(trace)
         if trace_spec is None:
-            return None
+            raise ConfigurationError(
+                f"trace has no workload spec: {unkeyed_reason(trace)}; simulate "
+                "hand-made streams with repro.experiments.runner.run_level"
+            )
         structure_spec = (
             structure if structure is None or isinstance(structure, StructureSpec)
             else describe(structure)

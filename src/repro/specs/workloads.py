@@ -1,15 +1,13 @@
 """Declarative workload specs: trace identity beyond the name registry.
 
-Until PR 8 a trace's identity was a *registry name*: ``TraceSpec``
-was ``(name, scale, seed)``, and anything not built through
-:mod:`repro.traces.registry` was invisible to the parallel engine, the
-result store, and the serve daemon.  This module refactors trace
-identity into the same shape structures got in PR 3 — a kind-tagged
-hierarchy of frozen, hashable, picklable specs with canonical JSON:
+A trace's identity is a kind-tagged hierarchy of frozen, hashable,
+picklable specs with canonical JSON — the same shape structure specs
+have — so any spec-built trace is visible to the parallel engine, the
+result store, and the serve daemon:
 
 * :class:`NamedWorkloadSpec` (kind ``"named"``) wraps the registry
-  losslessly — it *is* the old ``TraceSpec``, field for field, and
-  legacy kind-less ``{"name", "scale", "seed"}`` payloads still parse;
+  losslessly as ``(name, scale, seed)``, and legacy kind-less
+  ``{"name", "scale", "seed"}`` payloads still parse;
 * the parameterized pattern specs (:class:`ZipfianSpec`,
   :class:`HotspotSpec`, :class:`BurstySpec`, :class:`PointerChaseSpec`,
   :class:`SequentialSpec`, :class:`UniformRandomSpec`) build finite
@@ -129,7 +127,7 @@ class WorkloadSpec:
 
     @property
     def label(self) -> str:
-        """Short human-readable name (heartbeats, fallback messages)."""
+        """Short human-readable name (heartbeats, error messages)."""
         return self.kind
 
     def resolve(self) -> "WorkloadSpec":
@@ -148,7 +146,7 @@ class WorkloadSpec:
         Any trace built through a spec (or the registry) carries its
         spec's canonical JSON in ``meta.source`` and round-trips; see
         :func:`workload_spec_of` for the recovery rules and
-        :func:`unkeyed_reason` for the per-trace fallback reasons.
+        :func:`unkeyed_reason` for why a trace has none.
         """
         return workload_spec_of(trace)
 
@@ -248,8 +246,8 @@ class WorkloadSpec:
 def workload_from_dict(payload: Mapping) -> WorkloadSpec:
     """Spec instance from a kind-tagged dict (inverse of ``as_dict``).
 
-    Legacy kind-less payloads with a ``"name"`` key — the old
-    ``TraceSpec`` wire shape, still present in stored telemetry records
+    Legacy kind-less payloads with a ``"name"`` key — the original
+    named-trace wire shape, still present in stored telemetry records
     — parse as :class:`NamedWorkloadSpec`.
     """
     if not isinstance(payload, Mapping):
@@ -329,9 +327,11 @@ def workload_spec_of(trace) -> Optional[WorkloadSpec]:
 def unkeyed_reason(trace) -> str:
     """Why :func:`workload_spec_of` returned None for *trace*.
 
-    Used by the serial-fallback warnings so "hand-made trace" and
-    "registry trace built at scale 0 without provenance" are reported
-    as the distinct situations they are.
+    Quoted by the :class:`~repro.common.errors.ConfigurationError` that
+    :meth:`~repro.specs.SystemSpec.for_level` raises for an unkeyed
+    trace, so "hand-made trace" and "registry trace built at scale 0
+    without provenance" are reported as the distinct situations they
+    are.
     """
     meta = getattr(trace, "meta", None)
     name = getattr(trace, "name", "<unnamed>")
@@ -361,9 +361,9 @@ def unkeyed_reason(trace) -> str:
 class NamedWorkloadSpec(WorkloadSpec):
     """Reference to a registry workload trace: (name, scale, seed).
 
-    This is the old ``TraceSpec``, field for field — ``scale=None``
-    means "the ambient default scale", resolved against ``REPRO_SCALE``
-    by :meth:`resolve` exactly like the engine's per-worker memo key.
+    ``scale=None`` means "the ambient default scale", resolved against
+    ``REPRO_SCALE`` by :meth:`resolve` exactly like the engine's
+    per-worker memo key.
     """
 
     kind: ClassVar[str] = "named"

@@ -13,13 +13,13 @@ and collects:
   <repro.hierarchy.system.MemorySystem.run>` and
   :func:`~repro.experiments.runner.run_level` executed while the scope
   is active reports its counters and wall time;
-* **engine events** — parallel job-batch statistics and, crucially, the
-  reasons a requested parallel run *fell back to serial*
-  (:func:`record_fallback`), which previously vanished silently.
+* **engine events** — job-batch statistics and the reasons a parallel
+  batch degraded to serial execution when its process pool kept
+  breaking (:func:`record_fallback`).
 
 Fallback surfacing is independent of telemetry being enabled: the
-warning (:class:`ParallelFallbackWarning`) always fires so an ignored
-``--jobs`` flag is visible even without ``--emit-metrics``; the scope
+warning (:class:`ParallelFallbackWarning`) always fires so a degraded
+``--jobs`` run is visible even without ``--emit-metrics``; the scope
 additionally records the reason for the run record when active.
 
 Thread-safety: scopes are process-local and activation is not
@@ -54,7 +54,7 @@ __all__ = [
 
 
 class ParallelFallbackWarning(UserWarning):
-    """A run that requested ``jobs > 1`` silently executed serially."""
+    """A parallel batch degraded to serial execution (its pool kept breaking)."""
 
 
 class Counter:
@@ -107,7 +107,7 @@ class Timer:
 
 
 class FallbackEvent:
-    """One serial fallback of a run that requested parallel execution."""
+    """One degradation the run survived (pool fallback, watchdog deadline)."""
 
     __slots__ = ("component", "reason")
 
@@ -365,9 +365,9 @@ class scoped:
 def record_fallback(component: str, reason: str, stacklevel: int = 3) -> None:
     """Surface one serial fallback: warn always, record when a scope is active.
 
-    Called by the parallel engine's entry points when a run that asked
-    for ``jobs > 1`` cannot be expressed as picklable jobs and silently
-    degrading to serial execution would otherwise hide the ignored flag.
+    Called by the parallel engine when a batch that asked for
+    ``jobs > 1`` finishes serially because its process pool broke too
+    often; without the warning the degradation would go unnoticed.
     """
     warnings.warn(
         f"{component}: requested parallel execution fell back to serial ({reason})",

@@ -12,7 +12,6 @@ from .registry import (
     BENCHMARK_NAMES,
     DEFAULT_SCALE,
     RegistryEntry,
-    WorkloadSpec,
     build_suite,
     build_trace,
     get_workload,
@@ -33,7 +32,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "DEFAULT_SCALE",
     "RegistryEntry",
-    "WorkloadSpec",
     "build_suite",
     "build_trace",
     "get_workload",

@@ -14,11 +14,10 @@ serializes and deserializes as two contiguous memory blocks.  Pair
 iteration is zero-copy (``zip`` over the buffers; no list of tuples is
 ever materialized unless a legacy caller asks for ``.pairs``), split
 streams are extracted with one vectorized numpy mask over zero-copy
-buffer views (C-level ``bytes.translate`` + ``itertools.compress``
-selection when numpy is unavailable), and kind counts come from
-``array.count``.  The same views back the vectorized simulation
-kernels: :meth:`PackedTrace.as_arrays` exposes the raw buffers as
-read-only numpy arrays without copying, and
+buffer views, and kind counts come from ``array.count``.  The same
+views back the vectorized simulation kernels:
+:meth:`PackedTrace.as_arrays` exposes the raw buffers as read-only
+numpy arrays without copying, and
 :meth:`PackedTrace.stream_array` caches the per-side address arrays
 every kernel replay starts from.
 
@@ -35,20 +34,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.types import AccessKind
 from .trace import MaterializedTrace, Pair, TraceMeta, TraceStats
-
-
-def _numpy():
-    """numpy, or None — the packed representation works without it."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - depends on environment
-        return None
-    return numpy
 
 __all__ = [
     "PackedTrace",
@@ -57,12 +46,6 @@ __all__ = [
     "attach_shared_trace",
     "release_shared_segments",
 ]
-
-#: ``bytes.translate`` tables mapping one kind byte to selector 1 and
-#: everything else to 0 — C-speed per-side selection for ``compress``.
-_SELECT_IFETCH = bytes(1 if i == int(AccessKind.IFETCH) else 0 for i in range(256))
-_SELECT_DATA = bytes(0 if i == int(AccessKind.IFETCH) else 1 for i in range(256))
-
 
 class PackedTrace(MaterializedTrace):
     """One replay held as packed (kinds, addresses) array buffers.
@@ -122,9 +105,9 @@ class PackedTrace(MaterializedTrace):
         """Read-only zero-copy numpy views of the packed buffers.
 
         Returns ``(kinds, addresses)`` — int8 and int64 arrays aliasing
-        the trace's own memory, no copy.  Requires numpy (the ``fast``
-        extra); the views are marked non-writeable so kernel code cannot
-        mutate the trace through them.
+        the trace's own memory, no copy; the views are marked
+        non-writeable so kernel code cannot mutate the trace through
+        them.
         """
         import numpy as np
 
@@ -141,7 +124,7 @@ class PackedTrace(MaterializedTrace):
 
         One vectorized mask over the zero-copy views; the per-side array
         is cached (read-only) because experiments replay the same stream
-        against many cache configurations.  Requires numpy.
+        against many cache configurations.
         """
         cached = self._stream_arrays.get(side)
         if cached is None:
@@ -155,26 +138,19 @@ class PackedTrace(MaterializedTrace):
             self._stream_arrays[side] = cached
         return cached
 
-    def _select(self, table: bytes) -> List[int]:
-        if _numpy() is not None:
-            # Vectorized mask; shares the cached per-side arrays with
-            # the simulation kernels instead of building a second copy.
-            return self.stream_array(
-                "i" if table is _SELECT_IFETCH else "d"
-            ).tolist()
-        selectors = self._kinds.tobytes().translate(table)
-        return list(compress(self._addresses, selectors))
+    # The per-side lists come from the cached stream arrays the
+    # simulation kernels share, instead of building a second copy.
 
     @property
     def instruction_addresses(self) -> List[int]:  # type: ignore[override]
         if self._instruction_addresses is None:
-            self._instruction_addresses = self._select(_SELECT_IFETCH)
+            self._instruction_addresses = self.stream_array("i").tolist()
         return self._instruction_addresses
 
     @property
     def data_addresses(self) -> List[int]:  # type: ignore[override]
         if self._data_addresses is None:
-            self._data_addresses = self._select(_SELECT_DATA)
+            self._data_addresses = self.stream_array("d").tolist()
         return self._data_addresses
 
     def stats(self) -> TraceStats:

@@ -24,7 +24,6 @@ from .synthetic import ccom, grr, linpack, liver, matcol, met, yacc
 
 __all__ = [
     "RegistryEntry",
-    "WorkloadSpec",
     "BENCHMARK_NAMES",
     "EXTENSION_NAMES",
     "get_workload",
@@ -56,12 +55,6 @@ class RegistryEntry:
 
     def build(self, scale: int, seed: int = 0) -> Trace:
         return self.builder(scale, seed)
-
-
-#: Historical name for :class:`RegistryEntry`.  ``repro.specs`` now owns
-#: the (declarative) ``WorkloadSpec`` base class; the registry entry kept
-#: its old name as an alias for backward compatibility.
-WorkloadSpec = RegistryEntry
 
 
 _SPECS: Dict[str, RegistryEntry] = {

@@ -3,7 +3,8 @@
 The contract under test: a parallel run (``jobs > 1``) must be
 row-for-row and byte-for-byte identical to the serial run at the same
 seed, jobs must stay picklable, and anything the engine cannot describe
-must fall back to the serial path rather than fail or diverge.
+(a hand-made trace, a structure without a spec) is rejected with a typed
+:class:`ConfigurationError` rather than silently taking another route.
 """
 
 import pickle
@@ -21,17 +22,24 @@ from repro.experiments.engine import (
     ExperimentJob,
     LevelJob,
     RunSweepJob,
-    TraceKey,
-    build_structure,
     default_jobs,
     execute_job,
     resolve_jobs,
     run_experiments,
     run_jobs,
-    spec_of,
     validate_jobs,
 )
-from repro.specs import SystemSpec, VictimCacheSpec
+from repro.specs import (
+    NamedWorkloadSpec,
+    SpecError,
+    SystemSpec,
+    VictimCacheSpec,
+    WorkloadSpec,
+    build,
+    describe,
+    parse_structure_code,
+    structure_code,
+)
 from repro.telemetry.core import ParallelFallbackWarning
 from repro.experiments.grid import GridSpec, sweep_grid
 from repro.experiments.sweeps import (
@@ -52,52 +60,55 @@ def tiny_suite():
 
 
 class TestTraceKey:
+    """Trace identity: the workload spec a job carries to its worker."""
+
     def test_of_registry_trace_roundtrips(self, tiny_suite):
         for trace in tiny_suite:
-            key = TraceKey.of(trace)
-            assert key is not None
+            key = WorkloadSpec.of(trace)
+            assert isinstance(key, NamedWorkloadSpec)
             assert key.name == trace.name
             assert key.trace().pairs == trace.pairs
 
     def test_of_handmade_trace_is_none(self):
         trace = trace_from_pairs("toy", [(0, 0), (1, 16)])
-        assert TraceKey.of(trace) is None
+        assert WorkloadSpec.of(trace) is None
 
     def test_memoized_per_process(self):
         assert materialized_trace("ccom", SCALE, 0) is materialized_trace("ccom", SCALE, 0)
 
 
 class TestStructureSpecs:
-    """The legacy string codes survive as deprecated shims over the spec layer."""
+    """The CLI/serve short codes parse into specs and round-trip through live structures."""
 
     @pytest.mark.parametrize("spec", ["none", "mc4", "vc4", "sb4", "sb4x4", None])
     def test_roundtrip(self, spec):
-        with pytest.deprecated_call():
-            structure = build_structure(spec)
+        structure = build(parse_structure_code(spec))
         expected = "none" if spec is None else spec
-        with pytest.deprecated_call():
-            assert spec_of(structure) == expected
+        assert structure_code(describe(structure)) == expected
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(ConfigurationError, match="structure spec"), pytest.deprecated_call():
-            build_structure("warp9")
+        with pytest.raises(ConfigurationError, match="structure spec"):
+            parse_structure_code("warp9")
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_non_default_structures_have_no_short_code(self):
-        # describable as specs (see test_specs.py), but outside the old
-        # string scheme — the shim keeps returning None for them.
-        assert spec_of(MissCache(4, track_depths=True)) is None
-        assert spec_of(VictimCache(4, swap_on_hit=False)) is None
-        assert spec_of(VictimCache(4, policy=ReplacementPolicy.FIFO)) is None
-        assert spec_of(StreamBuffer(4, allocation_filter=True)) is None
-        assert spec_of(MultiWayStreamBuffer(4, 4, model_availability=True)) is None
+        # describable as specs (see test_specs.py), but outside the
+        # short-code scheme.
+        assert structure_code(describe(MissCache(4, track_depths=True))) is None
+        assert structure_code(describe(VictimCache(4, swap_on_hit=False))) is None
+        assert structure_code(describe(VictimCache(4, policy=ReplacementPolicy.FIFO))) is None
+        assert structure_code(describe(StreamBuffer(4, allocation_filter=True))) is None
+        assert (
+            structure_code(describe(MultiWayStreamBuffer(4, 4, model_availability=True)))
+            is None
+        )
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_undescribable_structure_has_no_short_code(self):
-        assert spec_of(StreamBuffer(4, fetch_sink=lambda line: None)) is None
+        # A live fetch_sink callable cannot be serialized into a spec.
+        with pytest.raises(SpecError):
+            describe(StreamBuffer(4, fetch_sink=lambda line: None))
 
     def test_jobs_are_picklable(self):
-        key = TraceKey("ccom", SCALE, 0)
+        key = NamedWorkloadSpec("ccom", SCALE, 0)
         for job in (
             LevelJob(SystemSpec.for_level(key, CONFIG, side="d", structure=VictimCacheSpec(4))),
             LevelJob(
@@ -179,7 +190,7 @@ class TestJobsValidation:
 
 
 class TestFallbackSurfacing:
-    """Silent serial fallback is no longer silent: one warning per event."""
+    """Nothing the engine cannot run takes a silent second route: it is a typed error."""
 
     def _toy_traces(self):
         pairs = [(0, 16 * i) for i in range(64)] + [(1, 4096 + 16 * i) for i in range(64)]
@@ -187,18 +198,18 @@ class TestFallbackSurfacing:
 
     def test_grid_warns_on_handmade_trace(self):
         spec = GridSpec(cache_sizes_kb=[4], line_sizes=[16])
-        with pytest.warns(ParallelFallbackWarning, match="toy"):
-            sweep_grid(self._toy_traces(), spec, side="d", jobs=4)
+        for jobs in (1, 4):
+            with pytest.raises(ConfigurationError, match="'toy' is hand-made"):
+                sweep_grid(self._toy_traces(), spec, side="d", jobs=jobs)
 
-    def test_grid_warns_on_undescribable_structure(self, tiny_suite):
-        # A live fetch_sink callable cannot be serialized into a spec.
-        spec = GridSpec(
-            cache_sizes_kb=[4],
-            line_sizes=[16],
-            structures={"sb-sink": lambda: StreamBuffer(4, fetch_sink=lambda line: None)},
-        )
-        with pytest.warns(ParallelFallbackWarning, match="sb-sink"):
-            sweep_grid(tiny_suite[:1], spec, side="d", jobs=4)
+    def test_grid_warns_on_undescribable_structure(self):
+        # The structure axis takes specs only; a factory is rejected up front.
+        with pytest.raises(SpecError, match="sb-sink"):
+            GridSpec(
+                cache_sizes_kb=[4],
+                line_sizes=[16],
+                structures={"sb-sink": lambda: StreamBuffer(4)},
+            )
 
     def test_grid_runs_non_default_specs_in_parallel(self, tiny_suite):
         import warnings
@@ -213,10 +224,11 @@ class TestFallbackSurfacing:
             sweep_grid(tiny_suite[:1], spec, side="d", jobs=2)
 
     def test_batch_sweeps_warn_on_handmade_trace(self):
-        with pytest.warns(ParallelFallbackWarning, match="toy"):
-            batch_entry_sweeps(self._toy_traces(), CONFIG, kind="miss", jobs=2)
-        with pytest.warns(ParallelFallbackWarning, match="toy"):
-            batch_run_sweeps(self._toy_traces(), CONFIG, jobs=2)
+        for jobs in (1, 2):
+            with pytest.raises(ConfigurationError, match="'toy' is hand-made"):
+                batch_entry_sweeps(self._toy_traces(), CONFIG, kind="miss", jobs=jobs)
+            with pytest.raises(ConfigurationError, match="'toy' is hand-made"):
+                batch_run_sweeps(self._toy_traces(), CONFIG, jobs=jobs)
 
     def test_serial_request_never_warns(self, tiny_suite):
         import warnings
@@ -224,7 +236,7 @@ class TestFallbackSurfacing:
         spec = GridSpec(cache_sizes_kb=[4], line_sizes=[16])
         with warnings.catch_warnings():
             warnings.simplefilter("error", ParallelFallbackWarning)
-            sweep_grid(self._toy_traces(), spec, side="d", jobs=1)
+            sweep_grid(tiny_suite[:1], spec, side="d", jobs=1)
             batch_entry_sweeps(tiny_suite[:1], CONFIG, kind="victim", jobs=1)
 
     def test_parallel_registry_traces_never_warn(self, tiny_suite):
@@ -276,24 +288,22 @@ class TestSweepGridDeterminism:
         assert serial.render() == parallel.render()
 
     def test_handmade_traces_fall_back_to_serial(self):
+        """A hand-made trace has no serial route left; the engine names why."""
         pairs = [(0, 16 * i) for i in range(64)] + [(1, 4096 + 16 * i) for i in range(64)]
         traces = [trace_from_pairs("toy", pairs)]
         spec = GridSpec(cache_sizes_kb=[4], line_sizes=[16])
-        serial = sweep_grid(traces, spec, side="d", jobs=1)
-        with pytest.warns(ParallelFallbackWarning):
-            parallel = sweep_grid(traces, spec, side="d", jobs=4)
-        assert serial.rows == parallel.rows
+        for jobs in (1, 4):
+            with pytest.raises(ConfigurationError, match="run_level"):
+                sweep_grid(traces, spec, side="d", jobs=jobs)
 
-    def test_undescribable_structure_falls_back(self, tiny_suite):
-        spec = GridSpec(
-            cache_sizes_kb=[4],
-            line_sizes=[16],
-            structures={"sb-sink": lambda: StreamBuffer(4, fetch_sink=lambda line: None)},
-        )
-        serial = sweep_grid(tiny_suite[:2], spec, side="d", jobs=1)
-        with pytest.warns(ParallelFallbackWarning):
-            parallel = sweep_grid(tiny_suite[:2], spec, side="d", jobs=4)
-        assert serial.rows == parallel.rows
+    def test_undescribable_structure_falls_back(self):
+        """A live structure is not a grid axis value; only specs are."""
+        with pytest.raises(SpecError, match="must be a StructureSpec"):
+            GridSpec(
+                cache_sizes_kb=[4],
+                line_sizes=[16],
+                structures={"sb-sink": StreamBuffer(4, fetch_sink=lambda line: None)},
+            )
 
     def test_non_default_spec_grid_parallel_identical_to_serial(self, tiny_suite):
         spec = GridSpec(
@@ -307,6 +317,42 @@ class TestSweepGridDeterminism:
         serial = sweep_grid(tiny_suite[:2], spec, side="d", jobs=1)
         parallel = sweep_grid(tiny_suite[:2], spec, side="d", jobs=4)
         assert serial.rows == parallel.rows
+
+
+class TestSweepJobValidation:
+    """Bad sweep-job parameters fail at construction on every backend."""
+
+    SYSTEM = SystemSpec.for_level(NamedWorkloadSpec("ccom", SCALE, 0), CONFIG)
+
+    def test_entry_sweep_rejects_unknown_kind(self):
+        with pytest.raises(ConfigurationError, match="kind"):
+            EntrySweepJob(self.SYSTEM, kind="bogus")
+
+    def test_entry_sweep_rejects_negative_max_entries(self):
+        with pytest.raises(ConfigurationError, match="max_entries"):
+            EntrySweepJob(self.SYSTEM, max_entries=-1)
+
+    def test_run_sweep_rejects_zero_ways(self):
+        with pytest.raises(ConfigurationError, match="ways"):
+            RunSweepJob(self.SYSTEM, ways=0)
+
+    def test_run_sweep_rejects_zero_entries(self):
+        with pytest.raises(ConfigurationError, match="entries"):
+            RunSweepJob(self.SYSTEM, entries=0)
+
+    def test_run_sweep_rejects_negative_max_run(self):
+        with pytest.raises(ConfigurationError, match="max_run"):
+            RunSweepJob(self.SYSTEM, max_run=-1)
+
+    def test_batch_entry_sweeps_rejects_unknown_kind(self, tiny_suite):
+        with pytest.raises(ConfigurationError, match="kind"):
+            batch_entry_sweeps(tiny_suite[:1], CONFIG, kind="bogus")
+
+    def test_zero_bounds_are_valid(self):
+        sweep = execute_job(EntrySweepJob(self.SYSTEM, max_entries=0))
+        assert sweep.hits_by_entries == [0]
+        runs = execute_job(RunSweepJob(self.SYSTEM, max_run=0))
+        assert len(runs.removed_by_run) == 1
 
 
 class TestBatchSweeps:

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.buffers.stream_buffer import StreamBuffer
 from repro.buffers.victim_cache import VictimCache
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigurationError
 from repro.experiments.grid import GridSpec, default_structures, sweep_grid
 from repro.experiments.timeseries import miss_rate_series, removal_rate_series
+from repro.specs import SpecError, StreamBufferSpec, VictimCacheSpec
 
 CONFIG = CacheConfig(4096, 16)
 
@@ -26,6 +26,10 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(structures={})
 
+    def test_rejects_non_spec_structure(self):
+        with pytest.raises(SpecError, match="vc2"):
+            GridSpec(structures={"vc2": lambda: VictimCache(2)})
+
 
 class TestSweepGrid:
     @pytest.fixture(scope="class")
@@ -33,7 +37,7 @@ class TestSweepGrid:
         spec = GridSpec(
             cache_sizes_kb=[2, 8],
             line_sizes=[16],
-            structures={"none": None, "vc2": lambda: VictimCache(2)},
+            structures={"none": None, "vc2": VictimCacheSpec(2)},
         )
         return sweep_grid(small_suite[:2], spec)
 
@@ -59,7 +63,7 @@ class TestSweepGrid:
             assert row[6] <= row[4] + 1e-9
 
     def test_instruction_side(self, small_suite):
-        spec = GridSpec(structures={"sb": lambda: StreamBuffer(4)})
+        spec = GridSpec(structures={"sb": StreamBufferSpec(4)})
         table = sweep_grid(small_suite[:1], spec, side="i")
         assert len(table.rows) == 1
         assert table.rows[0][5] > 0.0

@@ -10,35 +10,31 @@ workloads, and on the pattern workload specs.  Dispatch tests pin the
 selection rules: every registered structure kind has a kernel mode
 (``vector`` or ``miss-replay``, per :func:`repro.kernels.kernel_mode`),
 undescribable inputs fall back to the interpreter (never an error) with
-*all* disqualifying reasons named, ``REPRO_BACKEND`` is validated at the
-CLI boundary, and a numpy request on a machine without numpy degrades
-with a one-time recorded warning.
+*all* disqualifying reasons named, and ``REPRO_BACKEND`` (``numpy`` by
+default, or ``python``) is validated at the CLI boundary.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 
+import numpy as np
 import pytest
 
 from repro.common.config import CacheConfig, baseline_system
 from repro.common.errors import ConfigurationError
+from repro.common.types import IFETCH
 from repro.experiments.runner import run_level, run_system
 from repro.kernels import (
-    AUTO,
     ENV_BACKEND,
     MISS_REPLAY,
     NUMPY,
     PYTHON,
     VECTOR,
-    KernelFallbackWarning,
-    _reset_probe_for_tests,
     default_backend,
     disqualification,
     disqualifications,
     kernel_mode,
-    numpy_available,
     qualifies,
     select_backend,
     structure_mode,
@@ -48,8 +44,8 @@ from repro.specs import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
     StreamBufferSpec,
+    NamedWorkloadSpec,
     SystemSpec,
-    TraceSpec,
     VictimCacheSpec,
 )
 from repro.specs.structures import (
@@ -61,19 +57,13 @@ from repro.specs.workloads import HotspotSpec, PointerChaseSpec, ZipfianSpec
 from repro.telemetry import core as telemetry
 from repro.traces.registry import BENCHMARK_NAMES, EXTENSION_NAMES, build_trace
 
-np = None
-if numpy_available():
-    import numpy as np
-
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
-
 #: All seven named workloads: the paper's six plus the extensions.
 ALL_NAMES = BENCHMARK_NAMES + EXTENSION_NAMES
 
 
 def qualifying_spec(**overrides) -> SystemSpec:
     defaults = dict(
-        trace=TraceSpec("linpack", 3000, 0), config=baseline_system(), side="d"
+        trace=NamedWorkloadSpec("linpack", 3000, 0), config=baseline_system(), side="d"
     )
     defaults.update(overrides)
     return SystemSpec(**defaults)
@@ -82,7 +72,6 @@ def qualifying_spec(**overrides) -> SystemSpec:
 # -- equivalence: single level ------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", ALL_NAMES)
 @pytest.mark.parametrize("side", ["i", "d"])
 def test_named_trace_level_equivalence(name, side):
@@ -101,7 +90,6 @@ def test_named_trace_level_equivalence(name, side):
     assert kernel.conflicts == reference.conflicts
 
 
-@needs_numpy
 def test_randomized_level_equivalence():
     """Property-style: random streams, geometries, and warm-up boundaries."""
     from repro.kernels.numpy_backend import simulate_level
@@ -121,7 +109,6 @@ def test_randomized_level_equivalence():
         assert kernel.classification == reference.classifier.summary(), (case, warmup)
 
 
-@needs_numpy
 def test_rank_left_leq_matches_brute_force():
     from repro.kernels.numpy_backend import _rank_left_leq
 
@@ -135,7 +122,6 @@ def test_rank_left_leq_matches_brute_force():
         assert (_rank_left_leq(values) == expected).all()
 
 
-@needs_numpy
 def test_lru_shadow_matches_live_cache():
     from repro.caches.fully_associative import FullyAssociativeCache
     from repro.kernels.numpy_backend import lru_shadow_hit_mask
@@ -148,7 +134,6 @@ def test_lru_shadow_matches_live_cache():
         assert lru_shadow_hit_mask(lines, capacity).tolist() == expected
 
 
-@needs_numpy
 def test_rank_left_leq_with_thresholds_matches_brute_force():
     from repro.kernels.numpy_backend import _rank_left_leq
 
@@ -213,7 +198,6 @@ def _assert_assist_equivalent(addresses, config, spec, warmup=0, context=()):
     assert kernel.classification == reference.classifier.summary(), label
 
 
-@needs_numpy
 @pytest.mark.parametrize("spec", ASSIST_SPECS, ids=lambda s: s.to_json())
 def test_randomized_assist_equivalence(spec):
     """Every LevelStats counter identical on randomized streams.
@@ -239,7 +223,6 @@ def test_randomized_assist_equivalence(spec):
         )
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_named_trace_assist_equivalence(name):
     """Identical stats on every named workload for one spec per mode."""
@@ -255,7 +238,6 @@ def test_named_trace_assist_equivalence(name):
         _assert_assist_equivalent(addresses, config, spec, 500, context=(name,))
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "workload",
     [
@@ -280,7 +262,6 @@ def test_pattern_workload_assist_equivalence(workload):
     _assert_assist_equivalent(addresses, config, StreamBufferSpec(entries=4), 200)
 
 
-@needs_numpy
 def test_one_pass_entry_sweep_matches_per_capacity_runs():
     """The single rank pass equals one full simulation per capacity."""
     from repro.experiments.sweeps import miss_cache_sweep, victim_cache_sweep
@@ -306,7 +287,6 @@ def test_one_pass_entry_sweep_matches_per_capacity_runs():
             assert kernel.hits_by_entries[k] == run.stats.removed_misses, (kind, k)
 
 
-@needs_numpy
 @pytest.mark.parametrize("ways", [1, 4])
 def test_run_length_sweep_equivalence(ways):
     from repro.experiments.sweeps import stream_buffer_run_sweep
@@ -323,7 +303,6 @@ def test_run_length_sweep_equivalence(ways):
     assert kernel.removed_by_run == reference.removed_by_run
 
 
-@needs_numpy
 def test_sweep_jobs_identical_across_backends(monkeypatch):
     """Entry/run sweep jobs return identical results on both backends."""
     from repro.experiments.engine import EntrySweepJob, RunSweepJob, run_jobs
@@ -342,7 +321,6 @@ def test_sweep_jobs_identical_across_backends(monkeypatch):
         assert py.__dict__ == vec.__dict__, job
 
 
-@needs_numpy
 def test_assist_jobs_identical_across_backends(monkeypatch):
     """Structure-carrying LevelJobs agree end to end through run_jobs."""
     from repro.experiments.engine import LevelJob, run_jobs
@@ -370,7 +348,6 @@ def test_assist_jobs_identical_across_backends(monkeypatch):
 # -- equivalence: full system -------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("prewarm", [False, True])
 def test_system_equivalence(small_suite, prewarm):
     from repro.kernels.numpy_backend import simulate_system
@@ -388,7 +365,6 @@ def test_system_equivalence(small_suite, prewarm):
 # -- equivalence: through the engine ------------------------------------------
 
 
-@needs_numpy
 def test_run_jobs_identical_across_backends(monkeypatch):
     """The same batch returns identical summaries on both backends."""
     from repro.experiments.engine import LevelJob, run_jobs
@@ -407,7 +383,6 @@ def test_run_jobs_identical_across_backends(monkeypatch):
 # -- packed-trace views -------------------------------------------------------
 
 
-@needs_numpy
 def test_as_arrays_zero_copy_and_readonly(small_suite):
     trace = small_suite[0]
     kinds, addresses = trace.as_arrays()
@@ -421,7 +396,6 @@ def test_as_arrays_zero_copy_and_readonly(small_suite):
     assert trace.as_arrays() is trace.as_arrays()
 
 
-@needs_numpy
 def test_stream_array_matches_list_streams(small_suite):
     trace = small_suite[0]
     for side in ("i", "d"):
@@ -432,17 +406,12 @@ def test_stream_array_matches_list_streams(small_suite):
         trace.stream_array("x")
 
 
-def test_select_without_numpy_matches_vectorized(small_suite, monkeypatch):
-    """The translate/compress fallback extracts the same streams."""
-    from repro.traces import packed
-
+def test_packed_streams_match_pair_reference(small_suite):
+    """The vectorized per-side selection equals a plain filter over the pairs."""
     trace = small_suite[1]
-    expected_i = trace.stream("i")
-    expected_d = trace.stream("d")
-    fallback = packed.PackedTrace(trace.meta, trace._kinds, trace._addresses)
-    monkeypatch.setattr(packed, "_numpy", lambda: None)
-    assert fallback.stream("i") == expected_i
-    assert fallback.stream("d") == expected_d
+    pairs = list(trace)
+    assert trace.stream("i") == [address for kind, address in pairs if kind == int(IFETCH)]
+    assert trace.stream("d") == [address for kind, address in pairs if kind != int(IFETCH)]
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -483,8 +452,7 @@ def test_every_registered_structure_has_a_mode(structure, mode):
     assert qualifies(spec)
     assert disqualification(spec) is None
     assert kernel_mode(spec) == mode
-    if numpy_available():
-        assert select_backend(spec, requested=NUMPY) == NUMPY
+    assert select_backend(spec, requested=NUMPY) == NUMPY
 
 
 def test_unregistered_structure_disqualifies():
@@ -529,9 +497,7 @@ def test_structure_free_spec_qualifies():
     assert qualifies(spec)
     assert disqualification(spec) is None
     assert select_backend(spec, requested=PYTHON) == PYTHON
-    if numpy_available():
-        assert select_backend(spec) in (NUMPY, PYTHON)
-        assert select_backend(spec, requested=NUMPY) == NUMPY
+    assert select_backend(spec, requested=NUMPY) == NUMPY
 
 
 def test_non_spec_is_disqualified():
@@ -540,19 +506,24 @@ def test_non_spec_is_disqualified():
 
 
 def test_validate_backend_rejects_malformed():
-    assert validate_backend(AUTO) == AUTO
-    with pytest.raises(ConfigurationError):
-        validate_backend("fortran")
+    assert validate_backend(NUMPY) == NUMPY
+    assert validate_backend(PYTHON) == PYTHON
+    for value in ("fortran", "auto"):
+        with pytest.raises(ConfigurationError):
+            validate_backend(value)
 
 
 def test_default_backend_env(monkeypatch):
     monkeypatch.delenv(ENV_BACKEND, raising=False)
-    assert default_backend() == AUTO
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
     assert default_backend() == NUMPY
-    monkeypatch.setenv(ENV_BACKEND, "bogus")
-    with pytest.raises(ConfigurationError):
-        default_backend()
+    assert select_backend(qualifying_spec()) == NUMPY
+    monkeypatch.setenv(ENV_BACKEND, "python")
+    assert default_backend() == PYTHON
+    assert select_backend(qualifying_spec()) == PYTHON
+    for value in ("bogus", "auto"):
+        monkeypatch.setenv(ENV_BACKEND, value)
+        with pytest.raises(ConfigurationError):
+            default_backend()
 
 
 def test_cli_backend_validation(monkeypatch, capsys):
@@ -560,7 +531,7 @@ def test_cli_backend_validation(monkeypatch, capsys):
 
     import os
 
-    monkeypatch.setenv(ENV_BACKEND, "auto")  # registers teardown restore
+    monkeypatch.setenv(ENV_BACKEND, "numpy")  # registers teardown restore
     assert main(["--backend", "bogus", "--list"]) == 2
     assert "backend" in capsys.readouterr().err
     # A valid value propagates through the environment for workers.
@@ -568,33 +539,11 @@ def test_cli_backend_validation(monkeypatch, capsys):
     assert os.environ.get(ENV_BACKEND) == "python"
 
 
-def test_numpy_unavailable_degrades_with_one_warning(monkeypatch):
-    """Simulated missing numpy: python backend, one recorded warning."""
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    spec = qualifying_spec()
-    _reset_probe_for_tests((False, "numpy is not importable (simulated)"))
-    try:
-        # auto: silent fallback, no warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert select_backend(spec) == PYTHON
-        # explicit numpy request: warns once, recorded in telemetry.
-        with telemetry.scoped() as scope:
-            with pytest.warns(KernelFallbackWarning, match="simulated"):
-                assert select_backend(spec, requested=NUMPY) == PYTHON
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # second request: already warned
-                assert select_backend(spec, requested=NUMPY) == PYTHON
-        assert any(event.component == "kernels" for event in scope.fallbacks)
-    finally:
-        _reset_probe_for_tests()
-
-
 def test_kernels_package_imports_without_numpy():
-    """The dispatch layer itself must never require numpy."""
+    """The dispatch layer itself never imports numpy (kernels load it lazily)."""
     import repro.kernels as kernels
 
-    # numpy only ever enters through the lazy probe, not at import time.
+    # numpy only ever enters through the kernel modules, not at import time.
     assert "numpy" not in vars(kernels)
     assert select_backend(qualifying_spec(), requested=PYTHON) == PYTHON
 
@@ -628,9 +577,7 @@ def test_backend_counts_reach_run_record(monkeypatch):
         record = build_run_record(scope, "kernels-test", baseline_system(), 0.1)
     # Bare + victim cache vectorize; the multi-way buffer replays the
     # compressed miss stream and is labelled accordingly.
-    expected = (
-        {"numpy": 2, "miss-replay": 1} if numpy_available() else {"python": 3}
-    )
+    expected = {"numpy": 2, "miss-replay": 1}
     assert scope.backend_jobs == expected
     assert record.backends == expected
     validate_record(record.as_dict())

@@ -56,18 +56,15 @@ def sim_counter(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(CacheLevel, "__init__", counting)
-    try:
-        from repro.kernels import numpy_backend
-    except ImportError:
-        pass
-    else:
-        kernel_original = numpy_backend.simulate_level
+    from repro.kernels import numpy_backend
 
-        def kernel_counting(*args, **kwargs):
-            counts["levels"] += 1
-            return kernel_original(*args, **kwargs)
+    kernel_original = numpy_backend.simulate_level
 
-        monkeypatch.setattr(numpy_backend, "simulate_level", kernel_counting)
+    def kernel_counting(*args, **kwargs):
+        counts["levels"] += 1
+        return kernel_original(*args, **kwargs)
+
+    monkeypatch.setattr(numpy_backend, "simulate_level", kernel_counting)
     return counts
 
 
@@ -321,3 +318,59 @@ class TestTelemetry:
         assert beats and isinstance(beats[-1], JobProgress)
         assert beats[-1].store_hits == 1
         assert "from store" in str(beats[-1])
+
+
+#: Experiment modules whose every simulation point is an engine job.
+ENGINE_MODULES = [
+    "figure_3_1",
+    "figure_3_3",
+    "figure_3_6",
+    "figure_3_7",
+    "figure_4_3",
+    "figure_4_6",
+    "figure_4_7",
+    "ext_stride",
+    "ext_cold_start",
+    "ext_marginal_utility",
+    "ablations",
+    "checks",
+]
+
+
+def _run_module(name, scale):
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.checks import _measurements
+    from repro.experiments.workloads import suite
+
+    if name == "checks":
+        return _measurements(suite(scale, 0))
+    return ALL_EXPERIMENTS[name](scale=scale)
+
+
+class TestEngineRoutedModules:
+    """Modules routed through the engine: one result on every backend and a
+    warm store rerun that simulates nothing."""
+
+    @pytest.mark.parametrize("name", ENGINE_MODULES)
+    def test_backends_agree_and_warm_rerun_is_all_hits(self, name, tmp_path, monkeypatch):
+        from repro.kernels import ENV_BACKEND, PYTHON
+        from repro.telemetry import scoped
+
+        scale = 1_500
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        monkeypatch.setenv(ENV_BACKEND, PYTHON)
+        reference = _run_module(name, scale)
+
+        monkeypatch.delenv(ENV_BACKEND)
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
+        cold = _run_module(name, scale)
+        assert repr(cold) == repr(reference)
+
+        with scoped() as scope:
+            warm = _run_module(name, scale)
+        assert repr(warm) == repr(reference)
+        jobs = sum(batch.n_jobs for batch in scope.job_batches)
+        assert jobs > 0
+        assert scope.level_runs == 0
+        assert scope.store_hits == jobs
+        assert scope.store_misses == 0

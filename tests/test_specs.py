@@ -25,12 +25,12 @@ from repro.specs import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
     MultiWayStrideBufferSpec,
+    NamedWorkloadSpec,
     SpecError,
     StreamBufferSpec,
     StrideBufferSpec,
     StructureSpec,
     SystemSpec,
-    TraceSpec,
     VictimCacheSpec,
     build,
     describe,
@@ -180,7 +180,7 @@ class TestLegacyCodes:
 class TestSystemSpec:
     def _spec(self, **overrides):
         base = dict(
-            trace=TraceSpec("ccom", scale=4_000, seed=0),
+            trace=NamedWorkloadSpec("ccom", scale=4_000, seed=0),
             config=baseline_system(),
             structure=VictimCacheSpec(4),
             side="d",
@@ -212,13 +212,21 @@ class TestSystemSpec:
         spec = SystemSpec.for_level(
             trace, CacheConfig(4096, 16), side="d", structure=VictimCache(4)
         )
-        assert spec.trace == TraceSpec("ccom", scale=4_000, seed=0)
+        assert spec.trace == NamedWorkloadSpec("ccom", scale=4_000, seed=0)
         assert spec.structure == VictimCacheSpec(4)
         assert SystemSpec.from_json(spec.to_json()) == spec
 
     def test_for_level_widens_l2_line(self, small_by_name):
         spec = SystemSpec.for_level(small_by_name["ccom"], CacheConfig(16384, 256))
         assert spec.config.l2.line_size == 256
+
+    def test_for_level_rejects_handmade_trace(self):
+        from repro.common.errors import ConfigurationError
+        from repro.traces.trace import trace_from_pairs
+
+        trace = trace_from_pairs("adhoc", [(0, 0)])
+        with pytest.raises(ConfigurationError, match="'adhoc' is hand-made"):
+            SystemSpec.for_level(trace, CacheConfig(4096, 16))
 
     def test_invalid_side_rejected(self):
         with pytest.raises(Exception, match="side"):
@@ -239,9 +247,9 @@ def _field_variants(base: SystemSpec):
     """One variant of *base* per spec field, labelled."""
     config = base.config
     return {
-        "trace.name": dataclasses.replace(base, trace=TraceSpec("liver", 4_000)),
-        "trace.scale": dataclasses.replace(base, trace=TraceSpec("ccom", 5_000)),
-        "trace.seed": dataclasses.replace(base, trace=TraceSpec("ccom", 4_000, seed=7)),
+        "trace.name": dataclasses.replace(base, trace=NamedWorkloadSpec("liver", 4_000)),
+        "trace.scale": dataclasses.replace(base, trace=NamedWorkloadSpec("ccom", 5_000)),
+        "trace.seed": dataclasses.replace(base, trace=NamedWorkloadSpec("ccom", 4_000, seed=7)),
         "config.dcache.size": dataclasses.replace(
             base, config=dataclasses.replace(config, dcache=CacheConfig(8192, 16))
         ),
@@ -277,7 +285,7 @@ def _field_variants(base: SystemSpec):
 
 class TestSpecHash:
     BASE = SystemSpec(
-        trace=TraceSpec("ccom", scale=4_000, seed=0),
+        trace=NamedWorkloadSpec("ccom", scale=4_000, seed=0),
         structure=VictimCacheSpec(4),
         side="d",
     )
@@ -330,25 +338,27 @@ class TestSpecHash:
 
 
 class TestTraceSpec:
+    """Registry trace references (:class:`NamedWorkloadSpec`)."""
+
     def test_of_registry_trace(self, small_by_name):
-        key = TraceSpec.of(small_by_name["linpack"])
-        assert key == TraceSpec("linpack", scale=4_000, seed=0)
+        key = NamedWorkloadSpec.of(small_by_name["linpack"])
+        assert key == NamedWorkloadSpec("linpack", scale=4_000, seed=0)
 
     def test_of_handmade_trace_is_none(self):
         from repro.traces.trace import MaterializedTrace, TraceMeta
 
         trace = MaterializedTrace(TraceMeta(name="adhoc"), [(0, 0)])
-        assert TraceSpec.of(trace) is None
+        assert NamedWorkloadSpec.of(trace) is None
 
     def test_trace_materializes_the_referenced_workload(self):
-        key = TraceSpec("ccom", scale=2_000, seed=0)
+        key = NamedWorkloadSpec("ccom", scale=2_000, seed=0)
         trace = key.trace()
         assert trace.name == "ccom"
         assert key.trace() is trace  # memoized
 
     def test_dict_round_trip(self):
-        key = TraceSpec("fppp", scale=3_000, seed=5)
-        assert TraceSpec.from_dict(key.as_dict()) == key
+        key = NamedWorkloadSpec("fppp", scale=3_000, seed=5)
+        assert NamedWorkloadSpec.from_dict(key.as_dict()) == key
 
 
 class TestTraceCacheCap:

@@ -3,8 +3,9 @@
 The contract: telemetry is disabled by default and costs (next to)
 nothing when disabled — simulation results are bit-identical with and
 without an active scope; when a scope is active, every simulation,
-engine batch, and serial fallback executed under it is observed; run
-records round-trip through JSON Lines and are schema-validated.
+engine batch, and pool fallback executed under it is observed — the
+same observations on every kernel backend; run records round-trip
+through JSON Lines and are schema-validated.
 """
 
 import json
@@ -13,12 +14,14 @@ import warnings
 import pytest
 
 from repro.common.config import CacheConfig, baseline_system
+from repro.common.errors import ConfigurationError
 from repro.common.types import IFETCH, LOAD
-from repro.experiments.engine import LevelJob, TraceKey, run_jobs
+from repro.experiments.engine import EntrySweepJob, LevelJob, RunSweepJob, run_jobs
 from repro.experiments.runner import run_level
 from repro.experiments.sweeps import batch_entry_sweeps, batch_run_sweeps
 from repro.hierarchy.system import MemorySystem
-from repro.specs import SystemSpec, VictimCacheSpec
+from repro.kernels import ENV_BACKEND, NUMPY, PYTHON
+from repro.specs import SystemSpec, VictimCacheSpec, WorkloadSpec
 from repro.telemetry import (
     Counter,
     MetricsScope,
@@ -146,7 +149,7 @@ class TestSimulationObservation:
 
 class TestEngineObservation:
     def test_run_jobs_records_batch(self, trace):
-        key = TraceKey.of(trace)
+        key = WorkloadSpec.of(trace)
         jobs = [
             LevelJob(SystemSpec.for_level(key, CONFIG, side="d")),
             LevelJob(SystemSpec.for_level(key, CONFIG, side="i")),
@@ -160,7 +163,7 @@ class TestEngineObservation:
         assert batch.workers == 1
 
     def test_run_jobs_parallel_progress_heartbeats(self, trace):
-        key = TraceKey.of(trace)
+        key = WorkloadSpec.of(trace)
         jobs = [LevelJob(SystemSpec.for_level(key, CONFIG, side=side)) for side in ("i", "d")]
         updates = []
         results = run_jobs(jobs, jobs=2, progress=updates.append, heartbeat=0.05)
@@ -170,8 +173,29 @@ class TestEngineObservation:
         assert final.done == final.total == 2
         assert "jobs done" in str(final)
 
+    @pytest.mark.parametrize("ways", [1, 4])
+    def test_sweep_jobs_observed_identically_on_both_backends(self, trace, monkeypatch, ways):
+        """Kernel sweep jobs record the same level observations as the interpreter."""
+        jobs = [
+            EntrySweepJob(SystemSpec.for_level(trace, CONFIG, side=side), kind=kind)
+            for side in ("i", "d")
+            for kind in ("miss", "victim")
+        ] + [RunSweepJob(SystemSpec.for_level(trace, CONFIG, side="d"), ways=ways)]
+        observed = {}
+        for backend in (PYTHON, NUMPY):
+            monkeypatch.setenv(ENV_BACKEND, backend)
+            with scoped() as scope:
+                run_jobs(jobs, jobs=1)
+            observed[backend] = scope
+        python, numpy = observed[PYTHON], observed[NUMPY]
+        assert python.level_runs == numpy.level_runs == len(jobs)
+        assert python.references == numpy.references > 0
+        assert python.level == numpy.level
+
 
 class TestFallbackPropagation:
+    """An unkeyed trace is a typed error that names the reason, not a fallback."""
+
     def _toy_trace(self):
         pairs = [(int(IFETCH), 16 * i) for i in range(32)] + [
             (int(LOAD), 4096 + 16 * i) for i in range(32)
@@ -180,24 +204,22 @@ class TestFallbackPropagation:
 
     def test_batch_entry_sweeps_records_reason(self):
         with scoped() as scope:
-            with pytest.warns(ParallelFallbackWarning, match="fell back to serial"):
+            with pytest.raises(ConfigurationError, match="'toy' is hand-made"):
                 batch_entry_sweeps([self._toy_trace()], CONFIG, kind="miss", jobs=2)
-        assert len(scope.fallbacks) == 1
-        event = scope.fallbacks[0]
-        assert event.component == "batch_entry_sweeps"
-        assert "toy" in event.reason
+        assert scope.fallbacks == []
+        assert scope.level_runs == 0
 
     def test_batch_run_sweeps_records_reason(self):
         with scoped() as scope:
-            with pytest.warns(ParallelFallbackWarning):
+            with pytest.raises(ConfigurationError, match="no workload spec"):
                 batch_run_sweeps([self._toy_trace()], CONFIG, jobs=2)
-        assert [e.component for e in scope.fallbacks] == ["batch_run_sweeps"]
+        assert scope.fallbacks == []
 
-    def test_no_fallback_when_serial_requested(self):
+    def test_no_fallback_when_serial_requested(self, trace):
         with scoped() as scope:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", ParallelFallbackWarning)
-                batch_entry_sweeps([self._toy_trace()], CONFIG, kind="miss", jobs=1)
+                batch_entry_sweeps([trace], CONFIG, kind="miss", jobs=1)
         assert scope.fallbacks == []
 
     def test_no_fallback_for_registry_traces(self, trace):

@@ -38,7 +38,6 @@ from repro.specs import (
     SpecError,
     SystemSpec,
     TenantMixSpec,
-    TraceSpec,
     UniformRandomSpec,
     WorkloadSpec,
     ZipfianSpec,
@@ -258,7 +257,7 @@ class TestProvenanceRecovery:
     def test_registry_trace_round_trips(self):
         trace = build_trace("linpack", 800, seed=1)
         assert workload_spec_of(trace) == NamedWorkloadSpec(name="linpack", scale=800, seed=1)
-        assert TraceSpec.of(trace) == NamedWorkloadSpec(name="linpack", scale=800, seed=1)
+        assert WorkloadSpec.of(trace) == NamedWorkloadSpec(name="linpack", scale=800, seed=1)
 
     def test_registry_trace_at_scale_zero_is_still_keyed(self):
         # The old path conflated "hand-made" with "scale 0": both had
@@ -297,17 +296,22 @@ class TestProvenanceRecovery:
         assert "no trace metadata" in unkeyed_reason(object())
 
     def test_fallback_warning_names_the_reason(self):
+        """Unkeyed traces raise a typed error quoting ``unkeyed_reason``."""
         from repro.experiments.sweeps import batch_entry_sweeps
 
-        trace = self._hand_made()
-        with pytest.warns(ParallelFallbackWarning) as caught:
-            batch_entry_sweeps(
-                [trace], CacheConfig(1024, 16), kind="victim", sides=("d",),
-                max_entries=2, jobs=4,
-            )
-        message = str(caught[0].message)
-        assert "trace(s) without a workload spec" in message
-        assert "hand-made" in message
+        for trace in (
+            self._hand_made(),
+            self._hand_made(name="linpack", scale=0),
+            self._hand_made(source="{bogus"),
+        ):
+            with pytest.raises(ConfigurationError) as caught:
+                batch_entry_sweeps(
+                    [trace], CacheConfig(1024, 16), kind="victim", sides=("d",),
+                    max_entries=2, jobs=4,
+                )
+            message = str(caught.value)
+            assert "trace has no workload spec" in message
+            assert unkeyed_reason(trace) in message
 
 
 class TestScaleValidation:
