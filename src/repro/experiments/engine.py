@@ -7,12 +7,13 @@ This module turns each point into a small picklable *job* — workload
 name, scale, seed, side, geometry, and a declarative structure spec —
 and fans jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
-* **Per-worker suite cache** — a worker initializer materializes each
-  distinct ``(name, scale, seed)`` trace once (through
-  :func:`repro.experiments.workloads.materialized_trace`, whose
-  process-level memoization then serves every later job in that worker;
-  on fork-based platforms the parent's already-built traces are
-  inherited copy-on-write, so warming is effectively free).
+* **One build per trace per process** — a batch pins its distinct
+  traces in the process memo (:func:`repro.experiments.workloads.pinned_workloads`)
+  for its whole length, so no job rebuilds a trace another job already
+  built, and store keys read each trace's remembered fingerprint instead
+  of rebuilding the trace to hash it.  Fork-based workers inherit the
+  pinned memo copy-on-write; spawn-based ones receive packed buffers
+  through shared memory, or build on demand through the same memo.
 * **Deterministic ordering** — results always come back in job-submission
   order, so a parallel run is row-for-row identical to a serial one.
 * **Inline execution** — with ``jobs=1`` (the default, or via the
@@ -66,7 +67,7 @@ from .sweeps import (
     stream_buffer_run_sweep,
     victim_cache_sweep,
 )
-from .workloads import BENCHMARK_NAMES, suite
+from .workloads import BENCHMARK_NAMES, pinned_workloads, suite
 
 __all__ = [
     "LevelJob",
@@ -472,16 +473,6 @@ class JobFailedError(RuntimeError):
         )
 
 
-def _warm_worker(trace_keys: Tuple[WorkloadSpec, ...]) -> None:
-    """Worker initializer: materialize each distinct trace exactly once.
-
-    Later jobs in this worker hit the process-level memoization in
-    :mod:`repro.experiments.workloads` instead of rebuilding.
-    """
-    for key in trace_keys:
-        key.trace()
-
-
 def _shm_warm_worker(descriptors: Tuple) -> None:
     """Worker initializer: rebuild packed traces from shared memory.
 
@@ -494,7 +485,7 @@ def _shm_warm_worker(descriptors: Tuple) -> None:
     slow spawn-platform pool can be diagnosed.
     """
     from ..traces.packed import attach_shared_trace
-    from .workloads import seed_materialized_trace, seed_materialized_workload
+    from .workloads import seed_materialized_workload
 
     for descriptor in descriptors:
         try:
@@ -507,34 +498,28 @@ def _shm_warm_worker(descriptors: Tuple) -> None:
                 stacklevel=2,
             )
             continue
-        key = descriptor.memo_key
-        if isinstance(key, tuple):
-            # Legacy descriptor shape: (name, scale, seed).
-            name, scale, seed = key
-            seed_materialized_trace(name, scale, seed, trace)
-        else:
-            seed_materialized_workload(key, trace)
+        seed_materialized_workload(descriptor.memo_key, trace)
 
 
 def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
-    """``(initializer, initargs, segments, degraded)`` for warming a pool.
+    """``(initializer, initargs, segments, degraded)`` for a batch's pool.
 
-    Fork-based platforms inherit the parent's materialized traces
-    copy-on-write, so the plain warm initializer is free there.  On
-    spawn/forkserver platforms each worker would replay every synthetic
-    generator from scratch; instead the parent materializes once, lays
-    the packed buffers out in shared memory, and workers attach-and-copy.
-    The caller must pass *segments* to
+    Fork-based platforms need no initializer: workers inherit the
+    parent's trace memo, pins included, so a worker builds only the
+    traces the parent has not, each at most once.  On spawn/forkserver
+    platforms each worker would replay every synthetic generator from
+    scratch; instead the parent materializes once, lays the packed
+    buffers out in shared memory, and workers attach-and-copy.  The
+    caller must pass *segments* to
     :func:`~repro.traces.packed.release_shared_segments` after the pool
     has shut down.  *degraded* is None, or the reason shared-memory
-    delivery was unavailable and workers fell back to rebuilding traces
+    delivery was unavailable and workers build traces on demand instead
     (surfaced in progress heartbeats rather than swallowed).
     """
     import multiprocessing
 
-    plain = (_warm_worker, (trace_keys,), [], None)
     if not trace_keys or multiprocessing.get_start_method() == "fork":
-        return plain
+        return None, (), [], None
     from ..traces.packed import PackedTrace, share_packed_traces
 
     entries = []
@@ -542,20 +527,16 @@ def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
         trace = key.trace()
         if not isinstance(trace, PackedTrace):
             return (
-                _warm_worker,
-                (trace_keys,),
-                [],
-                f"trace {key.label!r} is not packed; workers rebuild traces from generators",
+                None, (), [],
+                f"trace {key.label!r} is not packed; workers build traces on demand",
             )
         entries.append((key, trace))
     try:
         descriptors, segments = share_packed_traces(entries)
     except Exception as exc:
         return (
-            _warm_worker,
-            (trace_keys,),
-            [],
-            f"shared memory unavailable ({exc!r}); workers rebuild traces from generators",
+            None, (), [],
+            f"shared memory unavailable ({exc!r}); workers build traces on demand",
         )
     return _shm_warm_worker, (tuple(descriptors),), segments, None
 
@@ -1142,63 +1123,67 @@ def run_jobs(
     scope = _telemetry_scope()
     started = time.perf_counter() if scope is not None else 0.0
 
-    # Consult the store first: hits fill their result slots directly,
-    # misses become pending entries whose computed results are flushed
-    # back — and merged — in submission order.
-    results: List = [None] * len(job_list)
-    entries: List[_Pending] = []
-    hits = 0
-    consulted_misses = 0
-    bytes_read = 0
-    for index, job in enumerate(job_list):
-        key = _store_key(job) if store is not None else None
-        if key is not None:
-            cached, nbytes = store.get(key)
-            if cached is not None:
-                results[index] = cached
-                hits += 1
-                bytes_read += nbytes
-                continue
-            consulted_misses += 1
-        entries.append(_Pending(index, job, key))
+    # Pin the batch's traces for its whole length: store keys and jobs
+    # then build each trace at most once in this process, however many
+    # distinct traces the batch has.
+    with pinned_workloads(_distinct_trace_keys(job_list)):
+        # Consult the store first: hits fill their result slots directly,
+        # misses become pending entries whose computed results are flushed
+        # back — and merged — in submission order.
+        results: List = [None] * len(job_list)
+        entries: List[_Pending] = []
+        hits = 0
+        consulted_misses = 0
+        bytes_read = 0
+        for index, job in enumerate(job_list):
+            key = _store_key(job) if store is not None else None
+            if key is not None:
+                cached, nbytes = store.get(key)
+                if cached is not None:
+                    results[index] = cached
+                    hits += 1
+                    bytes_read += nbytes
+                    continue
+                consulted_misses += 1
+            entries.append(_Pending(index, job, key))
 
-    workers = min(resolve_jobs(jobs), len(entries)) if entries else 1
-    stats = _BatchStats()
-    failures: List[JobFailure] = []
-    # Backend selection is decided up front from the pending specs (store
-    # hits never re-simulate, so they are not counted), surfaced in every
-    # heartbeat and folded into the run record.
-    backends = _backend_counts([entry.job for entry in entries])
-    backend_note = _backend_note(backends)
-    if not entries:
-        if progress is not None and hits:
-            # Fully warm batch: one summary heartbeat instead of silence.
-            progress(JobProgress(hits, len(job_list), 0.0, hits))
-        computed: Dict[int, object] = {}
-    elif workers <= 1:
-        computed, failures = _execute_entries(
-            entries, 1, opts, store, stats, progress, heartbeat, len(job_list), hits,
-            backend=backend_note,
-        )
-    else:
-        if backends.keys() - {PYTHON}:
-            # Load the kernels (and numpy) before forking, so workers
-            # inherit them instead of each importing numpy again.
-            from ..kernels import assist  # noqa: F401
-        initializer, initargs, segments, note = _pool_setup(
-            _distinct_trace_keys([entry.job for entry in entries])
-        )
-        try:
+        workers = min(resolve_jobs(jobs), len(entries)) if entries else 1
+        stats = _BatchStats()
+        failures: List[JobFailure] = []
+        # Backend selection is decided up front from the pending specs (store
+        # hits never re-simulate, so they are not counted), surfaced in every
+        # heartbeat and folded into the run record.
+        backends = _backend_counts([entry.job for entry in entries])
+        backend_note = _backend_note(backends)
+        if not entries:
+            if progress is not None and hits:
+                # Fully warm batch: one summary heartbeat instead of silence.
+                progress(JobProgress(hits, len(job_list), 0.0, hits))
+            computed: Dict[int, object] = {}
+        elif workers <= 1:
             computed, failures = _execute_entries(
-                entries, workers, opts, store, stats, progress, heartbeat,
-                len(job_list), hits, pool_env=(initializer, initargs), note=note,
+                entries, 1, opts, store, stats, progress, heartbeat, len(job_list), hits,
                 backend=backend_note,
             )
-        finally:
-            if segments:
-                from ..traces.packed import release_shared_segments
+        else:
+            if backends.keys() - {PYTHON}:
+                # Load the kernels (and numpy) before forking, so workers
+                # inherit them instead of each importing numpy again.
+                from ..kernels import assist  # noqa: F401
+            initializer, initargs, segments, note = _pool_setup(
+                _distinct_trace_keys([entry.job for entry in entries])
+            )
+            try:
+                computed, failures = _execute_entries(
+                    entries, workers, opts, store, stats, progress, heartbeat,
+                    len(job_list), hits, pool_env=(initializer, initargs), note=note,
+                    backend=backend_note,
+                )
+            finally:
+                if segments:
+                    from ..traces.packed import release_shared_segments
 
-                release_shared_segments(segments)
+                    release_shared_segments(segments)
 
     for slot, outcome in computed.items():
         results[slot] = outcome
@@ -1252,24 +1237,25 @@ def run_experiments(
             entries, 1, opts, None, stats, progress, heartbeat, len(job_list), 0
         )
     else:
-        # Build the suite once in the parent before forking: fork-based
-        # platforms then share the materialized traces copy-on-write, and
-        # spawn-based ones receive the packed buffers through shared
-        # memory via the initializer (or rebuild once per worker when
-        # shared memory is unavailable).
-        suite(scale, seed)
+        # Build the suite once in the parent before forking, pinned:
+        # fork-based workers then share the materialized traces
+        # copy-on-write for the whole run, and spawn-based ones receive
+        # the packed buffers through shared memory via the initializer
+        # (or build on demand when shared memory is unavailable).
         suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
-        initializer, initargs, segments, note = _pool_setup(suite_keys)
-        try:
-            computed, failures = _execute_entries(
-                entries, workers, opts, None, stats, progress, heartbeat,
-                len(job_list), 0, pool_env=(initializer, initargs), note=note,
-            )
-        finally:
-            if segments:
-                from ..traces.packed import release_shared_segments
+        with pinned_workloads(suite_keys):
+            suite(scale, seed)
+            initializer, initargs, segments, note = _pool_setup(suite_keys)
+            try:
+                computed, failures = _execute_entries(
+                    entries, workers, opts, None, stats, progress, heartbeat,
+                    len(job_list), 0, pool_env=(initializer, initargs), note=note,
+                )
+            finally:
+                if segments:
+                    from ..traces.packed import release_shared_segments
 
-                release_shared_segments(segments)
+                    release_shared_segments(segments)
     if scope is not None and job_list:
         scope.record_job_batch(
             "ExperimentJob", len(job_list), workers, time.perf_counter() - started

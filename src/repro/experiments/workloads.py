@@ -24,18 +24,35 @@ same process (and, on fork-based platforms, inherited copy-on-write by
 engine workers).  A different resolved spec is a different cache entry,
 so changing scale, seed, or any pattern parameter always rebuilds.
 
-The memo is a bounded LRU: long heterogeneous sweeps (many scales or
-seeds per worker) evict the least recently used trace instead of growing
-worker memory without limit.  The cap defaults to holding one full
-benchmark suite plus an extension and can be tuned with the
-``REPRO_TRACE_CACHE`` environment variable (minimum 1).
+The memo is a bounded LRU of :data:`DEFAULT_TRACE_CACHE_CAP` traces:
+long heterogeneous sweeps (many scales or seeds per worker) evict the
+least recently used trace instead of growing worker memory without
+limit.  Two things keep that bound from costing rebuilds:
+
+* **Fingerprint tier** — each resolved spec's content fingerprint is
+  remembered in a far larger LRU (:data:`FINGERPRINT_CACHE_CAP` entries
+  of about 100 bytes) that outlives the trace's eviction, so a result
+  store key never rebuilds a trace just to hash it.  Fingerprints live
+  in process memory only — never in the store or on disk — so a changed
+  generator still changes every key.
+* **Batch pinning** — :func:`pinned_workloads` holds a batch's traces
+  in the memo for the length of the batch, beyond the cap if it must, so
+  a batch with one trace more than the cap never thrashes it.  Fork
+  workers inherit the pinned memo.  When the last pin is released the
+  memo shrinks back to the cap.
+
+One lock guards both tiers, so the serve daemon's lookup and simulation
+threads share them safely; traces build outside the lock.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
-from typing import List, Optional
+import threading
+from collections import Counter, OrderedDict
+from contextlib import contextmanager
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional
 
 from ..common.errors import ConfigurationError
 from ..specs.workloads import NamedWorkloadSpec, WorkloadSpec
@@ -45,19 +62,33 @@ from ..traces.trace import MaterializedTrace
 __all__ = [
     "suite",
     "materialized_workload",
+    "workload_fingerprint",
+    "pinned_workloads",
     "seed_materialized_workload",
     "materialized_trace",
-    "seed_materialized_trace",
     "default_scale",
     "validate_scale",
-    "trace_cache_cap",
     "BENCHMARK_NAMES",
 ]
 
-#: Default cap: the six benchmarks plus extension traces at one scale.
+#: Trace-memo capacity: the six benchmarks plus extension traces at one scale.
 DEFAULT_TRACE_CACHE_CAP = 8
+#: Fingerprint-tier capacity: resolved spec -> 16-character content hash.
+FINGERPRINT_CACHE_CAP = 4096
 
+_LOCK = threading.Lock()
 _TRACE_CACHE: "OrderedDict[WorkloadSpec, MaterializedTrace]" = OrderedDict()
+_FINGERPRINTS: "OrderedDict[WorkloadSpec, str]" = OrderedDict()
+#: Resolved spec -> live pins; a pinned trace is never evicted.
+_PINS: "Counter[WorkloadSpec]" = Counter()
+
+if hasattr(os, "register_at_fork"):
+    # A fork while another thread holds the lock would leave the child's
+    # copy held forever: take it across the fork so the child starts
+    # with a free lock and a consistent memo.
+    os.register_at_fork(
+        before=_LOCK.acquire, after_in_parent=_LOCK.release, after_in_child=_LOCK.release
+    )
 
 
 def default_scale() -> Optional[int]:
@@ -95,52 +126,104 @@ def validate_scale(value: Optional[int]) -> Optional[int]:
     return value
 
 
-def trace_cache_cap() -> int:
-    """Trace-memo LRU capacity from ``REPRO_TRACE_CACHE`` (minimum 1)."""
-    raw = os.environ.get("REPRO_TRACE_CACHE", "")
-    if not raw:
-        return DEFAULT_TRACE_CACHE_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_TRACE_CACHE_CAP
+def _trim() -> None:
+    """Evict unpinned traces, least recently used first, down to the cap.
+
+    Caller holds :data:`_LOCK`.
+    """
+    excess = len(_TRACE_CACHE) - DEFAULT_TRACE_CACHE_CAP
+    if excess > 0:
+        unpinned = (key for key in _TRACE_CACHE if key not in _PINS)
+        for key in list(islice(unpinned, excess)):
+            del _TRACE_CACHE[key]
+
+
+def _remember(key: WorkloadSpec, trace: MaterializedTrace) -> MaterializedTrace:
+    with _LOCK:
+        # Another thread may have built the same trace meanwhile: keep
+        # the first, so every caller shares one object.
+        trace = _TRACE_CACHE.setdefault(key, trace)
+        _TRACE_CACHE.move_to_end(key)
+        _trim()
+    return trace
 
 
 def materialized_workload(spec: WorkloadSpec) -> MaterializedTrace:
     """One materialized trace, memoized per resolved workload spec.
 
-    The memo holds at most :func:`trace_cache_cap` traces, evicting the
-    least recently used entry when a new trace would overflow it.
+    The memo holds at most :data:`DEFAULT_TRACE_CACHE_CAP` unpinned
+    traces, evicting the least recently used one when a new trace would
+    overflow it; traces pinned by :func:`pinned_workloads` stay.
     """
     key = spec.resolve()
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = key.build().materialize()
-        cap = trace_cache_cap()
-        while len(_TRACE_CACHE) >= cap:
-            _TRACE_CACHE.popitem(last=False)
-        _TRACE_CACHE[key] = trace
-    else:
-        _TRACE_CACHE.move_to_end(key)
-    return trace
+    with _LOCK:
+        trace = _TRACE_CACHE.get(key)
+        if trace is not None:
+            _TRACE_CACHE.move_to_end(key)
+            return trace
+    # Build outside the lock: a build takes seconds, and a tenant mix
+    # builds its named tenants through this same memo.
+    return _remember(key, key.build().materialize())
+
+
+def workload_fingerprint(spec: WorkloadSpec) -> str:
+    """Content fingerprint of *spec*'s trace, kept after the trace is evicted.
+
+    A miss materializes the trace through :func:`materialized_workload`;
+    a hit builds nothing.  The tier is bounded by
+    :data:`FINGERPRINT_CACHE_CAP` and lives in process memory only.
+    """
+    key = spec.resolve()
+    with _LOCK:
+        fingerprint = _FINGERPRINTS.get(key)
+        if fingerprint is not None:
+            _FINGERPRINTS.move_to_end(key)
+            return fingerprint
+    fingerprint = materialized_workload(key).fingerprint()
+    with _LOCK:
+        _FINGERPRINTS[key] = fingerprint
+        _FINGERPRINTS.move_to_end(key)
+        while len(_FINGERPRINTS) > FINGERPRINT_CACHE_CAP:
+            _FINGERPRINTS.popitem(last=False)
+    return fingerprint
+
+
+@contextmanager
+def pinned_workloads(specs: Iterable[WorkloadSpec]) -> Iterator[None]:
+    """Keep the traces of *specs* in the memo until the block exits.
+
+    Pinning builds nothing: a pinned spec's trace, once built, is exempt
+    from eviction even if the memo must exceed its cap.  Pins nest and
+    may come from several threads; when a block exits, the memo shrinks
+    back to the cap over whatever is no longer pinned.
+    """
+    keys = [spec.resolve() for spec in specs]
+    with _LOCK:
+        _PINS.update(keys)
+    try:
+        yield
+    finally:
+        with _LOCK:
+            for key in keys:
+                _PINS[key] -= 1
+                if not _PINS[key]:
+                    del _PINS[key]
+            _trim()
 
 
 def seed_materialized_workload(spec: WorkloadSpec, trace: MaterializedTrace) -> None:
-    """Pre-seed the memo with an already-materialized trace.
+    """Pre-seed the memo with an already-materialized trace, pinned.
 
     Used by engine worker initializers that receive packed trace buffers
     through shared memory: seeding the memo means later jobs in the
-    worker never replay the generator.  Uses the same key resolution
-    (:meth:`WorkloadSpec.resolve`) and LRU bound as
-    :func:`materialized_workload`.
+    worker never replay the generator.  A worker lives for one batch and
+    is seeded with exactly that batch's traces, so the seed stays pinned
+    for the life of the process.
     """
     key = spec.resolve()
-    if key not in _TRACE_CACHE:
-        cap = trace_cache_cap()
-        while len(_TRACE_CACHE) >= cap:
-            _TRACE_CACHE.popitem(last=False)
-    _TRACE_CACHE[key] = trace
-    _TRACE_CACHE.move_to_end(key)
+    with _LOCK:
+        _PINS[key] += 1
+    _remember(key, trace)
 
 
 def materialized_trace(
@@ -148,13 +231,6 @@ def materialized_trace(
 ) -> MaterializedTrace:
     """One materialized benchmark trace by registry name (compat wrapper)."""
     return materialized_workload(NamedWorkloadSpec(name=name, scale=scale, seed=seed))
-
-
-def seed_materialized_trace(
-    name: str, scale: Optional[int], seed: int, trace: MaterializedTrace
-) -> None:
-    """Pre-seed the memo by registry name (compat wrapper)."""
-    seed_materialized_workload(NamedWorkloadSpec(name=name, scale=scale, seed=seed), trace)
 
 
 def suite(scale: Optional[int] = None, seed: int = 0) -> List[MaterializedTrace]:

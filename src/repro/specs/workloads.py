@@ -30,8 +30,9 @@ The contract mirrors ``StructureSpec``, pinned by
   canonical — key-sorted, so equal specs serialize to equal strings;
 * ``spec.trace()`` materializes through the per-process memo in
   :mod:`repro.experiments.workloads` and ``spec.fingerprint()`` is the
-  content hash the result store keys on — equal reference streams share
-  a fingerprint no matter which spec produced them.
+  content hash the result store keys on, remembered per process beyond
+  the trace's own lifetime — equal reference streams share a
+  fingerprint no matter which spec produced them.
 
 Every pattern stream is driven by an explicit :class:`random.Random`
 seeded from a *string* (stable across processes and Python versions),
@@ -185,12 +186,15 @@ class WorkloadSpec:
         """Content hash of the spec's reference stream.
 
         Materializes the trace (through the process memo) on first use;
-        the hash itself is cached on the materialized trace.  This is
+        the hash is then remembered per resolved spec, even after the
+        trace itself is evicted, so later calls build nothing.  This is
         the content half of the result store's key: the spec hash pins
         the *reference*, the fingerprint pins what the reference
         actually resolved to.
         """
-        return self.trace().fingerprint()
+        from ..experiments.workloads import workload_fingerprint
+
+        return workload_fingerprint(self)
 
     def pairs(self, salt: str = "") -> Iterator[Pair]:
         """Infinite ``(kind, address)`` stream, reproducible from the seed.

@@ -208,9 +208,8 @@ class SharedTraceDescriptor:
     """Everything a worker needs to rebuild one trace from shared memory.
 
     ``memo_key`` is the per-process trace-memo key the engine uses — a
-    :class:`~repro.specs.WorkloadSpec` (legacy descriptors carried a
-    ``(name, scale, seed)`` tuple) — carried alongside so the worker can
-    seed its memo without re-deriving it.
+    :class:`~repro.specs.WorkloadSpec` — carried alongside so the worker
+    can seed its memo without re-deriving it.
     """
 
     shm_name: str

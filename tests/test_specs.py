@@ -362,27 +362,31 @@ class TestTraceSpec:
 
 
 class TestTraceCacheCap:
-    def test_cap_env_override(self, monkeypatch):
-        from repro.experiments.workloads import trace_cache_cap
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "3")
-        assert trace_cache_cap() == 3
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert trace_cache_cap() == 1
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "junk")
-        from repro.experiments.workloads import DEFAULT_TRACE_CACHE_CAP
-
-        assert trace_cache_cap() == DEFAULT_TRACE_CACHE_CAP
-
-    def test_memo_evicts_least_recently_used(self, monkeypatch):
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """The trace memo, emptied, with its cap patched down to two."""
         from repro.experiments import workloads
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        monkeypatch.setattr(workloads, "DEFAULT_TRACE_CACHE_CAP", 2)
         monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
-        a = workloads.materialized_trace("ccom", 1_000)
-        b = workloads.materialized_trace("liver", 1_000)
-        assert workloads.materialized_trace("ccom", 1_000) is a  # refreshes ccom
-        workloads.materialized_trace("linpack", 1_000)  # evicts liver
-        assert workloads.materialized_trace("ccom", 1_000) is a
-        assert workloads.materialized_trace("liver", 1_000) is not b
-        assert len(workloads._TRACE_CACHE) == 2
+        return workloads
+
+    def test_memo_evicts_least_recently_used(self, memo):
+        a = memo.materialized_trace("ccom", 1_000)
+        b = memo.materialized_trace("liver", 1_000)
+        assert memo.materialized_trace("ccom", 1_000) is a  # refreshes ccom
+        memo.materialized_trace("linpack", 1_000)  # evicts liver
+        assert memo.materialized_trace("ccom", 1_000) is a
+        assert memo.materialized_trace("liver", 1_000) is not b
+        assert len(memo._TRACE_CACHE) == 2
+
+    def test_pinned_traces_outlive_the_cap(self, memo):
+        keys = [NamedWorkloadSpec(name, 1_000) for name in ("ccom", "liver", "linpack")]
+        with memo.pinned_workloads(keys):
+            first = [key.trace() for key in keys]
+            assert len(memo._TRACE_CACHE) == 3  # one over the cap, none evicted
+            assert all(key.trace() is trace for key, trace in zip(keys, first))
+        # Released: back to the cap, least recently used (ccom) first.
+        assert len(memo._TRACE_CACHE) == 2
+        assert keys[1].trace() is first[1]
+        assert keys[0].trace() is not first[0]
