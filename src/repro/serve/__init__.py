@@ -20,6 +20,7 @@ from .service import (
     BreakerOpenError,
     DeadlineExceededError,
     OverloadedError,
+    RetryLaterError,
     ServingCounters,
     StoreDegradedWarning,
     UpstreamError,
@@ -37,6 +38,7 @@ __all__ = [
     "CircuitBreaker",
     "DeadlineExceededError",
     "OverloadedError",
+    "RetryLaterError",
     "StoreDegradedWarning",
     "UpstreamError",
     "ServingCounters",

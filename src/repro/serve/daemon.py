@@ -15,13 +15,17 @@ Endpoints
                         result)
 =====================  ======================================================
 
-Failure mapping: malformed queries → 400, unknown paths → 404, admission
-rejection → 429 with a ``Retry-After`` header, open circuit breaker →
-503 with ``Retry-After``, engine failure (after the PR 5 resilience
-layer has retried/recovered) → 503, expired deadline budget → 504,
-request during graceful drain → 503 + ``Connection: close``.  The daemon
-never dies with a request: every handler error becomes a JSON error
-response and a bumped counter.
+Failure mapping: malformed queries → 400, unknown paths → 404, a known
+path with the wrong method → 405 with an ``Allow`` header (both derived
+from the route table), admission rejection → 429 with a ``Retry-After``
+header, open circuit breaker → 503 with ``Retry-After``, engine failure
+(after the engine's own resilience layer has retried/recovered) → 503,
+expired deadline budget → 504, request during graceful drain → 503 +
+``Connection: close``.  Plain and streamed queries map failures the same
+way; a stream that fails after its first event ends with an ``error``
+event carrying the status instead.  The daemon never dies with a
+request: every handler error becomes a JSON error response and a bumped
+counter.
 
 ``drain()`` implements graceful shutdown (the CLI wires it to SIGTERM):
 stop accepting connections, answer in-flight requests, refuse new
@@ -51,8 +55,7 @@ from .service import (
     AdviseError,
     AdvisorService,
     BadRequestError,
-    BreakerOpenError,
-    OverloadedError,
+    RetryLaterError,
     parse_query,
 )
 
@@ -123,6 +126,13 @@ class CacheAdvisorDaemon:
         #: Requests currently inside ``_dispatch`` (drain waits on these).
         self._active_requests = 0
         self._draining = False
+        #: (method, path) → handler; 404, 405 and ``Allow`` derive from it.
+        self._routes = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/readyz"): self._readyz,
+            ("GET", "/v1/stats"): self._stats,
+            ("POST", "/v1/advise"): self._advise,
+        }
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -271,38 +281,39 @@ class CacheAdvisorDaemon:
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool = False
     ) -> bool:
         """Answer one request; True when the response consumed the connection."""
-        route = (request.method, request.path)
-        if route == ("GET", "/healthz"):
-            await send_json(
-                writer,
-                200,
-                {"status": "ok", "inflight": self.service.inflight},
-                keep_alive=keep_alive,
-            )
-            return False
-        if route == ("GET", "/readyz"):
-            status, payload = self.readiness()
-            await send_json(writer, status, payload, keep_alive=keep_alive)
-            return False
-        if route == ("GET", "/v1/stats"):
-            await send_json(writer, 200, self.stats_payload(), keep_alive=keep_alive)
-            return False
-        if route == ("POST", "/v1/advise"):
-            return await self._advise(request, writer, keep_alive)
-        if request.path in ("/healthz", "/readyz", "/v1/stats", "/v1/advise"):
+        handler = self._routes.get((request.method, request.path))
+        if handler is not None:
+            return await handler(request, writer, keep_alive)
+        allowed = [method for method, path in self._routes if path == request.path]
+        if allowed:
             await send_json(
                 writer,
                 405,
                 {"error": f"{request.method} not allowed here"},
+                extra_headers={"Allow": ", ".join(allowed)},
                 keep_alive=keep_alive,
             )
-            return False
-        await send_json(
-            writer,
-            404,
-            {"error": f"no such endpoint: {request.path}"},
-            keep_alive=keep_alive,
-        )
+        else:
+            await send_json(
+                writer,
+                404,
+                {"error": f"no such endpoint: {request.path}"},
+                keep_alive=keep_alive,
+            )
+        return False
+
+    async def _healthz(self, request: Request, writer, keep_alive: bool) -> bool:
+        payload = {"status": "ok", "inflight": self.service.inflight}
+        await send_json(writer, 200, payload, keep_alive=keep_alive)
+        return False
+
+    async def _readyz(self, request: Request, writer, keep_alive: bool) -> bool:
+        status, payload = self.readiness()
+        await send_json(writer, status, payload, keep_alive=keep_alive)
+        return False
+
+    async def _stats(self, request: Request, writer, keep_alive: bool) -> bool:
+        await send_json(writer, 200, self.stats_payload(), keep_alive=keep_alive)
         return False
 
     def readiness(self) -> "tuple[int, dict]":
@@ -347,34 +358,23 @@ class CacheAdvisorDaemon:
     async def _advise(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool = False
     ) -> bool:
-        cached = await self.service.cached_bad_request(request.body)
-        if cached is not None:
-            await send_json(writer, 400, {"error": cached}, keep_alive=keep_alive)
-            return False
-        try:
-            query = parse_query(request.json())
-        except (HttpError, BadRequestError) as exc:
-            await self.service.record_bad_request(request.body, str(exc))
-            await send_json(writer, 400, {"error": str(exc)}, keep_alive=keep_alive)
+        message = self.service.cached_bad_request(request.body)
+        if message is None:
+            try:
+                query = parse_query(request.json())
+            except (HttpError, BadRequestError) as exc:
+                message = str(exc)
+                self.service.record_bad_request(request.body, message)
+        if message is not None:
+            await _send_error(writer, BadRequestError(message), keep_alive)
             return False
         if query.stream:
             await self._advise_streaming(query, writer)
             return True
         try:
             payload = await self.service.advise(query)
-        except (OverloadedError, BreakerOpenError) as exc:
-            await send_json(
-                writer,
-                exc.status,
-                {"error": str(exc), "retry_after_s": exc.retry_after},
-                extra_headers={"Retry-After": str(max(1, int(exc.retry_after)))},
-                keep_alive=keep_alive,
-            )
-            return False
         except AdviseError as exc:
-            await send_json(
-                writer, exc.status, {"error": str(exc)}, keep_alive=keep_alive
-            )
+            await _send_error(writer, exc, keep_alive)
             return False
         await send_json(writer, 200, payload, keep_alive=keep_alive)
         return False
@@ -383,30 +383,29 @@ class CacheAdvisorDaemon:
         events = self.service.advise_stream(query)
         chunked = ChunkedJsonWriter(writer)
         try:
-            first = await events.__anext__()
-        except StopAsyncIteration:  # pragma: no cover - stream always yields
-            await send_json(writer, 500, {"error": "empty event stream"})
-            return
-        except (OverloadedError, BreakerOpenError) as exc:
-            await send_json(
-                writer,
-                exc.status,
-                {"error": str(exc), "retry_after_s": exc.retry_after},
-                extra_headers={"Retry-After": str(max(1, int(exc.retry_after)))},
-            )
-            return
-        except AdviseError as exc:
-            await send_json(writer, exc.status, {"error": str(exc)})
-            return
-        await chunked.start(200)
-        await chunked.send(first)
-        try:
             async for event in events:
+                if not chunked.started:
+                    await chunked.start(200)
                 await chunked.send(event)
         except AdviseError as exc:
+            if not chunked.started:
+                await _send_error(writer, exc)
+                return
             # The stream already started; deliver the failure as a final
             # event — the HTTP status is long gone.
             await chunked.send({"event": "error", "status": exc.status, "error": str(exc)})
         finally:
             await events.aclose()
             await chunked.close()
+
+
+async def _send_error(
+    writer: asyncio.StreamWriter, exc: AdviseError, keep_alive: bool = False
+) -> None:
+    """The one JSON answer for a typed request failure."""
+    payload = {"error": str(exc)}
+    headers = None
+    if isinstance(exc, RetryLaterError):
+        payload["retry_after_s"] = exc.retry_after
+        headers = {"Retry-After": str(max(1, int(exc.retry_after)))}
+    await send_json(writer, exc.status, payload, extra_headers=headers, keep_alive=keep_alive)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 __all__ = [
     "HttpError",
@@ -170,7 +170,7 @@ class ChunkedJsonWriter:
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
-        self._started = False
+        self.started = False
 
     async def start(self, status: int = 200) -> None:
         headers = {
@@ -180,16 +180,16 @@ class ChunkedJsonWriter:
         }
         self._writer.write(_status_head(status, headers))
         await self._writer.drain()
-        self._started = True
+        self.started = True
 
     async def send(self, event: object) -> None:
-        assert self._started, "start() must run before send()"
+        assert self.started, "start() must run before send()"
         line = json.dumps(event, sort_keys=True).encode("utf-8") + b"\n"
         self._writer.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")
         await self._writer.drain()
 
     async def close(self) -> None:
-        if self._started:
+        if self.started:
             self._writer.write(b"0\r\n\r\n")
             await self._writer.drain()
 
@@ -197,20 +197,25 @@ class ChunkedJsonWriter:
 # -- client side --------------------------------------------------------------
 
 
-def _request_head(method: str, path: str, host: str, body: bytes, close: bool = True) -> bytes:
-    connection = "close" if close else "keep-alive"
+def _request_head(method: str, path: str, host: str, body: bytes) -> bytes:
     return (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: {host}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: {connection}\r\n\r\n"
+        "Connection: keep-alive\r\n\r\n"
     ).encode("latin-1")
 
 
-async def _read_response_head(
+async def _read_response(
     reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str]]:
+) -> Tuple[int, Dict[str, str], List[object]]:
+    """Read one full response: status, headers, and its JSON documents.
+
+    A fixed-length body is one JSON document; a chunked body is NDJSON,
+    one document per line (the event stream's ``accepted`` …
+    ``result``/``error``).
+    """
     line = await _read_line(reader)
     if not line:
         raise HttpError("connection closed before the status line")
@@ -225,29 +230,14 @@ async def _read_response_head(
             break
         name, _, value = line.decode("latin-1").rstrip("\r\n").partition(":")
         headers[name.strip().lower()] = value.strip()
-    return status, headers
-
-
-async def _read_json_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], object]:
-    """Read one full response: status, headers, decoded JSON body.
-
-    Chunked responses are drained whole and decoded as the *last* JSON
-    line (the final ``result``/``error`` event), so callers that do not
-    care about streaming can issue the same queries streaming clients do.
-    """
-    status, headers = await _read_response_head(reader)
     if headers.get("transfer-encoding", "").lower() == "chunked":
         raw = b"".join([chunk async for chunk in _iter_chunks(reader)])
+        documents = [json.loads(line) for line in raw.splitlines() if line.strip()]
     else:
         length = int(headers.get("content-length", "0"))
         raw = await reader.readexactly(length) if length else b""
-    decoded: object = None
-    if raw:
-        lines = [line for line in raw.decode("utf-8").splitlines() if line.strip()]
-        decoded = json.loads(lines[-1]) if lines else None
-    return status, headers, decoded
+        documents = [json.loads(raw)] if raw else []
+    return status, headers, documents
 
 
 async def request_json(
@@ -258,23 +248,9 @@ async def request_json(
     payload: Optional[object] = None,
     timeout: float = 60.0,
 ) -> Tuple[int, Dict[str, str], object]:
-    """One JSON round trip on a fresh connection (see :func:`_read_json_response`)."""
-
-    async def _roundtrip():
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-            writer.write(_request_head(method, path, f"{host}:{port}", body) + body)
-            await writer.drain()
-            return await _read_json_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-
-    return await asyncio.wait_for(_roundtrip(), timeout)
+    """One JSON round trip on a fresh connection (a one-shot :class:`JsonClient`)."""
+    async with JsonClient(host, port) as client:
+        return await client.request(method, path, payload, timeout=timeout)
 
 
 class JsonClient:
@@ -304,14 +280,22 @@ class JsonClient:
         payload: Optional[object] = None,
         timeout: float = 60.0,
     ) -> Tuple[int, Dict[str, str], object]:
-        """One JSON round trip: ``(status, headers, decoded body)``."""
-        return await asyncio.wait_for(self._roundtrip(method, path, payload), timeout)
+        """One JSON round trip: ``(status, headers, decoded body)``.
+
+        A chunked (streamed) reply decodes as its *last* event — the final
+        ``result``/``error`` — so callers that do not care about
+        streaming can issue the same queries streaming clients do.
+        """
+        status, headers, documents = await asyncio.wait_for(
+            self._roundtrip(method, path, payload), timeout
+        )
+        return status, headers, documents[-1] if documents else None
 
     async def _roundtrip(
         self, method: str, path: str, payload: Optional[object]
-    ) -> Tuple[int, Dict[str, str], object]:
+    ) -> Tuple[int, Dict[str, str], List[object]]:
         body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        head = _request_head(method, path, f"{self.host}:{self.port}", body, close=False)
+        head = _request_head(method, path, f"{self.host}:{self.port}", body)
         while True:
             reusing = self._writer is not None
             if not reusing:
@@ -321,7 +305,7 @@ class JsonClient:
             try:
                 self._writer.write(head + body)
                 await self._writer.drain()
-                status, headers, decoded = await _read_json_response(self._reader)
+                status, headers, documents = await _read_response(self._reader)
             except (ConnectionError, OSError, asyncio.IncompleteReadError, HttpError):
                 await self.aclose()
                 if reusing:
@@ -331,7 +315,7 @@ class JsonClient:
                 self.reused += 1
             if headers.get("connection", "").lower() == "close":
                 await self.aclose()
-            return status, headers, decoded
+            return status, headers, documents
 
     async def aclose(self) -> None:
         """Close the underlying connection (reopened on the next request)."""
@@ -380,36 +364,8 @@ async def stream_json_events(
     Returns ``(status, events)``; non-chunked error replies come back as
     a single-event list so callers handle both shapes uniformly.
     """
-
-    async def _collect():
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            body = json.dumps(payload).encode("utf-8")
-            writer.write(_request_head("POST", path, f"{host}:{port}", body) + body)
-            await writer.drain()
-            status, headers = await _read_response_head(reader)
-            events = []
-            if headers.get("transfer-encoding", "").lower() == "chunked":
-                buffered = b""
-                async for chunk in _iter_chunks(reader):
-                    buffered += chunk
-                    while b"\n" in buffered:
-                        line, buffered = buffered.split(b"\n", 1)
-                        if line.strip():
-                            events.append(json.loads(line))
-                if buffered.strip():
-                    events.append(json.loads(buffered))
-            else:
-                length = int(headers.get("content-length", "0"))
-                raw = await reader.readexactly(length) if length else b""
-                if raw:
-                    events.append(json.loads(raw))
-            return status, events
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-
-    return await asyncio.wait_for(_collect(), timeout)
+    async with JsonClient(host, port) as client:
+        status, _, events = await asyncio.wait_for(
+            client._roundtrip("POST", path, payload), timeout
+        )
+    return status, events

@@ -200,18 +200,11 @@ async def wait_ready(host: str, port: int, timeout: float = 20.0) -> None:
         await asyncio.sleep(0.1)
 
 
-async def _timed_advise(host: str, port: int, payload: Dict, report: ClassReport,
-                        timeout: float, client: Optional[JsonClient] = None) -> None:
+async def _timed_advise(client: JsonClient, payload: Dict, report: ClassReport,
+                        timeout: float) -> None:
     started = time.perf_counter()
     try:
-        if client is not None:
-            status, _, body = await client.request(
-                "POST", "/v1/advise", payload, timeout=timeout
-            )
-        else:
-            status, _, body = await request_json(
-                host, port, "POST", "/v1/advise", payload, timeout=timeout
-            )
+        status, _, body = await client.request("POST", "/v1/advise", payload, timeout=timeout)
     except (ConnectionError, OSError, asyncio.TimeoutError):
         report.errors += 1
         return
@@ -265,7 +258,8 @@ async def run_loadgen(
     if warmup_key:
         # Prime the warm key (not measured): first touch simulates.
         prime = ClassReport("prime")
-        await _timed_advise(host, port, base, prime, timeout)
+        async with JsonClient(host, port) as client:
+            await _timed_advise(client, base, prime, timeout)
         if prime.errors or not prime.count:
             raise RuntimeError(
                 f"priming request failed against {host}:{port}: "
@@ -284,7 +278,7 @@ async def run_loadgen(
         async with gate:
             client = await idle.get()
             try:
-                await _timed_advise(host, port, payload, report, timeout, client=client)
+                await _timed_advise(client, payload, report, timeout)
             finally:
                 idle.put_nowait(client)
 

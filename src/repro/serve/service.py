@@ -30,6 +30,13 @@ with a socket:
   :class:`~repro.telemetry.core.JobProgress` callbacks plus a
   daemon-side ticker (a single inline job blocks its executor thread, so
   the engine alone cannot heartbeat mid-job).
+
+Plain and streamed queries run one sequence — store lookup, then
+attach-or-dispatch, then a deadline-bounded wait, then the payload —
+and streaming only adds the subscriber queue and heartbeats.  Rejected
+bodies are remembered in a small in-memory LRU (the negative cache),
+consulted before parsing; it never touches the store, which holds
+simulation results only.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ import asyncio
 import hashlib
 import time
 import warnings
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, Iterator, List, Optional, Tuple
 
 from ..common.config import baseline_system
 from ..common.errors import ConfigurationError, UnknownWorkloadError
@@ -54,7 +62,7 @@ from ..specs import (
 )
 from ..specs.structures import structure_from_dict
 from ..store import ResultKey, ResultStore, current_store
-from ..store.codec import BadQuery, encode_result
+from ..store.codec import encode_result
 from ..traces.registry import get_workload
 from ..experiments.engine import (
     LevelJob,
@@ -69,6 +77,7 @@ from .breaker import CircuitBreaker
 __all__ = [
     "AdviseError",
     "BadRequestError",
+    "RetryLaterError",
     "OverloadedError",
     "UpstreamError",
     "DeadlineExceededError",
@@ -78,6 +87,12 @@ __all__ = [
     "ServingCounters",
     "AdvisorService",
 ]
+
+
+#: Rejected bodies the negative cache remembers (least recently used go first).
+NEGATIVE_CACHE_ENTRIES = 1024
+#: Longer 400 messages (they can echo a large body) are not remembered.
+NEGATIVE_CACHE_MAX_MESSAGE = 4096
 
 
 class AdviseError(Exception):
@@ -92,14 +107,18 @@ class BadRequestError(AdviseError):
     status = 400
 
 
-class OverloadedError(AdviseError):
-    """Admission control rejected a new cold simulation."""
-
-    status = 429
+class RetryLaterError(AdviseError):
+    """A refusal the client should retry after ``retry_after`` seconds."""
 
     def __init__(self, message: str, retry_after: float) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class OverloadedError(RetryLaterError):
+    """Admission control rejected a new cold simulation."""
+
+    status = 429
 
 
 class UpstreamError(AdviseError):
@@ -119,14 +138,10 @@ class DeadlineExceededError(AdviseError):
     status = 504
 
 
-class BreakerOpenError(AdviseError):
+class BreakerOpenError(RetryLaterError):
     """The cold-dispatch circuit breaker is open: failing fast."""
 
     status = 503
-
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class StoreDegradedWarning(UserWarning):
@@ -236,7 +251,6 @@ class _GuardedStore:
 
     def get(self, key: ResultKey) -> Tuple[Optional[object], int]:
         if not self._attempt_allowed():
-            self._counters.degraded_serves += 1
             return None, 0
         try:
             clause = self._faults.fire("store_read_fail")
@@ -330,15 +344,29 @@ def parse_query(payload: object) -> AdviseQuery:
         raise
     except (ConfigurationError, SpecError, KeyError, TypeError, ValueError) as exc:
         raise BadRequestError(f"invalid query: {exc}") from None
-    if isinstance(spec.trace, NamedWorkloadSpec):
-        # Registry references are validated up front so an unknown name
-        # is a 400, not a failed cold simulation.
+    # Every registry reference — top level or a tenant's — is validated
+    # up front so an unknown name is a 400 here, not a failed keying.
+    for name in _registry_names(spec.trace):
         try:
-            get_workload(spec.trace.name)
+            get_workload(name)
         except UnknownWorkloadError as exc:
-            # KeyError subclass: str() would wrap the message in repr quotes.
-            raise BadRequestError(exc.args[0] if exc.args else str(exc)) from None
+            raise BadRequestError(_error_text(exc)) from None
     return AdviseQuery(spec=spec, stream=stream, deadline_s=deadline_s)
+
+
+def _registry_names(workload) -> Iterator[str]:
+    """Names of the registry workloads a workload spec tree references."""
+    if isinstance(workload, NamedWorkloadSpec):
+        yield workload.name
+    for tenant in getattr(workload, "tenants", ()):
+        yield from _registry_names(tenant)
+
+
+def _error_text(exc: BaseException) -> str:
+    """``str(exc)`` without the repr quotes a ``KeyError`` adds."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
 
 
 def _spec_from_shorthand(payload: Dict) -> SystemSpec:
@@ -447,6 +475,8 @@ class AdvisorService:
         )
         #: EWMA of cold-simulation seconds, feeding Retry-After hints.
         self._cold_seconds = 0.0
+        #: The negative cache: body digest → 400 message, in LRU order.
+        self._rejections: "OrderedDict[bytes, str]" = OrderedDict()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -485,40 +515,28 @@ class AdvisorService:
 
     # -- the negative cache ----------------------------------------------------
     #
-    # Malformed and unsatisfiable bodies are memoized too: parsing is
-    # cheap, but some rejections are not (an unknown workload name, a
-    # structure code that fails validation), and a misconfigured client
-    # retries the *same bytes* in a tight loop.  The key is the hash of
-    # the raw body, so the cache can be consulted before any parsing.
+    # A misconfigured client retries the *same bytes* in a tight loop, so
+    # a rejected body is remembered by its SHA-256 digest and answered
+    # before any parsing: one dict lookup on the event loop.  The map
+    # lives in process memory only — a rejection belongs to the code that
+    # produced it, so a restarted (perhaps upgraded) daemon parses again.
 
-    @staticmethod
-    def _bad_request_key(body: bytes) -> ResultKey:
-        return ResultKey(
-            job_kind="bad-query",
-            spec_hash=hashlib.sha256(body).hexdigest(),
-            trace_fingerprint="-",
-        )
-
-    async def cached_bad_request(self, body: bytes) -> Optional[str]:
-        """The memoized 400 message for this exact body, or None."""
-        loop = asyncio.get_running_loop()
-        cached, _nbytes = await loop.run_in_executor(
-            self._lookup_pool, self.guarded_store.get, self._bad_request_key(body)
-        )
-        if isinstance(cached, BadQuery):
+    def cached_bad_request(self, body: bytes) -> Optional[str]:
+        """The remembered 400 message for this exact body, or None."""
+        digest = hashlib.sha256(body).digest()
+        message = self._rejections.get(digest)
+        if message is not None:
+            self._rejections.move_to_end(digest)
             self.counters.negative_hits += 1
-            return cached.error
-        return None
+        return message
 
-    async def record_bad_request(self, body: bytes, message: str) -> None:
-        """Memoize a rejection so retries of the same body skip parsing."""
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._lookup_pool,
-            self.guarded_store.put,
-            self._bad_request_key(body),
-            BadQuery(error=message),
-        )
+    def record_bad_request(self, body: bytes, message: str) -> None:
+        """Remember a rejection, dropping the least recently used past the cap."""
+        if len(message) > NEGATIVE_CACHE_MAX_MESSAGE:
+            return
+        self._rejections[hashlib.sha256(body).digest()] = message
+        if len(self._rejections) > NEGATIVE_CACHE_ENTRIES:
+            self._rejections.popitem(last=False)
 
     # -- the request path ------------------------------------------------------
 
@@ -532,45 +550,88 @@ class AdvisorService:
         the underlying job is never cancelled, because other waiters may
         be coalesced onto it and its result still warms the store.
         """
+        async for payload in self._answer(query, stream=False):
+            pass
+        return payload
+
+    def advise_stream(self, query: AdviseQuery) -> AsyncIterator[Dict[str, object]]:
+        """:meth:`advise` as events: ``accepted``, then ``heartbeat`` and
+        ``progress`` while a simulation runs, then ``result``.
+
+        A failure before ``accepted`` (malformed, rejected, or a deadline
+        spent on the lookup) raises before the first event; a later one
+        raises mid-stream.  The deadline budget applies as in
+        :meth:`advise`.
+        """
+        return self._answer(query, stream=True)
+
+    async def _answer(self, query: AdviseQuery, stream: bool):
+        """The one request sequence: lookup, then attach-or-dispatch, then
+        a bounded wait, then the payload (the only event unless *stream*)."""
         self.counters.requests += 1
+        if stream:
+            self.counters.streams += 1
         loop = asyncio.get_running_loop()
-        deadline_s = self.effective_deadline(query)
-        deadline_at = None if deadline_s is None else loop.time() + deadline_s
+        budget = self.effective_deadline(query)
+        deadline = None if budget is None else loop.time() + budget
         lookup = loop.run_in_executor(self._lookup_pool, self._lookup, query.spec)
         try:
-            job, key, cached = await self._bounded(
-                lookup, deadline_at, deadline_s, phase="store lookup"
-            )
+            job, key, summary = await self._bounded(lookup, deadline, budget, "store lookup")
         except AdviseError:
             raise
         except Exception as exc:
-            raise BadRequestError(f"query could not be keyed: {exc}") from None
-        if cached is not None:
+            raise BadRequestError(f"query could not be keyed: {_error_text(exc)}") from None
+        if self.guarded_store.state != "ok":
+            self.counters.degraded_serves += 1
+        entry = None
+        if summary is not None:
             self.counters.warm_hits += 1
-            return self._payload(query.spec, key, cached, served_from="store")
-        entry, coalesced = self._attach_or_dispatch(job, key)
-        try:
-            summary = await self._bounded(
-                asyncio.shield(entry.future), deadline_at, deadline_s,
-                phase="cold simulation", entry=entry,
-            )
-        except asyncio.CancelledError:
-            raise
-        except UpstreamError:
-            self.counters.failed += 1
-            raise
-        except AdviseError:
-            raise
-        except Exception as exc:
-            self.counters.failed += 1
-            raise UpstreamError(f"simulation failed: {exc}") from exc
-        if coalesced:
-            served_from = "coalesced"
+            served_from = "store"
         else:
-            served_from = "store" if entry.from_store else "simulated"
-        return self._payload(query.spec, key, summary, served_from=served_from)
+            entry, coalesced = self._attach_or_dispatch(job, key)
+            served_from = "coalesced" if coalesced else "simulated"
+        if stream:
+            yield {"event": "accepted", "served_from": served_from}
+        if entry is not None:
+            if stream:
+                queue: asyncio.Queue = asyncio.Queue()
+                entry.subscribers.append(queue)
+                started = time.perf_counter()
+                try:
+                    while True:  # until _settle's None sentinel
+                        wait = self.heartbeat
+                        if deadline is not None:
+                            wait = max(0.0, min(wait, deadline - loop.time()))
+                        try:
+                            item = await asyncio.wait_for(queue.get(), wait)
+                        except asyncio.TimeoutError:
+                            if deadline is not None and loop.time() >= deadline:
+                                raise self._expired(entry, budget, "cold simulation") from None
+                            yield {
+                                "event": "heartbeat",
+                                "elapsed_s": round(time.perf_counter() - started, 3),
+                                "inflight": self.inflight,
+                            }
+                            continue
+                        if item is None:
+                            break
+                        yield dict(item, event="progress")
+                finally:
+                    if queue in entry.subscribers:
+                        entry.subscribers.remove(queue)
+            try:
+                summary = await self._bounded(
+                    asyncio.shield(entry.future), deadline, budget, "cold simulation", entry
+                )
+            except UpstreamError:
+                self.counters.failed += 1
+                raise
+            if served_from == "simulated" and entry.from_store:
+                served_from = "store"
+        payload = self._payload(query.spec, key, summary, served_from)
+        yield dict(payload, event="result") if stream else payload
 
-    async def _bounded(self, awaitable, deadline_at, deadline_s, phase: str,
+    async def _bounded(self, awaitable, deadline, budget, phase: str,
                        entry: Optional[_Inflight] = None):
         """Await *awaitable* within the request's remaining budget.
 
@@ -579,83 +640,19 @@ class AdvisorService:
         future is shielded by the caller), the waiter count is released,
         and a :class:`DeadlineExceededError` carries the 504.
         """
-        if deadline_at is None:
+        if deadline is None:
             return await awaitable
-        loop = asyncio.get_running_loop()
-        remaining = deadline_at - loop.time()
+        remaining = max(0.0, deadline - asyncio.get_running_loop().time())
         try:
-            if remaining > 0:
-                return await asyncio.wait_for(awaitable, remaining)
-            # Budget already gone: still consume the awaitable's
-            # cancellation cleanly before raising.
-            asyncio.ensure_future(awaitable).cancel()
+            return await asyncio.wait_for(awaitable, remaining)
         except asyncio.TimeoutError:
-            pass
+            raise self._expired(entry, budget, phase) from None
+
+    def _expired(self, entry: Optional[_Inflight], budget: float, phase: str):
         if entry is not None:
             entry.waiters -= 1
         self.counters.deadline_expired += 1
-        raise DeadlineExceededError(
-            f"deadline of {deadline_s:g}s exceeded during {phase}"
-        )
-
-    async def advise_stream(self, query: AdviseQuery) -> AsyncIterator[Dict[str, object]]:
-        """Like :meth:`advise`, but yields accepted/heartbeat/progress
-        events while the simulation runs, ending with ``result`` (or
-        raising before the first event for rejected/malformed queries).
-        """
-        self.counters.requests += 1
-        self.counters.streams += 1
-        loop = asyncio.get_running_loop()
-        job, key, cached = await loop.run_in_executor(
-            self._lookup_pool, self._lookup, query.spec
-        )
-        if cached is not None:
-            self.counters.warm_hits += 1
-            yield {"event": "accepted", "served_from": "store"}
-            yield dict(
-                self._payload(query.spec, key, cached, served_from="store"),
-                event="result",
-            )
-            return
-        entry, coalesced = self._attach_or_dispatch(job, key)
-        served_from = "coalesced" if coalesced else "simulated"
-        yield {"event": "accepted", "served_from": served_from}
-        queue: asyncio.Queue = asyncio.Queue()
-        entry.subscribers.append(queue)
-        started = time.perf_counter()
-        try:
-            while True:
-                try:
-                    item = await asyncio.wait_for(queue.get(), timeout=self.heartbeat)
-                except asyncio.TimeoutError:
-                    yield {
-                        "event": "heartbeat",
-                        "elapsed_s": round(time.perf_counter() - started, 3),
-                        "inflight": self.inflight,
-                    }
-                    continue
-                if item is None:
-                    break
-                yield dict(item, event="progress")
-        finally:
-            if queue in entry.subscribers:
-                entry.subscribers.remove(queue)
-        try:
-            summary = await asyncio.shield(entry.future)
-        except UpstreamError:
-            self.counters.failed += 1
-            raise
-        except AdviseError:
-            raise
-        except Exception as exc:
-            self.counters.failed += 1
-            raise UpstreamError(f"simulation failed: {exc}") from exc
-        if not coalesced and entry.from_store:
-            served_from = "store"
-        yield dict(
-            self._payload(query.spec, key, summary, served_from=served_from),
-            event="result",
-        )
+        return DeadlineExceededError(f"deadline of {budget:g}s exceeded during {phase}")
 
     # -- internals -------------------------------------------------------------
 

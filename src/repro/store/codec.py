@@ -11,30 +11,15 @@ Imports of the result types are deferred into the codec functions:
 ``repro.experiments.engine`` imports the store, so importing engine
 types at module level here would close a cycle.
 
-:class:`BadQuery` lives here rather than in the serve layer for the
-same reason — it is a *storable* type (the daemon's negative cache
-memoizes request rejections), and the codec is the one module every
-storable type must be visible from.
+Only simulation results are storable; anything else is a ``TypeError``
+on encode and a miss on decode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
-__all__ = ["BadQuery", "encode_result", "decode_result"]
-
-
-@dataclass(frozen=True)
-class BadQuery:
-    """A memoized request rejection: the 400 message for one exact body.
-
-    Stored by the serving layer's negative cache, keyed by the hash of
-    the raw request bytes, so a client retrying the same malformed or
-    unsatisfiable query is answered from disk without re-parsing.
-    """
-
-    error: str
+__all__ = ["encode_result", "decode_result"]
 
 
 def _result_types() -> Dict[str, type]:
@@ -45,7 +30,6 @@ def _result_types() -> Dict[str, type]:
         "LevelSummary": LevelSummary,
         "EntrySweep": EntrySweep,
         "RunLengthSweep": RunLengthSweep,
-        "BadQuery": BadQuery,
     }
 
 
@@ -92,18 +76,10 @@ def _decode_run_sweep(cls: type, fields: Dict[str, object]):
     )
 
 
-def _decode_bad_query(cls: type, fields: Dict[str, object]):
-    error = fields["error"]
-    if not isinstance(error, str):
-        raise TypeError("BadQuery.error must be a string")
-    return cls(error=error)
-
-
 _DECODERS: Dict[str, Callable] = {
     "LevelSummary": _decode_level_summary,
     "EntrySweep": _decode_entry_sweep,
     "RunLengthSweep": _decode_run_sweep,
-    "BadQuery": _decode_bad_query,
 }
 
 

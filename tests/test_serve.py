@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.experiments.engine import LevelSummary
+from repro.experiments.faults import set_plan
 from repro.serve import daemon as daemon_mod
 from repro.serve import service as service_mod
 from repro.serve.cli import main as serve_main
@@ -134,6 +135,19 @@ class TestRoutes:
 
         serve_test(check)
 
+    def test_wrong_method_names_the_allowed_ones(self, store):
+        async def check(daemon):
+            status, headers, _ = await request_json(
+                "127.0.0.1", daemon.port, "PUT", "/healthz", timeout=10
+            )
+            assert status == 405 and headers["allow"] == "GET"
+            status, headers, _ = await request_json(
+                "127.0.0.1", daemon.port, "GET", "/v1/advise", timeout=10
+            )
+            assert status == 405 and headers["allow"] == "POST"
+
+        serve_test(check)
+
     def test_invalid_json_body_is_400(self, store):
         async def check(daemon):
             reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
@@ -193,6 +207,23 @@ class TestColdThenWarm:
 
         used = serve_test(check)
         assert used.stats().entries == 1  # the engine flushed exactly one result
+
+    def test_warm_hit_makes_one_store_read(self, store, fake_engine, monkeypatch):
+        async def check(daemon):
+            service = daemon.service
+            _, key, _ = service._lookup(service_mod.parse_query(query(warmup=3)).spec)
+            service.store.put(key, SUMMARY)
+            reads = []
+            real_get = service.store.get
+            monkeypatch.setattr(
+                service.store, "get", lambda key: reads.append(key) or real_get(key)
+            )
+            status, _, body = await advise(daemon, query(warmup=3))
+            assert status == 200 and body["served_from"] == "store"
+            assert reads == [key]  # the lookup only: no negative-cache probe
+
+        serve_test(check)
+        assert fake_engine.calls == 0
 
     def test_explicit_store_warms_without_env_store(self, tmp_path, monkeypatch):
         """Regression: with ``store=`` passed explicitly and no
@@ -469,22 +500,6 @@ class TestNegativeCache:
 
         serve_test(check)
 
-    def test_negative_entries_persist_across_daemons(self, store):
-        bad = {"trace": {"name": "no-such-workload"}}
-
-        async def first(daemon):
-            status, _, body = await advise(daemon, bad, timeout=10)
-            assert status == 400
-            return body
-
-        async def second(daemon):
-            status, _, body = await advise(daemon, bad, timeout=10)
-            assert status == 400
-            assert daemon.service.counters.negative_hits == 1
-            return body
-
-        assert serve_test(first) == serve_test(second)
-
     def test_malformed_json_bytes_are_cached_too(self, store):
         async def roundtrip(daemon):
             reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
@@ -513,10 +528,188 @@ class TestNegativeCache:
             status, _, _ = await advise(daemon, query())
             assert status == 200
             assert daemon.service.counters.negative_hits == 0
+            assert len(daemon.service._rejections) == 0
             # And the stored entry is the result, not a rejection.
             assert daemon.service.store.stats().entries == 1
 
         serve_test(check)
+
+    def test_rejections_stay_out_of_the_store(self, store):
+        async def check(daemon):
+            status, _, _ = await advise(daemon, {"structure": "vc4"})
+            assert status == 400
+            assert len(daemon.service._rejections) == 1
+            assert daemon.service.store.stats().entries == 0
+
+        serve_test(check)
+
+    def test_oldest_entry_dropped_past_the_cap(self, store, monkeypatch):
+        monkeypatch.setattr(service_mod, "NEGATIVE_CACHE_ENTRIES", 2)
+
+        async def check(daemon):
+            service = daemon.service
+            service.record_bad_request(b"a", "bad a")
+            service.record_bad_request(b"b", "bad b")
+            assert service.cached_bad_request(b"a") == "bad a"  # a is now newest
+            service.record_bad_request(b"c", "bad c")
+            assert service.cached_bad_request(b"b") is None  # least recently used
+            assert service.cached_bad_request(b"a") == "bad a"
+            assert service.cached_bad_request(b"c") == "bad c"
+            assert len(service._rejections) == 2
+            assert service.counters.negative_hits == 3
+
+        serve_test(check)
+
+    def test_long_messages_are_not_remembered(self, store):
+        async def check(daemon):
+            service = daemon.service
+            service.record_bad_request(b"x", "e" * (service_mod.NEGATIVE_CACHE_MAX_MESSAGE + 1))
+            assert service.cached_bad_request(b"x") is None
+
+        serve_test(check)
+
+
+@pytest.fixture
+def fault_plan():
+    yield set_plan
+    set_plan(None)
+
+
+async def stream(daemon, payload, timeout=30.0):
+    return await stream_json_events(
+        "127.0.0.1", daemon.port, "/v1/advise", dict(payload, stream=True), timeout=timeout
+    )
+
+
+UNKNOWN_TENANT = {
+    "trace": {"kind": "tenant_mix", "tenants": [{"name": "no-such-workload"}], "length": 1000},
+}
+
+
+class TestOneAdvisePath:
+    """Plain and streamed queries share one sequence and one error mapping."""
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_unknown_tenant_workload_is_400(self, store, streamed):
+        async def check(daemon):
+            for _ in range(2):
+                if streamed:
+                    status, events = await stream(daemon, UNKNOWN_TENANT)
+                    body = events[0]
+                else:
+                    status, _, body = await advise(daemon, UNKNOWN_TENANT)
+                assert status == 400
+                assert body["error"].startswith("unknown workload 'no-such-workload'")
+            assert daemon.service.counters.negative_hits == 1
+            assert daemon.service.counters.failed == 0
+
+        serve_test(check)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_keying_failure_is_400(self, store, streamed, monkeypatch):
+        async def check(daemon):
+            def unkeyable(spec):
+                raise KeyError("no fingerprint")
+
+            monkeypatch.setattr(daemon.service, "_lookup", unkeyable)
+            if streamed:
+                status, events = await stream(daemon, query())
+                body = events[0]
+            else:
+                status, _, body = await advise(daemon, query())
+            assert status == 400
+            assert body["error"] == "query could not be keyed: no fingerprint"
+            assert daemon.service.counters.failed == 0
+
+        serve_test(check)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_same_status_for_the_same_failing_body(self, store, streamed):
+        bodies = [
+            query(deadline_ms=-1),
+            query(structure="no-such-structure"),
+            {"trace": {"name": "no-such"}},
+        ]
+
+        async def check(daemon):
+            statuses = []
+            for body in bodies:
+                if streamed:
+                    status, _ = await stream(daemon, body)
+                else:
+                    status, _, _ = await advise(daemon, body)
+                statuses.append(status)
+            return statuses
+
+        assert serve_test(check) == [400, 400, 400]
+
+    def test_stream_deadline_after_accepted_ends_with_504_event(
+        self, store, fake_engine, fault_plan
+    ):
+        fault_plan("slow_sim@0:1")
+
+        async def check(daemon):
+            status, events = await stream(daemon, query(warmup=1, deadline_ms=150))
+            assert status == 200
+            assert events[0] == {"event": "accepted", "served_from": "simulated"}
+            assert events[-1]["event"] == "error" and events[-1]["status"] == 504
+            assert "deadline" in events[-1]["error"]
+            assert daemon.service.counters.deadline_expired == 1
+            # The abandoned job was not cancelled: it runs to completion.
+            assert daemon.service.inflight == 1
+            for _ in range(200):
+                if not daemon.service.inflight:
+                    break
+                await asyncio.sleep(0.02)
+            assert daemon.service.inflight == 0
+            assert fake_engine.calls == 1
+
+        serve_test(check, heartbeat=0.02)
+
+    def test_server_deadline_bounds_streams(self, store, fake_engine, fault_plan):
+        fault_plan("slow_sim@0:1")
+
+        async def check(daemon):
+            status, events = await stream(daemon, query(warmup=1))
+            assert status == 200
+            assert events[-1]["status"] == 504
+            assert daemon.service.counters.deadline_expired == 1
+
+        serve_test(check, request_deadline=0.15)
+
+    def test_stream_deadline_before_accepted_is_http_504(self, store, monkeypatch):
+        async def check(daemon):
+            real_lookup = daemon.service._lookup
+            release = threading.Event()
+
+            def slow_lookup(spec):
+                release.wait(10)
+                return real_lookup(spec)
+
+            monkeypatch.setattr(daemon.service, "_lookup", slow_lookup)
+            try:
+                status, events = await stream(daemon, query(deadline_ms=100))
+            finally:
+                release.set()
+            assert status == 504
+            assert "store lookup" in events[0]["error"]
+            assert daemon.service.counters.deadline_expired == 1
+
+        serve_test(check)
+
+    def test_degraded_serves_counts_requests(self, store, fake_engine, fault_plan):
+        fault_plan("store_read_fail@0x*,store_write_fail@0x*")
+
+        async def check(daemon):
+            with pytest.warns(service_mod.StoreDegradedWarning):
+                for warmup in (1, 2, 3):
+                    status, _, _ = await advise(daemon, query(warmup=warmup))
+                    assert status == 200
+            counters = daemon.service.counters
+            assert counters.requests == 3
+            assert counters.degraded_serves == 3
+
+        serve_test(check, store_probe_interval=60.0)
 
 
 class TestStatsAndMetrics:
