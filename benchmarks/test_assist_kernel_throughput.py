@@ -108,8 +108,8 @@ def test_multiway_buffer_level_python(benchmark, dstream):
 
 
 def test_multiway_buffer_level_kernel(benchmark, dstream, dstream_array):
-    # Multi-way buffers have no vector form: the win here is replaying
-    # only the compressed miss stream instead of every reference.
+    # Head-only multi-way buffers run in vector mode: one compare of the
+    # stored way heads per miss, with no live buffer objects.
     _pair(benchmark, SB4X4, dstream, dstream_array)
 
 

@@ -243,6 +243,15 @@ class MultiWayStreamBuffer(L1Augmentation):
     no way clears the least recently *hit* way and re-allocates it at the
     miss address, letting the structure follow several interleaved
     sequential streams (the paper uses four ways for the data side).
+
+    Two rules settle the corner cases, and the numpy kernel
+    (:func:`repro.kernels.assist._multi_way_stream_hits`) relies on both:
+
+    * when several ways hold the matching line, the least recently used
+      of them is consumed and the more recently used duplicates survive;
+    * a way whose ``max_run`` is used up keeps its place in the LRU
+      order as a dead way (it matches nothing) until it becomes the
+      least recently used way and is re-allocated.
     """
 
     def __init__(

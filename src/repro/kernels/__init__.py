@@ -17,11 +17,13 @@ modes (:func:`kernel_mode`):
 * :data:`VECTOR` — the structure's hit condition closes over the miss
   stream in array form: LRU miss/victim caches reduce to one
   reuse-distance rank pass (which yields hits for *every* capacity at
-  once, collapsing entry sweeps to a single pass), and the single-way
-  sequential stream buffer reduces to a consecutive-chain scan.
+  once, collapsing entry sweeps to a single pass), the single-way
+  sequential stream buffer reduces to a consecutive-chain scan, and the
+  multi-way stream buffer to a compare of stored way heads per miss.
 * :data:`MISS_REPLAY` — the live interpreter structure replays only the
-  compressed miss stream (multi-way buffers, stride prefetchers,
-  non-LRU policies, availability modelling, composites).
+  compressed miss stream (stride prefetchers, non-LRU policies,
+  availability modelling, allocation filters, full-comparator stream
+  buffers, composites).
 
 Both backends produce **identical statistics**, pinned by the
 equivalence suite in ``tests/test_kernels.py``; which one runs is a pure
@@ -129,9 +131,11 @@ def structure_mode(spec) -> Optional[str]:
     * victim cache — LRU replacement with ``swap_on_hit`` (a hit must
       invalidate, which is what keeps the finite cache a prefix of the
       unbounded stack);
-    * stream buffer (single way) — head-only matching without
-      availability modelling or the allocation filter (the hit
-      condition then closes over consecutive-miss chains alone).
+    * stream buffer, single- or multi-way — head-only matching without
+      availability modelling or the allocation filter (a single way's
+      hit condition then closes over consecutive-miss chains alone; a
+      multi-way buffer reduces to each way's head line and allocating
+      miss).
     """
     from ..specs.structures import StructureSpec
 
@@ -144,7 +148,7 @@ def structure_mode(spec) -> Optional[str]:
         return VECTOR if spec.policy == "lru" else MISS_REPLAY
     if kind == "victim_cache":
         return VECTOR if spec.policy == "lru" and spec.swap_on_hit else MISS_REPLAY
-    if kind == "stream_buffer":
+    if kind in ("stream_buffer", "multi_way_stream_buffer"):
         vector = (
             spec.head_only
             and not spec.model_availability
@@ -155,11 +159,7 @@ def structure_mode(spec) -> Optional[str]:
         if any(structure_mode(member) is None for member in spec.members):
             return None
         return MISS_REPLAY
-    if kind in (
-        "multi_way_stream_buffer",
-        "stride_buffer",
-        "multi_way_stride_buffer",
-    ):
+    if kind in ("stride_buffer", "multi_way_stride_buffer"):
         return MISS_REPLAY
     return None
 

@@ -28,12 +28,17 @@ relies on).  That splits any structure run into two passes:
     keeps the finite cache a prefix of the unbounded LRU stack.  A
     single-way head-only **stream buffer** hits exactly on consecutive
     miss-line chains, with ``max_run`` cutting each chain into
-    ``max_run + 1``-long segments (:func:`_stream_buffer_hits`).
+    ``max_run + 1``-long segments (:func:`_stream_buffer_hits`).  A
+    head-only **multi-way stream buffer** keeps two ints per way — head
+    line and allocating miss — in one LRU-ordered list and resolves
+    each miss by comparing heads (:func:`_multi_way_stream_hits`); that
+    is a scan per miss, but over plain ints instead of live objects.
   - ``miss-replay``: the live interpreter structure replays the
     compressed miss stream (:func:`_replay_structure`) with ``now`` set
-    to the original trace position, so availability modelling, LRU way
-    rotation, stride detection and composites stay bit-exact while
-    paying Python dispatch only per *miss*, not per reference.
+    to the original trace position, so availability modelling, the
+    allocation filter, full-comparator matching, stride detection and
+    composites stay bit-exact while paying Python dispatch only per
+    *miss*, not per reference.
 
 Warm-up follows the interpreter exactly: structure and cache state are
 warmed over the full stream; counters only accumulate inside the
@@ -246,12 +251,70 @@ def _stream_buffer_hits(
     return step & (offset != 0), offset
 
 
+#: Head of a way with nothing left to supply.  Lines are never negative
+#: (the same convention as :attr:`MissStream.victims`), so it matches no
+#: miss.
+_DEAD = -1
+
+
+def _multi_way_stream_hits(
+    miss_lines: np.ndarray, ways: int, max_run: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Multi-way head-only sequential stream buffer over the miss stream.
+
+    Each way is two plain ints — its head line (or :data:`_DEAD`) and
+    the miss line that allocated it — held in one list ordered from
+    least to most recently used.  A miss compares stored heads instead
+    of walking per-way queues (the software form of way memoization).
+    With head-only matching and a top-up after every hit, *entries*
+    never changes an outcome.
+
+    * A miss equal to some way's head consumes the least recently used
+      such way, the first one the interpreter's LRU-order scan meets.
+      Its head becomes ``line + 1``, or dead once ``line - origin``
+      reaches ``max_run``, and it moves to MRU.
+    * Any other miss reallocates the LRU way — dead ways included, which
+      keep their slot until then — at head ``line + 1`` with origin
+      ``line`` (dead at once when ``max_run == 0``), and makes it MRU.
+
+    This is a per-miss scan, not an array pass.  Which of two equal
+    heads a miss consumes depends on the LRU state at that moment, so
+    the stack-depth closure used for the victim cache does not apply.
+
+    Returns ``(hit, offset)`` per miss; ``offset`` (distance from the
+    allocating miss) is valid at hits.
+    """
+    heads = [_DEAD] * ways
+    origins = [0] * ways
+    prefetches = max_run != 0
+    hit_at: List[int] = []
+    run_offsets: List[int] = []
+    for i, line in enumerate(miss_lines.tolist()):
+        if line in heads:
+            way = heads.index(line)
+            del heads[way]
+            origin = origins.pop(way)
+            run = line - origin
+            hit_at.append(i)
+            run_offsets.append(run)
+            heads.append(_DEAD if run == max_run else line + 1)
+            origins.append(origin)
+        else:
+            del heads[0]
+            del origins[0]
+            heads.append(line + 1 if prefetches else _DEAD)
+            origins.append(line)
+    hit = np.zeros(len(miss_lines), dtype=bool)
+    offset = np.zeros(len(miss_lines), dtype=_INT64)
+    hit[hit_at] = True
+    offset[hit_at] = run_offsets
+    return hit, offset
+
+
 # -- pass 2, miss-replay mode -------------------------------------------------
 
 
-def _replay_structure(
-    structure, miss_stream: MissStream, start: int
-) -> Tuple[LevelStats, np.ndarray]:
+def _replay_structure(structure, miss_stream: MissStream, start: int) -> LevelStats:
     """Drive a live interpreter structure over the compressed miss stream.
 
     Calls ``lookup_on_miss`` then ``on_l1_fill`` per miss, in the exact
@@ -259,21 +322,17 @@ def _replay_structure(
     with ``now`` set to the original trace position so availability
     modelling (``ready_time`` arithmetic) is preserved.  Counters only
     accumulate at positions inside the measurement window.  Returns the
-    structure-attributable stats fields plus the per-miss removed mask
-    (for callers that need the sweep histograms kept by the structure).
+    structure-attributable stats fields.
     """
     lookup = structure.lookup_on_miss
     fill = structure.on_l1_fill
     victim_hit = AccessOutcome.VICTIM_HIT
     stream_hit = AccessOutcome.STREAM_HIT
     stats = LevelStats()
-    removed = np.zeros(len(miss_stream.positions), dtype=bool)
-    for i, (now, line, victim) in enumerate(
-        zip(
-            miss_stream.positions.tolist(),
-            miss_stream.miss_lines.tolist(),
-            miss_stream.victims.tolist(),
-        )
+    for now, line, victim in zip(
+        miss_stream.positions.tolist(),
+        miss_stream.miss_lines.tolist(),
+        miss_stream.victims.tolist(),
     ):
         result = lookup(line, now)
         fill(line, victim if victim >= 0 else None, now)
@@ -282,7 +341,6 @@ def _replay_structure(
         if result.stall_cycles:
             stats.stream_stall_cycles += result.stall_cycles
         if result.satisfied:
-            removed[i] = True
             outcome = result.outcome
             if outcome is victim_hit:
                 stats.victim_hits += 1
@@ -290,7 +348,7 @@ def _replay_structure(
                 stats.stream_hits += 1
             else:
                 stats.miss_cache_hits += 1
-    return stats, removed
+    return stats
 
 
 # -- whole-run kernels --------------------------------------------------------
@@ -330,11 +388,16 @@ def simulate_assist_level(
             vc_hit, depth = _victim_depths(ms.miss_lines, ms.victims)
             removed = vc_hit & (depth < structure_spec.entries)
             stats.victim_hits = int(np.count_nonzero(removed & counted))
-        else:  # stream_buffer
+        elif kind == "stream_buffer":
             sb_hit, _ = _stream_buffer_hits(ms.miss_lines, structure_spec.max_run)
             stats.stream_hits = int(np.count_nonzero(sb_hit & counted))
+        else:  # multi_way_stream_buffer
+            sb_hit, _ = _multi_way_stream_hits(
+                ms.miss_lines, structure_spec.ways, structure_spec.max_run
+            )
+            stats.stream_hits = int(np.count_nonzero(sb_hit & counted))
     elif mode == MISS_REPLAY:
-        stats, _ = _replay_structure(build(structure_spec), ms, start)
+        stats = _replay_structure(build(structure_spec), ms, start)
     else:
         raise ValueError(
             f"structure spec has no kernel mode: {structure_spec!r}"
@@ -464,24 +527,19 @@ def entry_sweep_summary(system, kind: str, max_entries: int):
 def _run_length_sweep(
     byte_addresses, config: CacheConfig, ways: int, entries: int, max_run: int
 ):
-    from ..buffers.stream_buffer import MultiWayStreamBuffer
     from ..experiments.sweeps import RunLengthSweep
 
     addresses = np.asarray(byte_addresses, dtype=_INT64)
     lines = addresses >> config.offset_bits
     ms = extract_miss_stream(lines, config.num_lines)
+    # The interpreter histograms one unbounded-run simulation.
     if ways == 1:
-        sb_hit, offset = _stream_buffer_hits(ms.miss_lines, None)
-        removed = _count_at_most(offset[sb_hit] - 1, max_run)
-        stats = LevelStats()
-        stats.stream_hits = int(np.count_nonzero(sb_hit))
+        hit, offset = _stream_buffer_hits(ms.miss_lines, None)
     else:
-        buffer = MultiWayStreamBuffer(
-            ways=ways, entries=entries, track_run_offsets=True
-        )
-        stats, _ = _replay_structure(buffer, ms, 0)
-        offsets = buffer.run_offsets
-        removed = [offsets.count_at_most(k) for k in range(max_run + 1)]
+        hit, offset = _multi_way_stream_hits(ms.miss_lines, ways, None)
+    stats = LevelStats()
+    stats.stream_hits = int(np.count_nonzero(hit))
+    removed = _count_at_most(offset[hit] - 1, max_run)
     sweep = RunLengthSweep(total_misses=len(ms.positions), removed_by_run=removed)
     return sweep, _sweep_level_stats(ms, stats)
 
@@ -492,8 +550,9 @@ def run_length_sweep(
     """Stream-buffer run-length sweep (Figure 4-4 style).
 
     Single-way buffers vectorize (run offsets are chain positions);
-    multi-way buffers replay the miss stream through the live structure
-    and read its run-offset histogram.
+    multi-way buffers resolve heads way by way over the miss stream
+    (:func:`_multi_way_stream_hits`).  Head-only matching makes the
+    result independent of *entries*.
     """
     return _run_length_sweep(byte_addresses, config, ways, entries, max_run)[0]
 

@@ -20,6 +20,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, baseline_system
 from repro.common.errors import ConfigurationError
@@ -170,8 +172,14 @@ ASSIST_SPECS = [
     StreamBufferSpec(entries=4, model_availability=True),
     StreamBufferSpec(entries=4, allocation_filter=True),
     StreamBufferSpec(entries=4, head_only=False),
+    MultiWayStreamBufferSpec(ways=1, entries=4),
+    MultiWayStreamBufferSpec(ways=2, entries=1, max_run=3),
+    MultiWayStreamBufferSpec(ways=3, entries=2, max_run=0),
     MultiWayStreamBufferSpec(ways=4, entries=4),
+    MultiWayStreamBufferSpec(ways=8, entries=4),
     MultiWayStreamBufferSpec(ways=2, entries=3, model_availability=True),
+    MultiWayStreamBufferSpec(ways=4, entries=4, allocation_filter=True),
+    MultiWayStreamBufferSpec(ways=4, entries=4, head_only=False),
     StrideBufferSpec(entries=4),
     MultiWayStrideBufferSpec(ways=2, entries=4),
     CompositeSpec(
@@ -287,7 +295,68 @@ def test_one_pass_entry_sweep_matches_per_capacity_runs():
             assert kernel.hits_by_entries[k] == run.stats.removed_misses, (kind, k)
 
 
-@pytest.mark.parametrize("ways", [1, 4])
+@settings(deadline=None, max_examples=60)
+@given(
+    # -1 draws "the line after the previous miss", so sequential runs
+    # (and exhausted ways) are as common as repeats.
+    draws=st.lists(st.one_of(st.just(-1), st.integers(0, 7)), max_size=120),
+    ways=st.integers(min_value=1, max_value=6),
+    max_run=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    entries=st.integers(min_value=1, max_value=4),
+    start=st.integers(min_value=0, max_value=130),
+)
+# Equal heads with different origins (lines 1, 2, 2, 3): which way is
+# consumed shows in the run offset.
+@example(draws=[1, -1, 2, -1], ways=2, max_run=None, entries=1, start=0)
+# A run that outlives max_run (lines 1, 2, 3): the way must die.
+@example(draws=[1, -1, -1], ways=1, max_run=1, entries=4, start=0)
+def test_multi_way_resolver_matches_live_buffer(draws, ways, max_run, entries, start):
+    """The head-table resolver against the interpreter's buffer.
+
+    A tiny line alphabet makes repeated misses to one line common, so
+    several ways often hold the same head and LRU order decides which
+    is consumed.
+    """
+    from collections import Counter
+
+    from repro.buffers.stream_buffer import MultiWayStreamBuffer
+    from repro.kernels.assist import (
+        MissStream,
+        _multi_way_stream_hits,
+        _replay_structure,
+    )
+
+    miss_lines = []
+    for draw in draws:
+        follows = draw < 0 and miss_lines
+        miss_lines.append(miss_lines[-1] + 1 if follows else max(draw, 0))
+    lines = np.asarray(miss_lines, dtype=np.int64)
+    m = len(lines)
+    positions = np.arange(m, dtype=np.int64)
+    stream = MissStream(
+        lines=lines,
+        hits=np.zeros(m, dtype=bool),
+        positions=positions,
+        miss_lines=lines,
+        victims=np.full(m, -1, dtype=np.int64),
+    )
+    buffer = MultiWayStreamBuffer(
+        ways=ways, entries=entries, max_run=max_run, track_run_offsets=True
+    )
+    reference = _replay_structure(buffer, stream, start)
+    hit, offset = _multi_way_stream_hits(lines, ways, max_run)
+    counted = positions >= start
+    assert int(np.count_nonzero(hit & counted)) == reference.stream_hits
+    assert dict(Counter(offset[hit].tolist())) == buffer.run_offsets.counts
+
+    replayed = MultiWayStreamBuffer(ways=ways, entries=entries, max_run=max_run)
+    mask = np.array(
+        [replayed.lookup_on_miss(line, 0).satisfied for line in miss_lines], dtype=bool
+    )
+    assert np.array_equal(hit[counted], mask[counted])
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4, 8])
 def test_run_length_sweep_equivalence(ways):
     from repro.experiments.sweeps import stream_buffer_run_sweep
     from repro.kernels.assist import run_length_sweep
@@ -431,7 +500,11 @@ def test_packed_streams_match_pair_reference(small_suite):
         (StreamBufferSpec(entries=4, model_availability=True), MISS_REPLAY),
         (StreamBufferSpec(entries=4, allocation_filter=True), MISS_REPLAY),
         (StreamBufferSpec(entries=4, head_only=False), MISS_REPLAY),
-        (MultiWayStreamBufferSpec(ways=4, entries=4), MISS_REPLAY),
+        (MultiWayStreamBufferSpec(ways=4, entries=4), VECTOR),
+        (
+            MultiWayStreamBufferSpec(ways=2, entries=3, model_availability=True),
+            MISS_REPLAY,
+        ),
         (StrideBufferSpec(entries=4), MISS_REPLAY),
         (MultiWayStrideBufferSpec(ways=2, entries=4), MISS_REPLAY),
         (
@@ -567,7 +640,10 @@ def test_backend_counts_reach_run_record(monkeypatch):
         LevelJob(qualifying_spec(side="d", structure=VictimCacheSpec(entries=4))),
         LevelJob(
             qualifying_spec(
-                side="d", structure=MultiWayStreamBufferSpec(ways=4, entries=4)
+                side="d",
+                structure=MultiWayStreamBufferSpec(
+                    ways=2, entries=3, model_availability=True
+                ),
             )
         ),
     ]
@@ -575,8 +651,8 @@ def test_backend_counts_reach_run_record(monkeypatch):
     with telemetry.scoped() as scope:
         run_jobs(jobs, progress=heartbeats.append)
         record = build_run_record(scope, "kernels-test", baseline_system(), 0.1)
-    # Bare + victim cache vectorize; the multi-way buffer replays the
-    # compressed miss stream and is labelled accordingly.
+    # Bare + victim cache vectorize; the availability-modelled buffer
+    # replays the compressed miss stream and is labelled accordingly.
     expected = {"numpy": 2, "miss-replay": 1}
     assert scope.backend_jobs == expected
     assert record.backends == expected

@@ -50,6 +50,39 @@ class TestInterleavedStreams:
         assert multi.lookup_on_miss(301, 5).satisfied  # new stream lives
         assert not multi.lookup_on_miss(201, 6).satisfied  # B's stream gone
 
+    def test_duplicate_heads_consume_the_lru_way(self):
+        """Two ways allocated at the same miss share a head; the LRU one
+        is consumed and the MRU duplicate survives."""
+        multi = MultiWayStreamBuffer(ways=2, entries=2, track_run_offsets=True)
+        first, second = multi.way_buffers()
+        multi.lookup_on_miss(100, 0)  # way 0 <- 101, 102
+        multi.lookup_on_miss(100, 1)  # no head match: way 1 <- 101, 102
+        assert first.head_line() == second.head_line() == 101
+        assert multi.lookup_on_miss(101, 2).satisfied
+        assert first.head_line() == 102  # way 0 was LRU: consumed
+        assert second.head_line() == 101  # the MRU duplicate survived
+        assert multi.lookup_on_miss(101, 3).satisfied  # ...and still hits
+        assert second.head_line() == 102
+        assert multi.run_offsets.counts == {1: 2}
+
+    def test_exhausted_way_keeps_its_lru_slot(self):
+        """A way whose max_run is used up stays dead in its LRU slot; a
+        new stream reallocates the true LRU way, not the dead one."""
+        multi = MultiWayStreamBuffer(ways=2, entries=4, max_run=1)
+        first, second = multi.way_buffers()
+        multi.lookup_on_miss(100, 0)  # way 0 <- 101
+        multi.lookup_on_miss(200, 1)  # way 1 <- 201
+        assert multi.lookup_on_miss(101, 2).satisfied  # way 0 exhausted, MRU
+        assert first.buffered_lines() == []
+        assert not multi.lookup_on_miss(102, 3).satisfied  # dead way matches nothing
+        # The miss to 102 reallocated way 1 (the LRU), so way 0 is dead
+        # and now LRU; the next new stream takes its slot.
+        assert second.buffered_lines() == [103]
+        assert first.buffered_lines() == []
+        assert multi.lookup_on_miss(103, 4).satisfied
+        assert not multi.lookup_on_miss(300, 5).satisfied
+        assert first.buffered_lines() == [301]
+
     def test_hit_reports_stream_outcome(self):
         multi = MultiWayStreamBuffer(ways=2, entries=2)
         multi.lookup_on_miss(50, 0)
