@@ -55,7 +55,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ConfigurationError
 from ..common.stats import percent, safe_div
-from ..kernels import MISS_REPLAY, NUMPY, PYTHON, kernel_mode, select_backend
+from ..kernels import (
+    MISS_REPLAY,
+    NUMPY,
+    PYTHON,
+    default_backend,
+    kernel_mode,
+    select_backend,
+)
 from ..specs import NamedWorkloadSpec, SystemSpec, WorkloadSpec, spec_hash
 from ..store import ResultKey, current_store
 from ..telemetry.core import JobProgress, ProgressCallback, record_fallback
@@ -223,49 +230,19 @@ Job = Union[LevelJob, EntrySweepJob, RunSweepJob, ExperimentJob]
 # -- execution ----------------------------------------------------------------
 
 
-def _sweep_system(job: Union["EntrySweepJob", "RunSweepJob"]) -> SystemSpec:
-    """The spec point a sweep job is equivalent to, for backend dispatch.
-
-    An entry sweep is one run with a tracked-depth structure of capacity
-    ``max_entries + 1``; a run sweep is one run with an offset-tracking
-    (multi-way) stream buffer.  Routing backend selection through the
-    equivalent spec keeps ``REPRO_BACKEND`` semantics and the
-    vector/miss-replay mode table in one place
-    (:func:`repro.kernels.select_backend`).
-    """
-    from dataclasses import replace
-
-    from ..specs import (
-        MissCacheSpec,
-        MultiWayStreamBufferSpec,
-        StreamBufferSpec,
-        VictimCacheSpec,
-    )
-
-    if isinstance(job, EntrySweepJob):
-        spec_cls = {"miss": MissCacheSpec, "victim": VictimCacheSpec}[job.kind]
-        structure = spec_cls(entries=job.max_entries + 1, track_depths=True)
-    elif job.ways == 1:
-        structure = StreamBufferSpec(entries=job.entries, track_run_offsets=True)
-    else:
-        structure = MultiWayStreamBufferSpec(
-            ways=job.ways, entries=job.entries, track_run_offsets=True
-        )
-    return replace(job.system, structure=structure)
-
-
 def execute_job(job: Job):
     """Run one job in the current process and return its picklable result.
 
     ``LevelJob``s are backend-dispatched: when
-    :func:`repro.kernels.select_backend` picks numpy (spec qualifies,
-    ``REPRO_BACKEND`` not forcing ``python``),
+    :func:`repro.kernels.select_backend` picks numpy (the spec has a
+    kernel mode, ``REPRO_BACKEND`` not forcing ``python``),
     structure-free specs run the vectorized direct-mapped kernel and
     structure-carrying specs run the assist kernel (vector or
-    miss-replay mode per :func:`repro.kernels.kernel_mode`); sweep jobs
-    dispatch through their equivalent tracked-structure spec.  All
-    backends return identical results, so dispatch is invisible to
-    callers and to the result store.
+    miss-replay mode per :func:`repro.kernels.kernel_mode`).  Sweep jobs
+    dispatch on the request alone: their depth- and offset-tracking
+    structures always resolve in vector mode.  All backends return
+    identical results, so dispatch is invisible to callers and to the
+    result store.
     """
     if isinstance(job, LevelJob):
         system = job.system
@@ -296,7 +273,7 @@ def execute_job(job: Job):
         )
     if isinstance(job, EntrySweepJob):
         system = job.system
-        if select_backend(_sweep_system(job)) == NUMPY:
+        if default_backend() == NUMPY:
             from ..kernels.assist import entry_sweep_summary
 
             return entry_sweep_summary(system, job.kind, job.max_entries)
@@ -305,7 +282,7 @@ def execute_job(job: Job):
         return sweep_fn(addresses, system.cache_config, job.max_entries)
     if isinstance(job, RunSweepJob):
         system = job.system
-        if select_backend(_sweep_system(job)) == NUMPY:
+        if default_backend() == NUMPY:
             from ..kernels.assist import run_length_sweep_summary
 
             return run_length_sweep_summary(
@@ -590,17 +567,16 @@ def _job_backend(job: Job) -> Optional[str]:
     ``python`` and ``numpy`` as before; assist jobs that run the
     interpreter structure over the compressed miss stream are labelled
     ``miss-replay`` so heartbeats and run records show the split.
-    Experiment jobs are opaque here — their inner batches dispatch (and
-    count) per job themselves.
+    Sweep jobs always run vector mode on numpy.  Experiment jobs are
+    opaque here — their inner batches dispatch (and count) per job
+    themselves.
     """
-    if isinstance(job, LevelJob):
-        system = job.system
-    elif isinstance(job, (EntrySweepJob, RunSweepJob)):
-        system = _sweep_system(job)
-    else:
+    if isinstance(job, (EntrySweepJob, RunSweepJob)):
+        return default_backend()
+    if not isinstance(job, LevelJob):
         return None
-    backend = select_backend(system)
-    if backend == NUMPY and kernel_mode(system) == MISS_REPLAY:
+    backend = select_backend(job.system)
+    if backend == NUMPY and kernel_mode(job.system) == MISS_REPLAY:
         return MISS_REPLAY
     return backend
 
@@ -653,19 +629,8 @@ class _Pending:
         self.started: Optional[float] = None  # first observed running (monotonic)
 
 
-class _BatchStats:
-    """Mutable per-batch resilience counters (folded into telemetry)."""
-
-    __slots__ = ("retries", "timeouts", "pool_rebuilds", "poisoned")
-
-    def __init__(self) -> None:
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_rebuilds = 0
-        self.poisoned = 0
-
-    def any(self) -> bool:
-        return bool(self.retries or self.timeouts or self.pool_rebuilds or self.poisoned)
+#: Per-batch fault-recovery counters, under their run-record names.
+_RESILIENCE_COUNTERS = ("retries", "timeouts", "pool_rebuilds", "poisoned_jobs")
 
 
 class _Reporter:
@@ -677,7 +642,7 @@ class _Reporter:
         heartbeat: float,
         total: int,
         store_hits: int,
-        stats: _BatchStats,
+        stats: Dict[str, int],
         note: Optional[str],
         backend: str = "",
     ) -> None:
@@ -706,8 +671,8 @@ class _Reporter:
                 self.total,
                 now - self.started,
                 self.store_hits,
-                retries=self.stats.retries,
-                recoveries=self.stats.pool_rebuilds,
+                retries=self.stats["retries"],
+                recoveries=self.stats["pool_rebuilds"],
                 note=self.note,
                 backend=self.backend,
             )
@@ -831,7 +796,7 @@ def _is_corrupt(outcome) -> bool:
 def _run_serial(
     entries: List[_Pending],
     opts: ResilienceOptions,
-    stats: _BatchStats,
+    stats: Dict[str, int],
     failures: List[JobFailure],
     complete,
 ) -> None:
@@ -851,7 +816,7 @@ def _run_serial(
                 if _is_corrupt(outcome):
                     reason = "corrupt result payload"
             except _JobTimeoutError:
-                stats.timeouts += 1
+                stats["timeouts"] += 1
                 reason = f"timed out after {opts.job_timeout:g}s"
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -864,7 +829,7 @@ def _run_serial(
             if entry.attempts > opts.retries:
                 failures.append(JobFailure(entry.index, reason))
                 break
-            stats.retries += 1
+            stats["retries"] += 1
             time.sleep(_backoff_delay(opts, entry.attempts))
 
 
@@ -889,7 +854,7 @@ def _drain_pool(
     batch: List[_Pending],
     remaining: List[_Pending],
     opts: ResilienceOptions,
-    stats: _BatchStats,
+    stats: Dict[str, int],
     failures: List[JobFailure],
     complete,
     reporter: _Reporter,
@@ -926,7 +891,7 @@ def _drain_pool(
             failures.append(JobFailure(entry.index, reason))
             remaining.remove(entry)
             return
-        stats.retries += 1
+        stats["retries"] += 1
         if pause:
             time.sleep(_backoff_delay(opts, entry.attempts))
         if not submit(entry):
@@ -970,7 +935,7 @@ def _drain_pool(
                 if entry.started is None:
                     entry.started = now
                 elif opts.job_timeout is not None and now - entry.started > opts.job_timeout:
-                    stats.timeouts += 1
+                    stats["timeouts"] += 1
                     entry.attempts += 1
                     if entry.attempts > opts.retries:
                         failures.append(
@@ -980,7 +945,7 @@ def _drain_pool(
                         )
                         remaining.remove(entry)
                     else:
-                        stats.retries += 1
+                        stats["retries"] += 1
                     _abandon_pool(pool)
                     return "abandoned", None
             if sequential and not active and queue:
@@ -1005,7 +970,7 @@ def _execute_entries(
     workers: int,
     opts: ResilienceOptions,
     store,
-    stats: _BatchStats,
+    stats: Dict[str, int],
     progress: Optional[ProgressCallback],
     heartbeat: float,
     total: int,
@@ -1055,7 +1020,7 @@ def _execute_entries(
                     pool.shutdown()
             if status == "broke":
                 pool_breaks += 1
-                stats.pool_rebuilds += 1
+                stats["pool_rebuilds"] += 1
                 if culprit is not None and culprit in remaining:
                     # Sequential mode pins the blame: the job that was
                     # alone in flight when the pool died is the culprit.
@@ -1069,7 +1034,7 @@ def _execute_entries(
                                 f"{culprit.strikes} times running this job",
                             )
                         )
-                        stats.poisoned += 1
+                        stats["poisoned_jobs"] += 1
                         remaining.remove(culprit)
                         careful = False
                 else:
@@ -1086,6 +1051,32 @@ def _execute_entries(
             )
     _run_serial(remaining, opts, stats, failures, complete)
     return results, failures
+
+
+def _record_batch(
+    scope,
+    kind: str,
+    n_jobs: int,
+    workers: int,
+    started: float,
+    resilience: Dict[str, int],
+    traffic: Optional[Dict[str, int]] = None,
+    backends: Optional[Dict[str, int]] = None,
+) -> None:
+    """Fold one finished batch into the active telemetry *scope*.
+
+    The batch's counts already sit under their run-record names; this
+    decides only which sections the batch adds: ``store`` when the store
+    was consulted at all, ``resilience`` when any recovery happened, and
+    ``backends`` when anything was dispatched.
+    """
+    scope.record_job_batch(kind, n_jobs, workers, time.perf_counter() - started)
+    if traffic is not None and (traffic["hits"] or traffic["misses"]):
+        scope.add("store", traffic)
+    if any(resilience.values()):
+        scope.add("resilience", resilience)
+    if backends:
+        scope.add("backends", backends)
 
 
 def run_jobs(
@@ -1132,23 +1123,22 @@ def run_jobs(
         # back — and merged — in submission order.
         results: List = [None] * len(job_list)
         entries: List[_Pending] = []
-        hits = 0
-        consulted_misses = 0
-        bytes_read = 0
+        traffic = {"hits": 0, "misses": 0, "bytes_read": 0}
         for index, job in enumerate(job_list):
             key = _store_key(job) if store is not None else None
             if key is not None:
                 cached, nbytes = store.get(key)
                 if cached is not None:
                     results[index] = cached
-                    hits += 1
-                    bytes_read += nbytes
+                    traffic["hits"] += 1
+                    traffic["bytes_read"] += nbytes
                     continue
-                consulted_misses += 1
+                traffic["misses"] += 1
             entries.append(_Pending(index, job, key))
+        hits = traffic["hits"]
 
         workers = min(resolve_jobs(jobs), len(entries)) if entries else 1
-        stats = _BatchStats()
+        stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
         failures: List[JobFailure] = []
         # Backend selection is decided up front from the pending specs (store
         # hits never re-simulate, so they are not counted), surfaced in every
@@ -1189,17 +1179,10 @@ def run_jobs(
         results[slot] = outcome
 
     if scope is not None and job_list:
-        scope.record_job_batch(
-            _batch_kind(job_list), len(job_list), workers, time.perf_counter() - started
+        _record_batch(
+            scope, _batch_kind(job_list), len(job_list), workers, started, stats,
+            traffic=traffic, backends=backends,
         )
-        if store is not None:
-            scope.record_store(hits, consulted_misses, bytes_read)
-        if stats.any():
-            scope.record_resilience(
-                stats.retries, stats.timeouts, stats.pool_rebuilds, stats.poisoned
-            )
-        if backends:
-            scope.record_backends(backends)
     if failures:
         raise JobFailedError(failures)
     return results
@@ -1230,7 +1213,7 @@ def run_experiments(
     workers = min(resolve_jobs(jobs), len(job_list)) if job_list else 1
     scope = _telemetry_scope()
     started = time.perf_counter() if scope is not None else 0.0
-    stats = _BatchStats()
+    stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
     failures: List[JobFailure] = []
     if workers <= 1:
         computed, failures = _execute_entries(
@@ -1257,13 +1240,7 @@ def run_experiments(
 
                     release_shared_segments(segments)
     if scope is not None and job_list:
-        scope.record_job_batch(
-            "ExperimentJob", len(job_list), workers, time.perf_counter() - started
-        )
-        if stats.any():
-            scope.record_resilience(
-                stats.retries, stats.timeouts, stats.pool_rebuilds, stats.poisoned
-            )
+        _record_batch(scope, "ExperimentJob", len(job_list), workers, started, stats)
     if failures:
         raise JobFailedError(failures)
     return [computed[index] for index in range(len(job_list))]

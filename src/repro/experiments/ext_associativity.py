@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..buffers.victim_cache import VictimCache
 from ..caches.fully_associative import FullyAssociativeCache
 from ..caches.set_associative import SetAssociativeCache
 from ..common.config import CacheConfig
 from ..common.stats import safe_div
 from .base import TableResult
-from .runner import run_level
+from .sweeps import batch_entry_sweeps
 from .workloads import suite
 
 __all__ = ["run"]
@@ -48,19 +47,18 @@ def _misses(cache, addresses: List[int]) -> int:
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    # One victim-cache entry sweep per trace yields the direct-mapped
+    # misses and the VC1/VC2/VC4 columns together.
+    sweeps = batch_entry_sweeps(traces, CONFIG, kind="victim", sides=("d",), max_entries=4)
     rows = []
-    for trace in traces:
+    for trace, sweep in zip(traces, sweeps):
         addresses = trace.data_addresses
-        direct = run_level(addresses, CONFIG)
-        dm_misses = direct.misses
+        dm_misses = sweep.total_misses
         two_way = _misses(SetAssociativeCache(CONFIG, 2), addresses)
         four_way = _misses(SetAssociativeCache(CONFIG, 4), addresses)
         fully = _misses(FullyAssociativeCache(CONFIG.num_lines), addresses)
-        vc_removed = {
-            entries: run_level(addresses, CONFIG, VictimCache(entries)).removed
-            for entries in (1, 2, 4)
-        }
+        vc_removed = sweep.hits_by_entries
         two_way_gain = dm_misses - two_way
         recovery = safe_div(vc_removed[4], two_way_gain) if two_way_gain > 0 else float("inf")
         rows.append(

@@ -38,25 +38,19 @@ inputs:
 * the **request** — ``REPRO_BACKEND`` (``numpy`` | ``python``, default
   ``numpy``) or the CLI's ``--backend`` flag, validated by
   :func:`validate_backend`; ``python`` forces the reference interpreter;
-* the **spec** — any :class:`~repro.specs.SystemSpec` whose structure is
-  a registered spec kind qualifies; :func:`disqualification` (all
-  reasons, ``"; "``-joined) and :func:`disqualifications` (one reason
-  per offending part) name what is left out: non-spec inputs and
-  unregistered structure types.
+* the **spec** — its :func:`kernel_mode`: a
+  :class:`~repro.specs.SystemSpec` whose structure is ``None`` or a
+  registered spec kind has one; non-spec inputs and unregistered
+  structure types have none and run on python.
 
 numpy is a required dependency, imported lazily by the kernel modules
 on first use so that importing the package stays cheap.
-
-Selection **never raises for a non-qualifying spec** — an undescribable
-structure under ``REPRO_BACKEND=numpy`` silently (and correctly) runs
-the interpreter, so one environment setting can cover a heterogeneous
-sweep.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..common.errors import ConfigurationError
 
@@ -71,9 +65,6 @@ __all__ = [
     "default_backend",
     "structure_mode",
     "kernel_mode",
-    "disqualification",
-    "disqualifications",
-    "qualifies",
     "select_backend",
 ]
 
@@ -113,7 +104,7 @@ def default_backend() -> str:
     return raw
 
 
-# -- spec qualification -------------------------------------------------------
+# -- execution modes ----------------------------------------------------------
 
 
 def structure_mode(spec) -> Optional[str]:
@@ -164,64 +155,18 @@ def structure_mode(spec) -> Optional[str]:
     return None
 
 
-def disqualifications(system) -> Tuple[str, ...]:
-    """Every reason a spec point cannot run vectorized (empty when it can).
-
-    One entry per offending part — a composite with several
-    unsupported members names each of them — so the fallback warning
-    for a heterogeneous sweep is actionable in one read.
-    """
-    from ..specs import SystemSpec
-    from ..specs.structures import StructureSpec
-
-    if not isinstance(system, SystemSpec):
-        return (f"not a SystemSpec: {type(system).__name__}",)
-    structure = system.structure
-    if structure is None:
-        return ()
-    reasons: List[str] = []
-    if not isinstance(structure, StructureSpec):
-        reasons.append(
-            f"structure is not a StructureSpec: {type(structure).__name__}"
-        )
-    elif structure.kind == "composite":
-        for member in structure.members:
-            if structure_mode(member) is None:
-                kind = getattr(member, "kind", type(member).__name__)
-                reasons.append(
-                    f"composite member {kind!r} has no kernel mode"
-                )
-    elif structure_mode(structure) is None:
-        reasons.append(f"structure kind {structure.kind!r} has no kernel mode")
-    return tuple(reasons)
-
-
-def disqualification(system) -> Optional[str]:
-    """All reasons a spec point cannot run vectorized (``"; "``-joined),
-    or None when it can."""
-    reasons = disqualifications(system)
-    return "; ".join(reasons) if reasons else None
-
-
-def qualifies(system) -> bool:
-    """Whether :func:`select_backend` could ever pick numpy for *system*."""
-    return not disqualifications(system)
-
-
 def kernel_mode(system) -> Optional[str]:
     """How *system* would execute on the numpy backend, or None.
 
     ``VECTOR`` for structure-free points and vectorizable structures,
     ``MISS_REPLAY`` for structures that replay the compressed miss
-    stream, ``None`` when the point is disqualified outright.  This is
-    a property of the spec alone — combine with
+    stream, ``None`` for non-spec inputs and unregistered structures.
+    This is a property of the spec alone — combine with
     :func:`select_backend` to learn what actually runs.
     """
     from ..specs import SystemSpec
 
     if not isinstance(system, SystemSpec):
-        return None
-    if disqualifications(system):
         return None
     return structure_mode(system.structure)
 
@@ -231,10 +176,9 @@ def select_backend(system, requested: Optional[str] = None) -> str:
 
     *requested* overrides the environment (it must already be a valid
     backend name; CLI input goes through :func:`validate_backend`
-    first).  Non-qualifying specs always fall back to python — never an
-    error.
+    first).  Points without a :func:`kernel_mode` run on python.
     """
     request = default_backend() if requested is None else requested
-    if request == PYTHON or disqualification(system) is not None:
+    if request == PYTHON or kernel_mode(system) is None:
         return PYTHON
     return NUMPY

@@ -21,7 +21,7 @@ from .service import (
     DeadlineExceededError,
     OverloadedError,
     RetryLaterError,
-    ServingCounters,
+    SERVING_COUNTERS,
     StoreDegradedWarning,
     UpstreamError,
     parse_query,
@@ -41,7 +41,7 @@ __all__ = [
     "RetryLaterError",
     "StoreDegradedWarning",
     "UpstreamError",
-    "ServingCounters",
+    "SERVING_COUNTERS",
     "parse_query",
     "LoadReport",
     "run_loadgen",

@@ -210,7 +210,7 @@ class CacheAdvisorDaemon:
     def _emit_run_record(self, path: str) -> None:
         """One telemetry run record for the whole serving session."""
         scope = MetricsScope()
-        scope.record_serving(self.service.counters.as_dict())
+        scope.add("serving", self.service.counters)
         record = build_run_record(
             scope,
             run="serve",
@@ -244,7 +244,7 @@ class CacheAdvisorDaemon:
                     # The in-flight request (read before the drain began)
                     # completed; anything arriving after is refused and
                     # the persistent connection ends.
-                    self.service.counters.drain_rejects += 1
+                    self.service.counters["drain_rejects"] += 1
                     await send_json(
                         writer,
                         503,
@@ -264,7 +264,7 @@ class CacheAdvisorDaemon:
         except (ConnectionError, asyncio.CancelledError):
             pass  # client went away; nothing to answer
         except Exception as exc:  # pragma: no cover - last-ditch guard
-            self.service.counters.failed += 1
+            self.service.counters["failed"] += 1
             try:
                 await send_json(writer, 500, {"error": f"internal error: {exc}"})
             except (ConnectionError, OSError):
@@ -342,7 +342,7 @@ class CacheAdvisorDaemon:
 
     def stats_payload(self) -> dict:
         return {
-            "serving": self.service.counters.as_dict(),
+            "serving": dict(self.service.counters),
             "inflight": self.service.inflight,
             "max_inflight": self.service.max_inflight,
             "jobs": self.service.jobs,

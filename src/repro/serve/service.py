@@ -84,7 +84,7 @@ __all__ = [
     "BreakerOpenError",
     "StoreDegradedWarning",
     "AdviseQuery",
-    "ServingCounters",
+    "SERVING_COUNTERS",
     "AdvisorService",
 ]
 
@@ -158,44 +158,21 @@ class AdviseQuery:
     deadline_s: Optional[float] = None
 
 
-class ServingCounters:
-    """Monotonic request-path counters, exposed at ``/v1/stats``.
-
-    ``cold_misses`` counts *simulations dispatched* — the number the
-    acceptance benchmark pins: a warm sweep leaves it untouched and N
-    coalesced duplicates bump it exactly once.
-    """
-
-    __slots__ = (
-        "requests", "warm_hits", "cold_misses", "coalesced",
-        "rejected", "failed", "streams", "negative_hits",
-        "deadline_expired", "breaker_fastfail", "breaker_opens",
-        "store_errors", "degraded_serves", "drain_rejects",
-    )
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.warm_hits = 0
-        self.cold_misses = 0
-        self.coalesced = 0
-        self.rejected = 0
-        self.failed = 0
-        self.streams = 0
-        self.negative_hits = 0
-        # Resilience-layer outcomes (PR 10): requests answered 504 by a
-        # deadline budget, cold dispatches refused by the open breaker,
-        # breaker open transitions, store failures absorbed, requests
-        # served while the store was degraded, and requests refused
-        # during graceful drain.
-        self.deadline_expired = 0
-        self.breaker_fastfail = 0
-        self.breaker_opens = 0
-        self.store_errors = 0
-        self.degraded_serves = 0
-        self.drain_rejects = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+#: Names of the monotonic request-path counters (``AdvisorService.counters``
+#: keys), exposed at ``/v1/stats`` and folded into the shutdown run record.
+#: ``cold_misses`` counts *simulations dispatched* — the number the
+#: acceptance benchmark pins: a warm sweep leaves it untouched and N
+#: coalesced duplicates bump it exactly once.  The last six are
+#: resilience-layer outcomes: requests answered 504 by a deadline
+#: budget, cold dispatches refused by the open breaker, breaker open
+#: transitions, store failures absorbed, requests served while the
+#: store was degraded, and requests refused during graceful drain.
+SERVING_COUNTERS = (
+    "requests", "warm_hits", "cold_misses", "coalesced",
+    "rejected", "failed", "streams", "negative_hits",
+    "deadline_expired", "breaker_fastfail", "breaker_opens",
+    "store_errors", "degraded_serves", "drain_rejects",
+)
 
 
 @dataclass
@@ -239,7 +216,7 @@ class _GuardedStore:
         self,
         store: ResultStore,
         faults: ServeFaults,
-        counters: "ServingCounters",
+        counters: Dict[str, int],
         probe_interval: float = 5.0,
     ) -> None:
         self._store = store
@@ -284,7 +261,7 @@ class _GuardedStore:
         return time.monotonic() - self._failed_at >= self.probe_interval
 
     def _note_failure(self, op: str, exc: BaseException) -> None:
-        self._counters.store_errors += 1
+        self._counters["store_errors"] += 1
         self._failed_at = time.monotonic()
         if self.state == "ok":
             self.state = "degraded"
@@ -456,7 +433,7 @@ class AdvisorService:
         self.request_deadline = request_deadline
         #: Cold-dispatch circuit breaker; None = disabled.
         self.breaker = breaker
-        self.counters = ServingCounters()
+        self.counters: Dict[str, int] = dict.fromkeys(SERVING_COUNTERS, 0)
         self.faults = ServeFaults()
         #: Every store access the *service* makes goes through the guard,
         #: so store failures degrade serving instead of 500ing requests.
@@ -527,7 +504,7 @@ class AdvisorService:
         message = self._rejections.get(digest)
         if message is not None:
             self._rejections.move_to_end(digest)
-            self.counters.negative_hits += 1
+            self.counters["negative_hits"] += 1
         return message
 
     def record_bad_request(self, body: bytes, message: str) -> None:
@@ -568,9 +545,9 @@ class AdvisorService:
     async def _answer(self, query: AdviseQuery, stream: bool):
         """The one request sequence: lookup, then attach-or-dispatch, then
         a bounded wait, then the payload (the only event unless *stream*)."""
-        self.counters.requests += 1
+        self.counters["requests"] += 1
         if stream:
-            self.counters.streams += 1
+            self.counters["streams"] += 1
         loop = asyncio.get_running_loop()
         budget = self.effective_deadline(query)
         deadline = None if budget is None else loop.time() + budget
@@ -582,10 +559,10 @@ class AdvisorService:
         except Exception as exc:
             raise BadRequestError(f"query could not be keyed: {_error_text(exc)}") from None
         if self.guarded_store.state != "ok":
-            self.counters.degraded_serves += 1
+            self.counters["degraded_serves"] += 1
         entry = None
         if summary is not None:
-            self.counters.warm_hits += 1
+            self.counters["warm_hits"] += 1
             served_from = "store"
         else:
             entry, coalesced = self._attach_or_dispatch(job, key)
@@ -624,7 +601,7 @@ class AdvisorService:
                     asyncio.shield(entry.future), deadline, budget, "cold simulation", entry
                 )
             except UpstreamError:
-                self.counters.failed += 1
+                self.counters["failed"] += 1
                 raise
             if served_from == "simulated" and entry.from_store:
                 served_from = "store"
@@ -651,7 +628,7 @@ class AdvisorService:
     def _expired(self, entry: Optional[_Inflight], budget: float, phase: str):
         if entry is not None:
             entry.waiters -= 1
-        self.counters.deadline_expired += 1
+        self.counters["deadline_expired"] += 1
         return DeadlineExceededError(f"deadline of {budget:g}s exceeded during {phase}")
 
     # -- internals -------------------------------------------------------------
@@ -684,23 +661,23 @@ class AdvisorService:
         entry = self._inflight.get(digest)
         if entry is not None:
             entry.waiters += 1
-            self.counters.coalesced += 1
+            self.counters["coalesced"] += 1
             return entry, True
         if self.breaker is not None and not self.breaker.allow():
-            self.counters.breaker_fastfail += 1
+            self.counters["breaker_fastfail"] += 1
             raise BreakerOpenError(
                 f"circuit breaker open after repeated simulation failures "
                 f"(state={self.breaker.state})",
                 retry_after=self.breaker.retry_after(),
             )
         if len(self._inflight) >= self.max_inflight:
-            self.counters.rejected += 1
+            self.counters["rejected"] += 1
             raise OverloadedError(
                 f"{len(self._inflight)} simulations already in flight "
                 f"(max_inflight={self.max_inflight})",
                 retry_after=self.retry_after,
             )
-        self.counters.cold_misses += 1
+        self.counters["cold_misses"] += 1
         loop = asyncio.get_running_loop()
         entry = _Inflight(future=loop.create_future(), started=time.perf_counter())
         self._inflight[digest] = entry
@@ -782,7 +759,7 @@ class AdvisorService:
             exc = done.exception()
             if exc is not None:
                 if self.breaker is not None and self.breaker.record_failure():
-                    self.counters.breaker_opens += 1
+                    self.counters["breaker_opens"] += 1
                 if not isinstance(exc, AdviseError):
                     exc = UpstreamError(f"simulation failed: {exc}")
                 entry.future.set_exception(exc)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
     "Counter",
@@ -217,25 +217,11 @@ class MetricsScope:
         self.system_runs = 0
         self.level_runs = 0
         self.references = 0
-        self.l1i: Dict[str, int] = {}
-        self.l1d: Dict[str, int] = {}
-        self.l2: Dict[str, int] = {}
-        self.level: Dict[str, int] = {}
-        # Result-store traffic (content-addressed memoization).
-        self.store_hits = 0
-        self.store_misses = 0
-        self.store_bytes_read = 0
-        # Resilience events (retries, timeouts, pool recoveries).
-        self.job_retries = 0
-        self.job_timeouts = 0
-        self.pool_rebuilds = 0
-        self.poisoned_jobs = 0
-        # Simulation-kernel backend selection (backend name -> job count).
-        self.backend_jobs: Dict[str, int] = {}
-        # Serving-layer traffic (counter name -> count), folded in by the
-        # repro-serve daemon: requests, warm_hits, cold_misses, coalesced,
-        # rejected, failed, streams.
-        self.serving: Dict[str, int] = {}
+        # Counter sections, keyed by the run-record section each becomes
+        # (``l1i``/``l1d``/``l2``/``level`` from simulations; ``store``,
+        # ``resilience``, ``backends`` and ``serving`` from the engine and
+        # the repro-serve daemon): section -> counter name -> count.
+        self.sections: Dict[str, Dict[str, int]] = {}
 
     # -- counters/timers ------------------------------------------------------
 
@@ -251,6 +237,20 @@ class MetricsScope:
             timer = self.timers[name] = Timer(name)
         return timer
 
+    # -- counter sections -----------------------------------------------------
+
+    def add(self, section: str, counts: Mapping[str, int]) -> None:
+        """Merge *counts* into the counter section named *section*.
+
+        Always merges, zero counts included, so a producer that reports
+        a fixed key set (the serving daemon) keeps every key.  Whether a
+        section appears at all is the producer's call: one that has
+        nothing to report simply does not add it.
+        """
+        into = self.sections.setdefault(section, {})
+        for name, count in counts.items():
+            into[name] = into.get(name, 0) + count
+
     # -- engine events --------------------------------------------------------
 
     def record_fallback(self, component: str, reason: str) -> None:
@@ -259,53 +259,23 @@ class MetricsScope:
     def record_job_batch(self, kind: str, n_jobs: int, workers: int, elapsed: float) -> None:
         self.job_batches.append(JobBatchStats(kind, n_jobs, workers, elapsed))
 
-    def record_store(self, hits: int, misses: int, bytes_read: int) -> None:
-        """Accumulate one batch's result-store traffic."""
-        self.store_hits += hits
-        self.store_misses += misses
-        self.store_bytes_read += bytes_read
-
-    def record_resilience(
-        self, retries: int, timeouts: int, pool_rebuilds: int, poisoned: int
-    ) -> None:
-        """Accumulate one batch's fault-recovery activity."""
-        self.job_retries += retries
-        self.job_timeouts += timeouts
-        self.pool_rebuilds += pool_rebuilds
-        self.poisoned_jobs += poisoned
-
-    def record_backends(self, counts: Dict[str, int]) -> None:
-        """Accumulate one batch's kernel-backend selection counts."""
-        for backend, count in counts.items():
-            self.backend_jobs[backend] = self.backend_jobs.get(backend, 0) + count
-
-    def record_serving(self, counts: Dict[str, int]) -> None:
-        """Accumulate serving-layer request counters (repro-serve)."""
-        for name, count in counts.items():
-            self.serving[name] = self.serving.get(name, 0) + count
-
     # -- simulation observations ----------------------------------------------
-
-    @staticmethod
-    def _merge(into: Dict[str, int], counters: Dict[str, int]) -> None:
-        for key, value in counters.items():
-            into[key] = into.get(key, 0) + value
 
     def observe_system_run(self, result, elapsed: float) -> None:
         """Aggregate one :class:`~repro.hierarchy.system.SystemResult`."""
         self.system_runs += 1
         self.sim_wall_time += elapsed
         self.references += result.total_references
-        self._merge(self.l1i, result.istats.as_dict())
-        self._merge(self.l1d, result.dstats.as_dict())
-        self._merge(self.l2, result.l2stats.as_dict())
+        self.add("l1i", result.istats.as_dict())
+        self.add("l1d", result.dstats.as_dict())
+        self.add("l2", result.l2stats.as_dict())
 
     def observe_level_run(self, stats, elapsed: float) -> None:
         """Aggregate one single-level replay's :class:`LevelStats`."""
         self.level_runs += 1
         self.sim_wall_time += elapsed
         self.references += stats.accesses
-        self._merge(self.level, stats.as_dict())
+        self.add("level", stats.as_dict())
 
     @property
     def references_per_sec(self) -> float:

@@ -17,7 +17,12 @@ importing this package:
      "references": 612000, "references_per_sec": 338121.5,
      "system_runs": 0, "level_runs": 12,
      "l1i": {}, "l1d": {}, "l2": {}, "level": {"accesses": 612000},
-     "engine": {"job_batches": [], "fallbacks": []}}
+     "engine": {"job_batches": [], "fallbacks": []},
+     "store": {"hits": 10, "misses": 2, "bytes_read": 5120},
+     "resilience": {"retries": 1, "timeouts": 0, "pool_rebuilds": 0,
+                    "poisoned_jobs": 0},
+     "backends": {"numpy": 1, "miss-replay": 1}, "serving": {},
+     "workloads": []}
 
 Schema version 2 embeds the run's :class:`~repro.specs.SystemSpec` (as
 its canonical dict) and derives ``config_hash`` from the spec's
@@ -31,6 +36,13 @@ in the emitting process while the run's scope was active.  Parallel runs
 execute their simulations in worker processes, so their counter groups
 stay empty and the record's value is the timing plus the ``engine``
 section — job batches and serial-fallback reasons.
+
+The optional ``store``, ``resilience``, ``backends`` and ``serving``
+sections are counter sections like the four above: each producer (the
+engine for the first three, the repro-serve daemon for ``serving``)
+adds its counts to the scope under the section's name, or adds nothing
+when it has nothing to report, and the record copies every section as
+it was left.  Records from older emitters lack them and still validate.
 
 :func:`validate_record` is the schema the tests pin; bump
 :data:`SCHEMA_VERSION` when changing the shape.
@@ -107,6 +119,12 @@ _OPTIONAL_SCHEMA: Dict[str, tuple] = {
 }
 
 _MODES = ("serial", "parallel")
+
+#: The record's ``str -> int`` counter sections, under the names a
+#: :class:`~repro.telemetry.core.MetricsScope` collects them
+#: (``MetricsScope.sections``); :func:`build_run_record` copies each one
+#: as its producer left it.
+COUNTER_SECTIONS = ("l1i", "l1d", "l2", "level", "store", "resilience", "backends", "serving")
 
 
 def config_hash(config: object) -> str:
@@ -220,40 +238,11 @@ def build_run_record(
         references_per_sec=round(scope.references_per_sec, 3),
         system_runs=scope.system_runs,
         level_runs=scope.level_runs,
-        l1i=dict(scope.l1i),
-        l1d=dict(scope.l1d),
-        l2=dict(scope.l2),
-        level=dict(scope.level),
         engine={
             "job_batches": [batch.as_dict() for batch in scope.job_batches],
             "fallbacks": [event.as_dict() for event in scope.fallbacks],
         },
-        store=(
-            {
-                "hits": scope.store_hits,
-                "misses": scope.store_misses,
-                "bytes_read": scope.store_bytes_read,
-            }
-            if (scope.store_hits or scope.store_misses)
-            else {}
-        ),
-        resilience=(
-            {
-                "retries": scope.job_retries,
-                "timeouts": scope.job_timeouts,
-                "pool_rebuilds": scope.pool_rebuilds,
-                "poisoned_jobs": scope.poisoned_jobs,
-            }
-            if (
-                scope.job_retries
-                or scope.job_timeouts
-                or scope.pool_rebuilds
-                or scope.poisoned_jobs
-            )
-            else {}
-        ),
-        backends=dict(scope.backend_jobs),
-        serving=dict(scope.serving),
+        **{name: dict(scope.sections.get(name, {})) for name in COUNTER_SECTIONS},
         workloads=[
             w.as_dict() if hasattr(w, "as_dict") else dict(w) for w in (workloads or ())
         ],
@@ -291,10 +280,7 @@ def validate_record(payload: Mapping) -> None:
     for entry in payload.get("workloads", ()):
         if not isinstance(entry, dict):
             raise ValueError(f"run record workloads entries must be objects, got {entry!r}")
-    groups = ("l1i", "l1d", "l2", "level") + tuple(
-        key for key in ("store", "resilience", "backends", "serving") if key in payload
-    )
-    for group in groups:
+    for group in (key for key in COUNTER_SECTIONS if key in payload):
         for name, count in payload[group].items():
             if not isinstance(name, str) or isinstance(count, bool) or not isinstance(count, int):
                 raise ValueError(f"run record {group} must map str -> int, got {name!r}: {count!r}")

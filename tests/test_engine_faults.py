@@ -207,7 +207,7 @@ class TestSerialResilience:
         faults.set_plan("crash@0x1")
         with telemetry.scoped() as scope:
             run_jobs(level_jobs(1), resilience=FAST)
-        assert scope.job_retries == 1
+        assert scope.sections["resilience"]["retries"] == 1
         record = build_run_record(scope, run="x", config=None, wall_time_s=0.1)
         payload = record.as_dict()
         validate_record(payload)
@@ -221,7 +221,7 @@ class TestPoolResilience:
         monkeypatch.setenv(faults.ENV_FAULT_PLAN, "kill@1x1")
         with telemetry.scoped() as scope:
             assert run_jobs(jobs, jobs=2, resilience=FAST) == clean
-        assert scope.pool_rebuilds >= 1
+        assert scope.sections["resilience"]["pool_rebuilds"] >= 1
 
     def test_poison_job_is_isolated(self, store, monkeypatch):
         jobs = level_jobs(4)
@@ -231,7 +231,7 @@ class TestPoolResilience:
                 run_jobs(jobs, jobs=2, resilience=FAST)
         assert [f.index for f in excinfo.value.failures] == [1]
         assert "poison" in excinfo.value.failures[0].reason
-        assert scope.poisoned_jobs == 1
+        assert scope.sections["resilience"]["poisoned_jobs"] == 1
         # The other three jobs completed despite the repeated pool kills.
         assert store.stats().entries == 3
 
@@ -242,7 +242,7 @@ class TestPoolResilience:
         opts = ResilienceOptions(job_timeout=0.5, retries=2, backoff_base=0.0)
         with telemetry.scoped() as scope:
             assert run_jobs(jobs, jobs=2, resilience=opts) == clean
-        assert scope.job_timeouts >= 1
+        assert scope.sections["resilience"]["timeouts"] >= 1
 
     def test_repeated_breakage_falls_back_to_serial(self, no_store, monkeypatch):
         jobs = level_jobs(2)
@@ -348,7 +348,8 @@ class TestCheckpointResume:
         with telemetry.scoped() as scope:
             resumed = sweep_grid(traces, spec, jobs=1, resilience=NO_RETRY)
         assert resumed.rows == reference.rows
-        assert scope.store_hits == 3 and scope.store_misses == 1
+        store_section = scope.sections["store"]
+        assert store_section["hits"] == 3 and store_section["misses"] == 1
         # Exactly the one unfinished point simulated, nothing re-ran.
         assert sim_counter["levels"] - before == 1
 

@@ -9,8 +9,8 @@ interpreter, on randomized synthetic streams, on all seven named
 workloads, and on the pattern workload specs.  Dispatch tests pin the
 selection rules: every registered structure kind has a kernel mode
 (``vector`` or ``miss-replay``, per :func:`repro.kernels.kernel_mode`),
-undescribable inputs fall back to the interpreter (never an error) with
-*all* disqualifying reasons named, and ``REPRO_BACKEND`` (``numpy`` by
+undescribable inputs fall back to the interpreter (never an error),
+and ``REPRO_BACKEND`` (``numpy`` by
 default, or ``python``) is validated at the CLI boundary.
 """
 
@@ -34,10 +34,7 @@ from repro.kernels import (
     PYTHON,
     VECTOR,
     default_backend,
-    disqualification,
-    disqualifications,
     kernel_mode,
-    qualifies,
     select_backend,
     structure_mode,
     validate_backend,
@@ -519,11 +516,9 @@ def test_packed_streams_match_pair_reference(small_suite):
     ],
 )
 def test_every_registered_structure_has_a_mode(structure, mode):
-    """The mode table: every registered structure kind now qualifies."""
+    """The mode table: every registered structure kind has a mode."""
     assert structure_mode(structure) == mode
     spec = qualifying_spec(structure=structure)
-    assert qualifies(spec)
-    assert disqualification(spec) is None
     assert kernel_mode(spec) == mode
     assert select_backend(spec, requested=NUMPY) == NUMPY
 
@@ -534,16 +529,14 @@ def test_unregistered_structure_disqualifies():
 
     spec = qualifying_spec(structure=None)
     object.__setattr__(spec, "structure", Mystery())
-    assert not qualifies(spec)
     assert structure_mode(Mystery()) is None
     assert kernel_mode(spec) is None
-    assert "Mystery" in disqualification(spec)
     # Never an error — even under an explicit numpy request.
     assert select_backend(spec, requested=NUMPY) == PYTHON
 
 
 def test_disqualification_reports_all_reasons():
-    """A composite with several unsupported members names each of them."""
+    """A composite with unsupported members has no mode and runs on python."""
 
     class Left:
         kind = "left_mystery"
@@ -556,25 +549,19 @@ def test_disqualification_reports_all_reasons():
     )
     object.__setattr__(composite, "members", (Left(), Right()))
     spec = qualifying_spec(structure=composite)
-    reasons = disqualifications(spec)
-    assert len(reasons) == 2
-    assert any("left_mystery" in reason for reason in reasons)
-    assert any("right_mystery" in reason for reason in reasons)
-    joined = disqualification(spec)
-    assert "left_mystery" in joined and "right_mystery" in joined
+    assert kernel_mode(spec) is None
     assert select_backend(spec, requested=NUMPY) == PYTHON
 
 
 def test_structure_free_spec_qualifies():
     spec = qualifying_spec(classify=True, warmup=100)
-    assert qualifies(spec)
-    assert disqualification(spec) is None
+    assert kernel_mode(spec) == VECTOR
     assert select_backend(spec, requested=PYTHON) == PYTHON
     assert select_backend(spec, requested=NUMPY) == NUMPY
 
 
 def test_non_spec_is_disqualified():
-    assert not qualifies(object())
+    assert kernel_mode(object()) is None
     assert select_backend(object(), requested=NUMPY) == PYTHON
 
 
@@ -654,7 +641,7 @@ def test_backend_counts_reach_run_record(monkeypatch):
     # Bare + victim cache vectorize; the availability-modelled buffer
     # replays the compressed miss stream and is labelled accordingly.
     expected = {"numpy": 2, "miss-replay": 1}
-    assert scope.backend_jobs == expected
+    assert scope.sections["backends"] == expected
     assert record.backends == expected
     validate_record(record.as_dict())
     assert heartbeats[-1].backend

@@ -285,16 +285,16 @@ class TestTelemetry:
             run_jobs([level_job("liver")])  # cold: one miss
         finally:
             telemetry.deactivate()
-        assert scope.store_hits == 1
-        assert scope.store_misses == 1
-        assert scope.store_bytes_read > 0
+        assert scope.sections["store"]["hits"] == 1
+        assert scope.sections["store"]["misses"] == 1
+        assert scope.sections["store"]["bytes_read"] > 0
         record = build_run_record(scope, run="t", config=None, wall_time_s=0.1)
         payload = record.as_dict()
         validate_record(payload)
         assert payload["store"] == {
             "hits": 1,
             "misses": 1,
-            "bytes_read": scope.store_bytes_read,
+            "bytes_read": scope.sections["store"]["bytes_read"],
         }
 
     def test_records_without_store_field_still_validate(self, no_store):
@@ -372,5 +372,5 @@ class TestEngineRoutedModules:
         jobs = sum(batch.n_jobs for batch in scope.job_batches)
         assert jobs > 0
         assert scope.level_runs == 0
-        assert scope.store_hits == jobs
-        assert scope.store_misses == 0
+        assert scope.sections["store"]["hits"] == jobs
+        assert scope.sections["store"]["misses"] == 0

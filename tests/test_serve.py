@@ -200,9 +200,9 @@ class TestColdThenWarm:
             assert first["result"] == second["result"]
             assert second["summary"]["miss_rate"] > 0
             counters = daemon.service.counters
-            assert counters.requests == 2
-            assert counters.cold_misses == 1
-            assert counters.warm_hits == 1
+            assert counters["requests"] == 2
+            assert counters["cold_misses"] == 1
+            assert counters["warm_hits"] == 1
             return daemon.service.store
 
         used = serve_test(check)
@@ -262,7 +262,7 @@ class TestCoalescing:
             # connection arrive after the result landed in the store and
             # be (correctly, but unhelpfully for this test) served warm.
             deadline = loop.time() + 10
-            while daemon.service.counters.coalesced < 4:
+            while daemon.service.counters["coalesced"] < 4:
                 assert loop.time() < deadline, "duplicates never coalesced"
                 await asyncio.sleep(0.01)
             assert daemon.service.inflight == 1
@@ -271,8 +271,8 @@ class TestCoalescing:
             assert [status for status, _, _ in outcomes] == [200] * 5
             sources = sorted(body["served_from"] for _, _, body in outcomes)
             assert sources == ["coalesced"] * 4 + ["simulated"]
-            assert daemon.service.counters.coalesced == 4
-            assert daemon.service.counters.cold_misses == 1
+            assert daemon.service.counters["coalesced"] == 4
+            assert daemon.service.counters["cold_misses"] == 1
 
         serve_test(check)
         assert fake_engine.calls == 1
@@ -283,7 +283,7 @@ class TestCoalescing:
                 advise(daemon, query(warmup=1)), advise(daemon, query(warmup=2))
             )
             assert [status for status, _, _ in outcomes] == [200, 200]
-            assert daemon.service.counters.coalesced == 0
+            assert daemon.service.counters["coalesced"] == 0
 
         serve_test(check)
         assert fake_engine.calls == 2
@@ -306,7 +306,7 @@ class TestAdmissionControl:
             # ...but a duplicate of the blocked key still coalesces...
             follower = asyncio.ensure_future(advise(daemon, query(warmup=1)))
             await asyncio.sleep(0.05)
-            assert daemon.service.counters.coalesced == 1
+            assert daemon.service.counters["coalesced"] == 1
             # ...and a warm key is still served: admission only guards sims.
             warm_spec = service_mod.parse_query(query(warmup=3)).spec
             _, warm_key, _ = await loop.run_in_executor(
@@ -319,7 +319,7 @@ class TestAdmissionControl:
             fake_engine.release.set()
             (status1, _, _), (status2, _, _) = await asyncio.gather(blocked, follower)
             assert (status1, status2) == (200, 200)
-            assert daemon.service.counters.rejected == 1
+            assert daemon.service.counters["rejected"] == 1
 
         serve_test(check, max_inflight=1)
         assert fake_engine.calls == 1
@@ -347,7 +347,7 @@ class TestStreaming:
             assert kinds[-1] == "result"
             assert kinds.count("heartbeat") >= 1
             assert events[-1]["served_from"] == "simulated"
-            assert daemon.service.counters.streams == 1
+            assert daemon.service.counters["streams"] == 1
 
         serve_test(check, heartbeat=0.02)
 
@@ -496,7 +496,7 @@ class TestNegativeCache:
             assert (status1, status2) == (400, 400)
             assert body1 == body2  # byte-identical cached 400 body
             assert parse_calls == 1  # the retry never re-parsed
-            assert daemon.service.counters.negative_hits == 1
+            assert daemon.service.counters["negative_hits"] == 1
 
         serve_test(check)
 
@@ -519,7 +519,7 @@ class TestNegativeCache:
             second = await roundtrip(daemon)
             assert first.startswith(b"HTTP/1.1 400 ")
             assert second.startswith(b"HTTP/1.1 400 ")
-            assert daemon.service.counters.negative_hits == 1
+            assert daemon.service.counters["negative_hits"] == 1
 
         serve_test(check)
 
@@ -527,7 +527,7 @@ class TestNegativeCache:
         async def check(daemon):
             status, _, _ = await advise(daemon, query())
             assert status == 200
-            assert daemon.service.counters.negative_hits == 0
+            assert daemon.service.counters["negative_hits"] == 0
             assert len(daemon.service._rejections) == 0
             # And the stored entry is the result, not a rejection.
             assert daemon.service.store.stats().entries == 1
@@ -556,7 +556,7 @@ class TestNegativeCache:
             assert service.cached_bad_request(b"a") == "bad a"
             assert service.cached_bad_request(b"c") == "bad c"
             assert len(service._rejections) == 2
-            assert service.counters.negative_hits == 3
+            assert service.counters["negative_hits"] == 3
 
         serve_test(check)
 
@@ -600,8 +600,8 @@ class TestOneAdvisePath:
                     status, _, body = await advise(daemon, UNKNOWN_TENANT)
                 assert status == 400
                 assert body["error"].startswith("unknown workload 'no-such-workload'")
-            assert daemon.service.counters.negative_hits == 1
-            assert daemon.service.counters.failed == 0
+            assert daemon.service.counters["negative_hits"] == 1
+            assert daemon.service.counters["failed"] == 0
 
         serve_test(check)
 
@@ -619,7 +619,7 @@ class TestOneAdvisePath:
                 status, _, body = await advise(daemon, query())
             assert status == 400
             assert body["error"] == "query could not be keyed: no fingerprint"
-            assert daemon.service.counters.failed == 0
+            assert daemon.service.counters["failed"] == 0
 
         serve_test(check)
 
@@ -654,7 +654,7 @@ class TestOneAdvisePath:
             assert events[0] == {"event": "accepted", "served_from": "simulated"}
             assert events[-1]["event"] == "error" and events[-1]["status"] == 504
             assert "deadline" in events[-1]["error"]
-            assert daemon.service.counters.deadline_expired == 1
+            assert daemon.service.counters["deadline_expired"] == 1
             # The abandoned job was not cancelled: it runs to completion.
             assert daemon.service.inflight == 1
             for _ in range(200):
@@ -673,7 +673,7 @@ class TestOneAdvisePath:
             status, events = await stream(daemon, query(warmup=1))
             assert status == 200
             assert events[-1]["status"] == 504
-            assert daemon.service.counters.deadline_expired == 1
+            assert daemon.service.counters["deadline_expired"] == 1
 
         serve_test(check, request_deadline=0.15)
 
@@ -693,7 +693,7 @@ class TestOneAdvisePath:
                 release.set()
             assert status == 504
             assert "store lookup" in events[0]["error"]
-            assert daemon.service.counters.deadline_expired == 1
+            assert daemon.service.counters["deadline_expired"] == 1
 
         serve_test(check)
 
@@ -706,8 +706,8 @@ class TestOneAdvisePath:
                     status, _, _ = await advise(daemon, query(warmup=warmup))
                     assert status == 200
             counters = daemon.service.counters
-            assert counters.requests == 3
-            assert counters.degraded_serves == 3
+            assert counters["requests"] == 3
+            assert counters["degraded_serves"] == 3
 
         serve_test(check, store_probe_interval=60.0)
 

@@ -124,9 +124,9 @@ class TestSimulationObservation:
             result = MemorySystem().run(trace)
         assert scope.system_runs == 1
         assert scope.references == result.total_references
-        assert scope.l1i["accesses"] == result.istats.accesses
-        assert scope.l1d["accesses"] == result.dstats.accesses
-        assert scope.l2["demand_accesses"] == result.l2stats.demand_accesses
+        assert scope.sections["l1i"]["accesses"] == result.istats.accesses
+        assert scope.sections["l1d"]["accesses"] == result.dstats.accesses
+        assert scope.sections["l2"]["demand_accesses"] == result.l2stats.demand_accesses
         assert scope.sim_wall_time > 0.0
         assert scope.references_per_sec > 0.0
 
@@ -135,7 +135,7 @@ class TestSimulationObservation:
             run = run_level(trace.stream("d"), CONFIG)
         assert scope.level_runs == 1
         assert scope.references == run.stats.accesses
-        assert scope.level["accesses"] == run.stats.accesses
+        assert scope.sections["level"]["accesses"] == run.stats.accesses
 
     def test_observations_aggregate(self, trace):
         with scoped() as scope:
@@ -144,7 +144,7 @@ class TestSimulationObservation:
         assert scope.system_runs == 2
         # Two identical runs double every counter.
         single = MemorySystem().run(trace)
-        assert scope.l1i["accesses"] == 2 * single.istats.accesses
+        assert scope.sections["l1i"]["accesses"] == 2 * single.istats.accesses
 
 
 class TestEngineObservation:
@@ -190,7 +190,7 @@ class TestEngineObservation:
         python, numpy = observed[PYTHON], observed[NUMPY]
         assert python.level_runs == numpy.level_runs == len(jobs)
         assert python.references == numpy.references > 0
-        assert python.level == numpy.level
+        assert python.sections["level"] == numpy.sections["level"]
 
 
 class TestFallbackPropagation:
@@ -355,3 +355,127 @@ class TestCliEmitMetrics:
         assert main(["table_1_1", "--scale", "300"]) == 0
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEveryProducerOneRecord:
+    """One record built through every producer, each section pinned exactly.
+
+    The producers are a full-system run, a single-level replay, an engine
+    batch over a result store (one hit, one miss), a batch under an
+    injected crash (one retry) mixing vector and miss-replay jobs, and
+    the serving daemon.  Each decides its own section; the record copies
+    them unchanged.
+    """
+
+    SERVING_KEYS = [
+        "requests", "warm_hits", "cold_misses", "coalesced",
+        "rejected", "failed", "streams", "negative_hits",
+        "deadline_expired", "breaker_fastfail", "breaker_opens",
+        "store_errors", "degraded_serves", "drain_rejects",
+    ]
+
+    @staticmethod
+    def _interpreted_level(system):
+        """The level counters of one spec point, replayed on the interpreter."""
+        run = run_level(
+            system.trace.trace().stream(system.side),
+            system.cache_config,
+            system.build_structure(),
+            classify=system.classify,
+            warmup=system.warmup,
+        )
+        return run.stats.as_dict()
+
+    def test_every_section_of_one_record(self, trace, tmp_path, monkeypatch):
+        from repro.experiments import faults
+        from repro.experiments.engine import ResilienceOptions, _store_key
+        from repro.specs import MultiWayStreamBufferSpec
+        from repro.store import current_store
+
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        monkeypatch.delenv(faults.ENV_FAULT_PLAN, raising=False)
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
+        store = current_store()
+        key = WorkloadSpec.of(trace)
+        cached = LevelJob(SystemSpec.for_level(key, CONFIG, side="d"))
+        fresh = LevelJob(
+            SystemSpec.for_level(key, CONFIG, side="d", structure=VictimCacheSpec(entries=4))
+        )
+        replayed = LevelJob(
+            SystemSpec.for_level(
+                key,
+                CONFIG,
+                side="d",
+                structure=MultiWayStreamBufferSpec(ways=2, entries=3, model_availability=True),
+            )
+        )
+        vector = LevelJob(SystemSpec.for_level(key, CONFIG, side="i"))
+        run_jobs([cached])  # populate the store outside any scope
+        fast = ResilienceOptions(retries=2, backoff_base=0.0)
+
+        with scoped() as scope:
+            system = MemorySystem().run(trace)
+            level = run_level(trace.stream("d"), CONFIG)
+            run_jobs([cached, fresh], jobs=1)
+            monkeypatch.setenv(faults.ENV_FAULT_PLAN, "crash@0")
+            run_jobs([replayed, vector], jobs=1, resilience=fast)
+            monkeypatch.delenv(faults.ENV_FAULT_PLAN)
+            record = build_run_record(scope, "every-producer", baseline_system(), 0.5)
+
+        payload = json.loads(record.to_json())
+        validate_record(payload)
+        assert payload["system_runs"] == 1
+        assert payload["level_runs"] == 4
+        assert payload["l1i"] == system.istats.as_dict()
+        assert payload["l1d"] == system.dstats.as_dict()
+        assert payload["l2"] == system.l2stats.as_dict()
+        expected_level = dict(level.stats.as_dict())
+        for job in (fresh, replayed, vector):
+            for name, count in self._interpreted_level(job.system).items():
+                expected_level[name] = expected_level.get(name, 0) + count
+        assert payload["level"] == expected_level
+        assert [
+            {k: v for k, v in batch.items() if k != "elapsed_s"}
+            for batch in payload["engine"]["job_batches"]
+        ] == [
+            {"kind": "LevelJob", "n_jobs": 2, "workers": 1},
+            {"kind": "LevelJob", "n_jobs": 2, "workers": 1},
+        ]
+        assert payload["engine"]["fallbacks"] == []
+        assert payload["store"] == {
+            "hits": 1,
+            "misses": 3,
+            "bytes_read": store.get(_store_key(cached))[1],
+        }
+        assert payload["resilience"] == {
+            "retries": 1,
+            "timeouts": 0,
+            "pool_rebuilds": 0,
+            "poisoned_jobs": 0,
+        }
+        assert payload["backends"] == {"numpy": 2, "miss-replay": 1}
+        assert payload["serving"] == {}
+        assert payload["workloads"] == []
+
+    def test_zero_traffic_daemon_reports_every_serving_counter(self, tmp_path, monkeypatch):
+        import asyncio
+
+        from repro.serve.daemon import CacheAdvisorDaemon, ServeConfig
+
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
+        metrics = str(tmp_path / "serve.jsonl")
+
+        async def session():
+            daemon = CacheAdvisorDaemon(ServeConfig(port=0, emit_metrics=metrics))
+            await daemon.start()
+            try:
+                return daemon.stats_payload()
+            finally:
+                await daemon.aclose()
+
+        stats = asyncio.run(session())
+        assert list(stats["serving"]) == self.SERVING_KEYS
+        assert stats["serving"] == dict.fromkeys(self.SERVING_KEYS, 0)
+        (record,) = read_records(metrics)
+        assert record.serving == dict.fromkeys(self.SERVING_KEYS, 0)
+        assert record.store == record.resilience == record.backends == {}
