@@ -15,8 +15,9 @@ from typing import Callable, Dict, List, Optional
 
 from ..common.config import CacheConfig
 from ..common.stats import percent, safe_div
-from ..specs import CompositeSpec, MultiWayStreamBufferSpec, StreamBufferSpec, VictimCacheSpec
+from ..specs import MultiWayStreamBufferSpec, StreamBufferSpec
 from .base import run_point_columns
+from .figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
 from .sweeps import batch_entry_sweeps
 from .workloads import suite
 
@@ -26,8 +27,8 @@ CONFIG = CacheConfig(4096, 16)
 
 SB1 = StreamBufferSpec(4)
 SB4 = MultiWayStreamBufferSpec(4, 4)
-#: The abstract's combined system: I-side stream buffer, D-side VC4 + 4-way SB.
-COMBINED = {"i": SB1, "d": CompositeSpec((VictimCacheSpec(4), SB4))}
+#: The abstract's combined system: Figure 5-1's improved structures.
+COMBINED = {"i": IMPROVED_ISTRUCTURE, "d": IMPROVED_DSTRUCTURE}
 
 
 @dataclass(frozen=True)

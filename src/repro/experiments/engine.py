@@ -29,6 +29,8 @@ Job kinds
                      :class:`~repro.experiments.sweeps.EntrySweep`
 :class:`RunSweepJob` one stream-buffer run-length sweep →
                      :class:`~repro.experiments.sweeps.RunLengthSweep`
+:class:`SystemJob`   one full two-level replay →
+                     :class:`~repro.hierarchy.system.SystemResult`
 :class:`ExperimentJob`  one whole experiment module →
                      :class:`ExperimentOutcome`
 =================== ===================================================
@@ -55,6 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ConfigurationError
 from ..common.stats import percent, safe_div
+from ..hierarchy.system import MemorySystem
 from ..kernels import (
     MISS_REPLAY,
     NUMPY,
@@ -63,7 +66,8 @@ from ..kernels import (
     kernel_mode,
     select_backend,
 )
-from ..specs import NamedWorkloadSpec, SystemSpec, WorkloadSpec, spec_hash
+from ..specs import NamedWorkloadSpec, SpecError, StructureSpec, SystemSpec, WorkloadSpec
+from ..specs import build, spec_hash
 from ..store import ResultKey, current_store
 from ..telemetry.core import JobProgress, ProgressCallback, record_fallback
 from ..telemetry.core import current as _telemetry_scope
@@ -81,6 +85,7 @@ __all__ = [
     "LevelSummary",
     "EntrySweepJob",
     "RunSweepJob",
+    "SystemJob",
     "ExperimentJob",
     "ExperimentOutcome",
     "ResilienceOptions",
@@ -207,6 +212,35 @@ class RunSweepJob:
 
 
 @dataclass(frozen=True)
+class SystemJob:
+    """One full two-level replay (Figures 2-2 and 5-1).
+
+    The system spec contributes trace and :class:`SystemConfig`; each
+    L1 side carries its own structure spec (None = bare), rebuilt in
+    the worker.  ``prewarm_l2`` preloads the L2 with the trace's
+    footprint first (see :meth:`MemorySystem.prewarm_l2`).  A spec that
+    sets a single-level field (``structure``, ``warmup``, ``classify``)
+    is rejected rather than silently ignored.
+    """
+
+    system: SystemSpec
+    istructure: Optional[StructureSpec] = None
+    dstructure: Optional[StructureSpec] = None
+    prewarm_l2: bool = False
+
+    def __post_init__(self) -> None:
+        _require_trace(self.system, "SystemJob")
+        if self.system.structure is not None or self.system.warmup or self.system.classify:
+            raise ConfigurationError(
+                "SystemJob takes per-side istructure/dstructure; its SystemSpec "
+                "must leave structure, warmup and classify unset"
+            )
+        for structure in (self.istructure, self.dstructure):
+            if structure is not None and not isinstance(structure, StructureSpec):
+                raise SpecError(f"SystemJob structures must be StructureSpecs, got {structure!r}")
+
+
+@dataclass(frozen=True)
 class ExperimentJob:
     """One whole experiment module run at a given scale and seed."""
 
@@ -224,7 +258,7 @@ class ExperimentOutcome:
     elapsed: float
 
 
-Job = Union[LevelJob, EntrySweepJob, RunSweepJob, ExperimentJob]
+Job = Union[LevelJob, EntrySweepJob, RunSweepJob, SystemJob, ExperimentJob]
 
 
 # -- execution ----------------------------------------------------------------
@@ -240,7 +274,9 @@ def execute_job(job: Job):
     structure-carrying specs run the assist kernel (vector or
     miss-replay mode per :func:`repro.kernels.kernel_mode`).  Sweep jobs
     dispatch on the request alone: their depth- and offset-tracking
-    structures always resolve in vector mode.  All backends return
+    structures always resolve in vector mode.  ``SystemJob``s run the
+    bare-system kernel on numpy when neither side has a structure, and
+    :class:`MemorySystem` otherwise.  All backends return
     identical results, so dispatch is invisible to callers and to the
     result store.
     """
@@ -296,6 +332,16 @@ def execute_job(job: Job):
             entries=job.entries,
             max_run=job.max_run,
         )
+    if isinstance(job, SystemJob):
+        trace = job.system.trace.trace()
+        if default_backend() == NUMPY and job.istructure is None and job.dstructure is None:
+            from ..kernels.numpy_backend import simulate_system
+
+            return simulate_system(trace, job.system.config, prewarm_l2=job.prewarm_l2)
+        memory = MemorySystem(job.system.config, build(job.istructure), build(job.dstructure))
+        if job.prewarm_l2:
+            memory.prewarm_l2(trace)
+        return memory.run(trace)
     if isinstance(job, ExperimentJob):
         # Local import: the experiment registry lives in the package
         # __init__, which itself imports this module.
@@ -532,7 +578,7 @@ def _store_key(job: Job) -> Optional[ResultKey]:
     """Result-store key for a job, or None for uncacheable jobs.
 
     Only jobs whose full configuration is captured by a trace-bearing
-    :class:`~repro.specs.SystemSpec` plus the job's own scalar
+    :class:`~repro.specs.SystemSpec` plus the job's own
     parameters are cacheable.  :class:`ExperimentJob` is not — a whole
     experiment module is an open-ended computation — but the engine
     batches *inside* it hit the store individually.
@@ -546,6 +592,12 @@ def _store_key(job: Job) -> Optional[ResultKey]:
         extras = {"kind": job.kind, "max_entries": job.max_entries}
     elif isinstance(job, RunSweepJob):
         extras = {"ways": job.ways, "entries": job.entries, "max_run": job.max_run}
+    elif isinstance(job, SystemJob):
+        extras = {
+            "istructure": None if job.istructure is None else job.istructure.as_dict(),
+            "dstructure": None if job.dstructure is None else job.dstructure.as_dict(),
+            "prewarm_l2": job.prewarm_l2,
+        }
     else:
         return None
     return ResultKey(
@@ -567,12 +619,15 @@ def _job_backend(job: Job) -> Optional[str]:
     ``python`` and ``numpy`` as before; assist jobs that run the
     interpreter structure over the compressed miss stream are labelled
     ``miss-replay`` so heartbeats and run records show the split.
-    Sweep jobs always run vector mode on numpy.  Experiment jobs are
+    Sweep jobs always run vector mode on numpy; system jobs run numpy
+    only structure-free (see :func:`execute_job`).  Experiment jobs are
     opaque here — their inner batches dispatch (and count) per job
     themselves.
     """
     if isinstance(job, (EntrySweepJob, RunSweepJob)):
         return default_backend()
+    if isinstance(job, SystemJob):
+        return default_backend() if job.istructure is None and job.dstructure is None else PYTHON
     if not isinstance(job, LevelJob):
         return None
     backend = select_backend(job.system)

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..buffers.base import CompositeAugmentation
-from ..buffers.stream_buffer import MultiWayStreamBuffer
-from ..buffers.victim_cache import VictimCache
 from ..common.config import CacheConfig
 from ..common.stats import percent, safe_div
+from ..specs import build
 from ..traces.trace import MaterializedTrace
 from .base import TableResult
+from .figure_5_1 import IMPROVED_DSTRUCTURE
 from .runner import run_level
 from .workloads import suite
 
@@ -94,11 +93,9 @@ def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
         interleaved = interleave_processes(streams, quantum)
         base = run_level(interleaved, CONFIG)
         base_rate = base.stats.miss_rate
-        victim = VictimCache(4)
-        stream_buffer = MultiWayStreamBuffer(4, 4)
-        helped = run_level(
-            interleaved, CONFIG, CompositeAugmentation([victim, stream_buffer])
-        )
+        composite = build(IMPROVED_DSTRUCTURE)
+        victim, stream_buffer = composite.members
+        helped = run_level(interleaved, CONFIG, composite)
         rows.append(
             [
                 quantum,

@@ -21,14 +21,13 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from ..buffers.base import CompositeAugmentation
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
-from ..buffers.victim_cache import VictimCache
 from ..common.config import CacheConfig
 from ..common.stats import percent, safe_div
 from ..common.types import AccessKind
 from ..hierarchy.level import CacheLevel
+from ..specs import build
 from .base import TableResult
+from .figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
 from .workloads import suite
 
 __all__ = ["run", "inject_interrupts", "INTERVALS"]
@@ -89,10 +88,8 @@ def inject_interrupts(
 
 def _run_split(pairs) -> Tuple[CacheLevel, CacheLevel]:
     """Replay through split I/D levels with the SS5 structures on each."""
-    ilevel = CacheLevel(CONFIG, StreamBuffer(4))
-    dlevel = CacheLevel(
-        CONFIG, CompositeAugmentation([VictimCache(4), MultiWayStreamBuffer(4, 4)])
-    )
+    ilevel = CacheLevel(CONFIG, build(IMPROVED_ISTRUCTURE))
+    dlevel = CacheLevel(CONFIG, build(IMPROVED_DSTRUCTURE))
     shift = CONFIG.offset_bits
     ifetch = int(AccessKind.IFETCH)
     for kind, address in pairs:

@@ -23,8 +23,7 @@ from typing import Optional
 from ..common.config import baseline_system
 from ..hierarchy.performance import evaluate_performance
 from .base import TableResult
-from .figure_5_1 import improved_augmentations
-from .runner import run_system
+from .figure_5_1 import base_and_improved
 from .workloads import suite
 
 __all__ = ["run", "PENALTY_POINTS"]
@@ -46,14 +45,7 @@ def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
     traces = traces if traces is not None else suite(scale, seed)
     # Miss counts do not depend on the penalties, so simulate once per
     # benchmark and re-price the same results at every penalty point.
-    results = []
-    for trace in traces:
-        base_result = run_system(trace, prewarm_l2=True)
-        iaug, daug = improved_augmentations()
-        improved_result = run_system(
-            trace, iaugmentation=iaug, daugmentation=daug, prewarm_l2=True
-        )
-        results.append((base_result, improved_result))
+    results = base_and_improved(traces)
     rows = []
     for label, l1_penalty, l2_penalty in PENALTY_POINTS:
         timing = replace(

@@ -14,23 +14,26 @@ from typing import Optional
 
 from ..common.config import baseline_system
 from ..hierarchy.performance import evaluate_performance
+from ..specs import SystemSpec
 from .base import FigureResult, Series
-from .runner import run_system
+from .engine import SystemJob, run_jobs
 from .workloads import suite
 
 __all__ = ["run"]
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
     timing = baseline_system().timing
     names = []
     achieved = []
     lost_l1i = []
     lost_l1d = []
     lost_l2 = []
-    for trace in traces:
-        result = run_system(trace, prewarm_l2=True)
+    results = run_jobs(
+        [SystemJob(SystemSpec.for_system(trace), prewarm_l2=True) for trace in traces]
+    )
+    for trace, result in zip(traces, results):
         breakdown = evaluate_performance(result, timing).loss_breakdown()
         names.append(trace.name)
         achieved.append(breakdown["achieved"])

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.base import CompositeAugmentation
-from ..buffers.stream_buffer import MultiWayStreamBuffer
-from ..buffers.victim_cache import VictimCache
 from ..common.config import CacheConfig
 from ..common.stats import percent
+from ..specs import build
 from .base import TableResult
+from .figure_5_1 import IMPROVED_DSTRUCTURE
 from .runner import run_level
 from .workloads import suite
 
@@ -32,9 +31,8 @@ def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
     config = CacheConfig(4096, 16)
     rows = []
     for trace in traces:
-        victim = VictimCache(entries=4)
-        stream = MultiWayStreamBuffer(ways=4, entries=4)
-        composite = CompositeAugmentation([victim, stream])
+        composite = build(IMPROVED_DSTRUCTURE)
+        victim, stream = composite.members
         run_result = run_level(trace.data_addresses, config, composite)
         misses = run_result.misses
         overlap = composite.overlap_hits

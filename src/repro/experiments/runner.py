@@ -3,23 +3,22 @@
 Most of the paper's figures treat one cache side (instruction or data)
 in isolation, so the workhorse here is :func:`run_level`: replay one
 side's byte-address stream through a single :class:`CacheLevel`.  The
-full-system experiments (Figures 2-2 and 5-1) use :func:`run_system`.
+full-system experiments (Figures 2-2 and 5-1) run as engine jobs
+instead (:class:`~repro.experiments.engine.SystemJob`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..buffers.base import L1Augmentation
-from ..common.config import CacheConfig, SystemConfig
+from ..common.config import CacheConfig
 from ..hierarchy.level import CacheLevel
-from ..hierarchy.system import MemorySystem, SystemResult
 from ..telemetry.core import current as _telemetry_scope
-from ..traces.trace import MaterializedTrace
 
-__all__ = ["LevelRun", "run_level", "run_system", "baseline_conflicts"]
+__all__ = ["LevelRun", "run_level"]
 
 
 @dataclass
@@ -92,36 +91,3 @@ def run_level(
     if scope is not None:
         scope.observe_level_run(level.stats, perf_counter() - started)
     return LevelRun(level)
-
-
-def run_system(
-    trace: MaterializedTrace,
-    config: Optional[SystemConfig] = None,
-    iaugmentation: Optional[L1Augmentation] = None,
-    daugmentation: Optional[L1Augmentation] = None,
-    classify: bool = False,
-    prewarm_l2: bool = False,
-) -> SystemResult:
-    """Replay a full trace through the two-level system.
-
-    ``prewarm_l2`` preloads the second-level cache with the trace's
-    footprint first (see :meth:`MemorySystem.prewarm_l2`) — used by the
-    performance experiments, where first-touch L2 misses are a
-    trace-length artifact the paper's 100M-instruction traces amortize.
-    """
-    system = MemorySystem(
-        config,
-        iaugmentation=iaugmentation,
-        daugmentation=daugmentation,
-        classify=classify,
-    )
-    if prewarm_l2:
-        system.prewarm_l2(trace)
-    return system.run(trace)
-
-
-def baseline_conflicts(
-    byte_addresses: Iterable[int], config: CacheConfig
-) -> LevelRun:
-    """Baseline replay with 3C classification (misses + conflict count)."""
-    return run_level(byte_addresses, config, None, classify=True)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..specs import SystemSpec
 from .base import TableResult
-from .runner import run_system
+from .engine import SystemJob, run_jobs
 from .workloads import suite
 
 __all__ = ["run", "PAPER_MISS_RATES"]
@@ -29,10 +30,10 @@ PAPER_MISS_RATES = {
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    results = run_jobs([SystemJob(SystemSpec.for_system(trace)) for trace in traces])
     rows = []
-    for trace in traces:
-        result = run_system(trace)
+    for trace, result in zip(traces, results):
         paper_i, paper_d = PAPER_MISS_RATES[trace.name]
         rows.append(
             [

@@ -138,23 +138,6 @@ class MemorySystem:
 
     # -- construction helpers ---------------------------------------------------
 
-    @classmethod
-    def from_spec(cls, spec, classify: bool = False) -> "MemorySystem":
-        """Full system from a :class:`~repro.specs.SystemSpec`.
-
-        The spec's structure is built fresh and attached to the side the
-        spec names (``"i"`` or ``"d"``); the other side runs bare.
-        Prefetch routing through the L2 stays on, so spec-driven systems
-        behave exactly like hand-wired ones.
-        """
-        structure = spec.build_structure()
-        return cls(
-            config=spec.config,
-            iaugmentation=structure if spec.side == "i" else None,
-            daugmentation=structure if spec.side == "d" else None,
-            classify=classify or spec.classify,
-        )
-
     def _wire_prefetch_sinks(self, augmentation: Optional[L1Augmentation], l1_shift: int) -> None:
         """Route every stream-buffer prefetch through the L2 tag store."""
         shift_to_l2 = self._l2_shift - l1_shift

@@ -64,10 +64,9 @@ from . import MISS_REPLAY, VECTOR, structure_mode
 from .numpy_backend import (
     _INT64,
     _effective_warmup,
-    _index_dtype,
     _rank_left_leq,
     classify_misses,
-    direct_mapped_hit_mask,
+    direct_mapped_occupants,
     prev_occurrence,
     stream_array,
     KernelLevelResult,
@@ -110,17 +109,12 @@ def extract_miss_stream(lines: np.ndarray, num_lines: int) -> MissStream:
     The victim of a refill is the previous reference to the same slot
     (hit or miss — the slot always holds the last line referenced
     through it), which falls out of the same stable argsort-by-slot the
-    hit mask uses.  On a miss the previous occupant necessarily differs
-    from the requested line, so it is always a genuine eviction.
+    hit mask uses: :func:`~repro.kernels.numpy_backend.direct_mapped_occupants`
+    returns both from one sort.  On a miss the previous occupant
+    necessarily differs from the requested line, so it is always a
+    genuine eviction.
     """
-    n = len(lines)
-    hits = direct_mapped_hit_mask(lines, num_lines)
-    resident_before = np.full(n, -1, dtype=_INT64)
-    if n:
-        index = (lines & (num_lines - 1)).astype(_index_dtype(num_lines), copy=False)
-        order = np.argsort(index, kind="stable")
-        same = index[order][1:] == index[order][:-1]
-        resident_before[order[1:][same]] = lines[order[:-1][same]]
+    hits, resident_before = direct_mapped_occupants(lines, num_lines)
     positions = np.nonzero(~hits)[0].astype(_INT64, copy=False)
     return MissStream(
         lines=lines,

@@ -44,13 +44,13 @@ from ..telemetry.core import current as _telemetry_scope
 __all__ = [
     "stream_array",
     "direct_mapped_hit_mask",
+    "direct_mapped_occupants",
     "prev_occurrence",
     "lru_shadow_hit_mask",
     "classify_misses",
     "KernelLevelResult",
     "simulate_level",
     "simulate_level_summary",
-    "KernelSystemRun",
     "simulate_system",
 ]
 
@@ -119,32 +119,46 @@ def direct_mapped_hit_mask(
     else:
         full = lines
         prefix = 0
-    index = (full & (num_lines - 1)).astype(_index_dtype(num_lines), copy=False)
+    hits = _slot_pass(full, num_lines)[0]
+    return hits[prefix:] if prefix else hits
+
+
+def direct_mapped_occupants(lines: np.ndarray, num_lines: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(hits, resident_before)`` of one direct-mapped pass, from one sort.
+
+    ``resident_before[i]`` is the line in reference *i*'s slot just
+    before it (``-1`` when cold): the previous reference to that slot.
+    """
+    hits, order, sorted_lines, same_slot = _slot_pass(lines, num_lines)
+    resident_before = np.full(len(lines), -1, dtype=_INT64)
+    resident_before[order[1:][same_slot]] = sorted_lines[:-1][same_slot]
+    return hits, resident_before
+
+
+def _slot_pass(lines: np.ndarray, num_lines: int):
+    """One stable sort by slot: ``(hits, order, sorted_lines, same_slot)``.
+
+    ``same_slot[k]`` says sorted reference ``k`` is the occupant that
+    reference ``k + 1`` finds; a reference hits iff it is the same line.
+    """
+    index = (lines & (num_lines - 1)).astype(_index_dtype(num_lines), copy=False)
     order = np.argsort(index, kind="stable")
     sorted_index = index[order]
-    sorted_lines = full[order]
-    hit_sorted = np.empty(len(full), dtype=bool)
-    if len(full):
-        hit_sorted[0] = False
-        hit_sorted[1:] = (sorted_index[1:] == sorted_index[:-1]) & (
-            sorted_lines[1:] == sorted_lines[:-1]
-        )
-    hits = np.empty(len(full), dtype=bool)
+    sorted_lines = lines[order]
+    same_slot = sorted_index[1:] == sorted_index[:-1]
+    hit_sorted = np.zeros(len(lines), dtype=bool)
+    hit_sorted[1:] = same_slot & (sorted_lines[1:] == sorted_lines[:-1])
+    hits = np.empty(len(lines), dtype=bool)
     hits[order] = hit_sorted
-    return hits[prefix:] if prefix else hits
+    return hits, order, sorted_lines, same_slot
 
 
 def _final_residents(lines: np.ndarray, num_lines: int) -> np.ndarray:
     """Resident line per slot after filling *lines* in order (last one wins)."""
     if not len(lines):
         return lines[:0]
-    index = (lines & (num_lines - 1)).astype(_index_dtype(num_lines), copy=False)
-    order = np.argsort(index, kind="stable")
-    sorted_index = index[order]
-    is_last = np.empty(len(order), dtype=bool)
-    is_last[-1] = True
-    is_last[:-1] = sorted_index[1:] != sorted_index[:-1]
-    return lines[order[is_last]]
+    _, _, sorted_lines, same_slot = _slot_pass(lines, num_lines)
+    return sorted_lines[np.append(~same_slot, True)]
 
 
 # -- LRU shadow / 3C classification -------------------------------------------
@@ -388,21 +402,11 @@ def simulate_level_summary(system):
     )
 
 
-@dataclass
-class KernelSystemRun:
-    """One vectorized full-system replay of the bare two-level hierarchy."""
-
-    result: SystemResult
-    iclassification: Optional[Dict[str, float]] = None
-    dclassification: Optional[Dict[str, float]] = None
-
-
 def simulate_system(
     trace,
     config: Optional[SystemConfig] = None,
-    classify: bool = False,
     prewarm_l2: bool = False,
-) -> KernelSystemRun:
+) -> SystemResult:
     """Vectorized :meth:`MemorySystem.run` for the augmentation-free system.
 
     Splits the trace into instruction/data streams with one mask, runs
@@ -458,10 +462,4 @@ def simulate_system(
     )
     if scope is not None:
         scope.observe_system_run(result, perf_counter() - started)
-    if not classify:
-        return KernelSystemRun(result)
-    return KernelSystemRun(
-        result,
-        iclassification=classify_misses(ilines, ihits, config.icache.num_lines),
-        dclassification=classify_misses(dlines, dhits, config.dcache.num_lines),
-    )
+    return result

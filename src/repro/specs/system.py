@@ -89,12 +89,6 @@ class SystemSpec:
         replays never touch the L2, so only the config invariant
         (L2 line >= L1 line) matters.
         """
-        trace_spec = trace if isinstance(trace, WorkloadSpec) else workload_spec_of(trace)
-        if trace_spec is None:
-            raise ConfigurationError(
-                f"trace has no workload spec: {unkeyed_reason(trace)}; simulate "
-                "hand-made streams with repro.experiments.runner.run_level"
-            )
         structure_spec = (
             structure if structure is None or isinstance(structure, StructureSpec)
             else describe(structure)
@@ -107,13 +101,18 @@ class SystemSpec:
             l2=base.l2.with_line_size(max(BASELINE_L2_LINE, cache_config.line_size)),
         )
         return cls(
-            trace=trace_spec,
+            trace=_trace_spec(trace),
             config=config,
             structure=structure_spec,
             side=side,
             warmup=warmup,
             classify=classify,
         )
+
+    @classmethod
+    def for_system(cls, trace) -> "SystemSpec":
+        """Spec for a full baseline-system replay (``trace`` as in :meth:`for_level`)."""
+        return cls(trace=_trace_spec(trace))
 
     def build_structure(self):
         """Live structure for this point (None for the bare baseline)."""
@@ -151,6 +150,18 @@ class SystemSpec:
     @classmethod
     def from_json(cls, text: str) -> "SystemSpec":
         return cls.from_dict(json.loads(text))
+
+
+def _trace_spec(trace) -> WorkloadSpec:
+    """*trace* itself when a workload spec, else its recovered spec."""
+    trace_spec = trace if isinstance(trace, WorkloadSpec) else workload_spec_of(trace)
+    if trace_spec is None:
+        raise ConfigurationError(
+            f"trace has no workload spec: {unkeyed_reason(trace)}; simulate "
+            "hand-made streams with repro.experiments.runner.run_level or "
+            "repro.hierarchy.system.MemorySystem.run"
+        )
+    return trace_spec
 
 
 def spec_hash(spec: SystemSpec) -> str:

@@ -2,10 +2,11 @@
 
 Each cacheable job result — :class:`~repro.experiments.engine.LevelSummary`,
 :class:`~repro.experiments.sweeps.EntrySweep`,
-:class:`~repro.experiments.sweeps.RunLengthSweep` — is an all-integer
-dataclass, so JSON round trips are *exact*: a decoded result compares
-equal to the original, which is what lets a warm store reproduce every
-output row bit-for-bit.
+:class:`~repro.experiments.sweeps.RunLengthSweep`,
+:class:`~repro.hierarchy.system.SystemResult` — is all integers, so JSON
+round trips are *exact*: a decoded result compares equal to the
+original, which is what lets a warm store reproduce every output row
+bit-for-bit.
 
 Imports of the result types are deferred into the codec functions:
 ``repro.experiments.engine`` imports the store, so importing engine
@@ -25,11 +26,13 @@ __all__ = ["encode_result", "decode_result"]
 def _result_types() -> Dict[str, type]:
     from ..experiments.engine import LevelSummary
     from ..experiments.sweeps import EntrySweep, RunLengthSweep
+    from ..hierarchy.system import SystemResult
 
     return {
         "LevelSummary": LevelSummary,
         "EntrySweep": EntrySweep,
         "RunLengthSweep": RunLengthSweep,
+        "SystemResult": SystemResult,
     }
 
 
@@ -38,7 +41,10 @@ def encode_result(result: object) -> Dict[str, object]:
     types = _result_types()
     for name, cls in types.items():
         if type(result) is cls:
-            fields = dict(vars(result))
+            fields = {
+                key: value.as_dict() if hasattr(value, "as_dict") else value
+                for key, value in vars(result).items()
+            }
             return {"type": name, "fields": fields}
     raise TypeError(f"result type {type(result).__name__} is not storable")
 
@@ -76,10 +82,32 @@ def _decode_run_sweep(cls: type, fields: Dict[str, object]):
     )
 
 
+def _counters(cls: type, fields):
+    """A slotted counter group from its ``as_dict`` snapshot (derived keys ignored)."""
+    counters = cls()
+    for slot in cls.__slots__:
+        setattr(counters, slot, int(fields[slot]))
+    return counters
+
+
+def _decode_system_result(cls: type, fields: Dict[str, object]):
+    from ..hierarchy.level import LevelStats
+    from ..hierarchy.system import L2Stats
+
+    return cls(
+        instructions=int(fields["instructions"]),
+        data_references=int(fields["data_references"]),
+        istats=_counters(LevelStats, fields["istats"]),
+        dstats=_counters(LevelStats, fields["dstats"]),
+        l2stats=_counters(L2Stats, fields["l2stats"]),
+    )
+
+
 _DECODERS: Dict[str, Callable] = {
     "LevelSummary": _decode_level_summary,
     "EntrySweep": _decode_entry_sweep,
     "RunLengthSweep": _decode_run_sweep,
+    "SystemResult": _decode_system_result,
 }
 
 

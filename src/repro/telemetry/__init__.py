@@ -2,8 +2,8 @@
 
 Three layers, importable with no dependency on the rest of the package:
 
-* :mod:`repro.telemetry.core` — :class:`Counter`/:class:`Timer`
-  primitives and the active :class:`MetricsScope`.  Disabled by default;
+* :mod:`repro.telemetry.core` — the :class:`Timer` primitive and the
+  active :class:`MetricsScope`.  Disabled by default;
   instrumented code checks once per *run* (never per simulated
   reference) whether a scope is active.
 * :mod:`repro.telemetry.record` — the schema-versioned per-run
@@ -15,7 +15,6 @@ Three layers, importable with no dependency on the rest of the package:
 
 from .bench import BenchDelta, BenchDiff, diff_benchmarks, load_benchmark_stats
 from .core import (
-    Counter,
     FallbackEvent,
     JobBatchStats,
     JobProgress,
@@ -40,7 +39,6 @@ from .record import (
 )
 
 __all__ = [
-    "Counter",
     "Timer",
     "MetricsScope",
     "FallbackEvent",

@@ -1,4 +1,4 @@
-"""Lightweight run telemetry: counters, timers, and an active scope.
+"""Lightweight run telemetry: counter sections, timers, and an active scope.
 
 Observability for the simulator follows the same wiring-time pattern as
 ``MemorySystem._has_prefetch_sinks``: instrumented code checks *once per
@@ -7,8 +7,8 @@ active, and does nothing at all when none is.  A scope is activated for
 the duration of one logical run — one experiment, one CLI invocation —
 and collects:
 
-* **counters** and **timers** (:class:`Counter`, :class:`Timer`) bumped
-  by instrumented call sites;
+* **counter sections** (:meth:`MetricsScope.add`) and **timers**
+  (:class:`Timer`) fed by instrumented call sites;
 * **simulation observations** — every :meth:`MemorySystem.run
   <repro.hierarchy.system.MemorySystem.run>` and
   :func:`~repro.experiments.runner.run_level` executed while the scope
@@ -37,7 +37,6 @@ import warnings
 from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
-    "Counter",
     "Timer",
     "FallbackEvent",
     "JobBatchStats",
@@ -55,22 +54,6 @@ __all__ = [
 
 class ParallelFallbackWarning(UserWarning):
     """A parallel batch degraded to serial execution (its pool kept breaking)."""
-
-
-class Counter:
-    """A named monotonically increasing integer counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
 
 
 class Timer:
@@ -208,7 +191,6 @@ class MetricsScope:
     """
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
         self.timers: Dict[str, Timer] = {}
         self.fallbacks: List[FallbackEvent] = []
         self.job_batches: List[JobBatchStats] = []
@@ -223,13 +205,7 @@ class MetricsScope:
         # the repro-serve daemon): section -> counter name -> count.
         self.sections: Dict[str, Dict[str, int]] = {}
 
-    # -- counters/timers ------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
+    # -- timers ---------------------------------------------------------------
 
     def timer(self, name: str) -> Timer:
         timer = self.timers.get(name)

@@ -16,6 +16,7 @@ default, or ``python``) is validated at the CLI boundary.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from repro.common.config import CacheConfig, baseline_system
 from repro.common.errors import ConfigurationError
 from repro.common.types import IFETCH
-from repro.experiments.runner import run_level, run_system
+from repro.experiments.runner import run_level
 from repro.kernels import (
     ENV_BACKEND,
     MISS_REPLAY,
@@ -415,17 +416,68 @@ def test_assist_jobs_identical_across_backends(monkeypatch):
 
 
 @pytest.mark.parametrize("prewarm", [False, True])
-def test_system_equivalence(small_suite, prewarm):
-    from repro.kernels.numpy_backend import simulate_system
+def test_system_equivalence(small_suite, prewarm, monkeypatch):
+    """Bare-system SystemJobs: the kernel equals MemorySystem on all six traces."""
+    from repro.experiments.engine import SystemJob, run_jobs
 
-    trace = small_suite[0]  # ccom: mixed instruction/data stream
-    reference = run_system(trace, classify=True, prewarm_l2=prewarm)
-    kernel = simulate_system(trace, classify=True, prewarm_l2=prewarm)
-    result = kernel.result
-    assert result.istats.as_dict() == reference.istats.as_dict()
-    assert result.dstats.as_dict() == reference.dstats.as_dict()
-    assert result.l2stats.as_dict() == reference.l2stats.as_dict()
-    assert result.total_references == reference.total_references
+    jobs = [
+        SystemJob(SystemSpec.for_system(trace), prewarm_l2=prewarm) for trace in small_suite
+    ]
+    monkeypatch.setenv(ENV_BACKEND, PYTHON)
+    with telemetry.scoped() as scope:
+        reference = run_jobs(jobs)
+    assert scope.sections["backends"] == {PYTHON: len(jobs)}
+    monkeypatch.setenv(ENV_BACKEND, NUMPY)
+    with telemetry.scoped() as scope:
+        kernel = run_jobs(jobs)
+    assert scope.sections["backends"] == {NUMPY: len(jobs)}
+    for trace, result, expected in zip(small_suite, kernel, reference):
+        assert result.istats.as_dict() == expected.istats.as_dict(), trace.name
+        assert result.dstats.as_dict() == expected.dstats.as_dict(), trace.name
+        assert result.l2stats.as_dict() == expected.l2stats.as_dict(), trace.name
+        assert result == expected, trace.name
+
+
+def test_improved_system_job_matches_hand_wired_system(small_suite):
+    """The §5 specs rebuild exactly the live structures Figure 5-1 describes."""
+    from repro.buffers.base import CompositeAugmentation
+    from repro.buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
+    from repro.buffers.victim_cache import VictimCache
+    from repro.experiments.engine import SystemJob, run_jobs
+    from repro.experiments.figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
+    from repro.hierarchy.system import MemorySystem
+
+    results = run_jobs(
+        [
+            SystemJob(
+                SystemSpec.for_system(trace),
+                IMPROVED_ISTRUCTURE,
+                IMPROVED_DSTRUCTURE,
+                prewarm_l2=True,
+            )
+            for trace in small_suite
+        ]
+    )
+    for trace, result in zip(small_suite, results):
+        system = MemorySystem(
+            iaugmentation=StreamBuffer(entries=4),
+            daugmentation=CompositeAugmentation(
+                [VictimCache(entries=4), MultiWayStreamBuffer(ways=4, entries=4)]
+            ),
+        )
+        system.prewarm_l2(trace)
+        assert result == system.run(trace), trace.name
+
+
+def test_system_job_rejects_single_level_fields(small_suite):
+    from repro.experiments.engine import SystemJob
+
+    system = SystemSpec.for_system(small_suite[0])
+    for field in (
+        {"structure": VictimCacheSpec(entries=4)}, {"warmup": 10}, {"classify": True}
+    ):
+        with pytest.raises(ConfigurationError, match="SystemJob"):
+            SystemJob(dataclasses.replace(system, **field))
 
 
 # -- equivalence: through the engine ------------------------------------------

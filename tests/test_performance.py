@@ -92,12 +92,14 @@ class TestEvaluateFromSimulation:
 
     def test_improvement_direction_matches_paper(self, small_by_name):
         """Adding the paper's structures must never slow the machine."""
-        from repro.experiments.figure_5_1 import improved_augmentations
+        from repro.experiments.figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
+        from repro.specs import build
 
         timing = TimingConfig()
         trace = small_by_name["met"]
         base = evaluate_performance(MemorySystem().run(trace), timing)
-        iaug, daug = improved_augmentations()
-        improved_system = MemorySystem(iaugmentation=iaug, daugmentation=daug)
+        improved_system = MemorySystem(
+            iaugmentation=build(IMPROVED_ISTRUCTURE), daugmentation=build(IMPROVED_DSTRUCTURE)
+        )
         improved = evaluate_performance(improved_system.run(trace), timing)
         assert improved.speedup_over(base) > 1.0

@@ -13,14 +13,17 @@ from repro.experiments.engine import (
     LevelJob,
     LevelSummary,
     RunSweepJob,
+    SystemJob,
     _store_key,
     run_jobs,
 )
+from repro.experiments.figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
 from repro.experiments.grid import GridSpec, sweep_grid
 from repro.experiments.sweeps import EntrySweep, RunLengthSweep
 from repro.experiments.workloads import materialized_trace
 from repro.hierarchy.level import CacheLevel
-from repro.specs import SystemSpec
+from repro.hierarchy.system import MemorySystem
+from repro.specs import StreamBufferSpec, SystemSpec
 from repro.store import (
     RESULT_SCHEMA_VERSION,
     ResultKey,
@@ -101,6 +104,27 @@ class TestResultKey:
         assert _store_key(sweep).extras == {"kind": "victim", "max_entries": 7}
         assert _store_key(run).extras == {"ways": 4, "entries": 2, "max_run": 8}
 
+    def test_level_job_digest_is_pinned(self):
+        """Entries written before SystemJob existed still hit: the key of a
+        LevelJob is byte-for-byte what it was."""
+        assert _store_key(level_job()).digest() == "96938cc83147aa1497c96edcae125984"
+
+    def test_system_job_key_covers_every_parameter(self):
+        system = SystemSpec.for_system(materialized_trace("ccom", SCALE))
+        jobs = [
+            SystemJob(system),
+            SystemJob(system, istructure=IMPROVED_ISTRUCTURE),
+            SystemJob(system, dstructure=IMPROVED_DSTRUCTURE),
+            SystemJob(system, dstructure=StreamBufferSpec(4)),
+            SystemJob(system, prewarm_l2=True),
+        ]
+        assert len({_store_key(job).digest() for job in jobs}) == len(jobs)
+        assert _store_key(jobs[2]).extras == {
+            "istructure": None,
+            "dstructure": IMPROVED_DSTRUCTURE.as_dict(),
+            "prewarm_l2": False,
+        }
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -110,6 +134,7 @@ class TestRoundTrip:
             LevelSummary(100, 10, 0, 10),
             EntrySweep(total_misses=50, conflict_misses=20, hits_by_entries=[0, 3, 5]),
             RunLengthSweep(total_misses=40, removed_by_run=[0, 1, 2, 2]),
+            MemorySystem().run([(0, 0), (1, 64), (2, 64), (0, 4096)]),
         ],
     )
     def test_exact_round_trip(self, tmp_path, result):
@@ -217,6 +242,28 @@ class TestWarmRunsAreZeroSim:
         assert warm.rows == cold.rows
         assert sim_counter["levels"] == before
 
+    def test_warm_system_batch_hits_every_job(self, store, small_suite):
+        from repro.telemetry import scoped
+
+        jobs = [
+            SystemJob(SystemSpec.for_system(trace), istructure, dstructure, prewarm_l2=True)
+            for trace in small_suite
+            for istructure, dstructure in (
+                (None, None),
+                (IMPROVED_ISTRUCTURE, IMPROVED_DSTRUCTURE),
+            )
+        ]
+        with scoped() as scope:
+            cold = run_jobs(jobs)
+        assert scope.sections["store"]["misses"] == len(jobs)
+        assert store.stats().entries == len(jobs)
+        with scoped() as scope:
+            warm = run_jobs(jobs)
+        assert scope.sections["store"]["hits"] == len(jobs)
+        assert scope.sections["store"]["misses"] == 0
+        assert scope.system_runs == 0
+        assert warm == cold
+
     def test_store_off_by_default(self, no_store, sim_counter):
         job = level_job()
         run_jobs([job])
@@ -322,6 +369,10 @@ class TestTelemetry:
 
 #: Experiment modules whose every simulation point is an engine job.
 ENGINE_MODULES = [
+    "table_2_2",
+    "figure_2_2",
+    "figure_5_1",
+    "ext_penalty_sweep",
     "figure_3_1",
     "figure_3_3",
     "figure_3_6",
@@ -372,5 +423,6 @@ class TestEngineRoutedModules:
         jobs = sum(batch.n_jobs for batch in scope.job_batches)
         assert jobs > 0
         assert scope.level_runs == 0
+        assert scope.system_runs == 0
         assert scope.sections["store"]["hits"] == jobs
         assert scope.sections["store"]["misses"] == 0

@@ -23,7 +23,6 @@ from repro.hierarchy.system import MemorySystem
 from repro.kernels import ENV_BACKEND, NUMPY, PYTHON
 from repro.specs import SystemSpec, VictimCacheSpec, WorkloadSpec
 from repro.telemetry import (
-    Counter,
     MetricsScope,
     ParallelFallbackWarning,
     Timer,
@@ -58,12 +57,6 @@ def no_leaked_scope():
 
 
 class TestPrimitives:
-    def test_counter_accumulates(self):
-        counter = Counter("jobs")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
-
     def test_timer_accumulates_across_uses(self):
         timer = Timer("t")
         for _ in range(2):
@@ -74,10 +67,7 @@ class TestPrimitives:
 
     def test_scope_memoizes_counters_and_timers(self):
         scope = MetricsScope()
-        assert scope.counter("a") is scope.counter("a")
         assert scope.timer("b") is scope.timer("b")
-        scope.counter("a").add(3)
-        assert scope.counters["a"].value == 3
 
 
 class TestScopeLifecycle:
