@@ -574,14 +574,15 @@ def _distinct_trace_keys(jobs: Iterable[Job]) -> Tuple[WorkloadSpec, ...]:
     return tuple(seen)
 
 
-def _store_key(job: Job) -> Optional[ResultKey]:
+def _store_key(job: Job, fingerprint: Optional[str] = None) -> Optional[ResultKey]:
     """Result-store key for a job, or None for uncacheable jobs.
 
     Only jobs whose full configuration is captured by a trace-bearing
     :class:`~repro.specs.SystemSpec` plus the job's own
     parameters are cacheable.  :class:`ExperimentJob` is not — a whole
     experiment module is an open-ended computation — but the engine
-    batches *inside* it hit the store individually.
+    batches *inside* it hit the store individually.  A caller that
+    already holds the trace's *fingerprint* passes it in.
     """
     system = getattr(job, "system", None)
     if not isinstance(system, SystemSpec) or not isinstance(system.trace, WorkloadSpec):
@@ -603,7 +604,7 @@ def _store_key(job: Job) -> Optional[ResultKey]:
     return ResultKey(
         job_kind=type(job).__name__,
         spec_hash=spec_hash(system),
-        trace_fingerprint=system.trace.fingerprint(),
+        trace_fingerprint=fingerprint or system.trace.fingerprint(),
         extras=extras,
     )
 

@@ -34,7 +34,9 @@ limit.  Two things keep that bound from costing rebuilds:
   of about 100 bytes) that outlives the trace's eviction, so a result
   store key never rebuilds a trace just to hash it.  Fingerprints live
   in process memory only — never in the store or on disk — so a changed
-  generator still changes every key.
+  generator still changes every key.  :func:`known_fingerprint` reads
+  the tier alone, for callers that must never build (the serve daemon's
+  event loop).
 * **Batch pinning** — :func:`pinned_workloads` holds a batch's traces
   in the memo for the length of the batch, beyond the cap if it must, so
   a batch with one trace more than the cap never thrashes it.  Fork
@@ -63,6 +65,7 @@ __all__ = [
     "suite",
     "materialized_workload",
     "workload_fingerprint",
+    "known_fingerprint",
     "pinned_workloads",
     "seed_materialized_workload",
     "materialized_trace",
@@ -166,6 +169,20 @@ def materialized_workload(spec: WorkloadSpec) -> MaterializedTrace:
     return _remember(key, key.build().materialize())
 
 
+def known_fingerprint(spec: WorkloadSpec) -> Optional[str]:
+    """*spec*'s fingerprint if the fingerprint tier holds it, else None.
+
+    A memory-only read: it never builds a trace, so it is cheap enough
+    for the serve daemon's event loop.
+    """
+    key = spec.resolve()
+    with _LOCK:
+        fingerprint = _FINGERPRINTS.get(key)
+        if fingerprint is not None:
+            _FINGERPRINTS.move_to_end(key)
+    return fingerprint
+
+
 def workload_fingerprint(spec: WorkloadSpec) -> str:
     """Content fingerprint of *spec*'s trace, kept after the trace is evicted.
 
@@ -173,12 +190,10 @@ def workload_fingerprint(spec: WorkloadSpec) -> str:
     a hit builds nothing.  The tier is bounded by
     :data:`FINGERPRINT_CACHE_CAP` and lives in process memory only.
     """
+    fingerprint = known_fingerprint(spec)
+    if fingerprint is not None:
+        return fingerprint
     key = spec.resolve()
-    with _LOCK:
-        fingerprint = _FINGERPRINTS.get(key)
-        if fingerprint is not None:
-            _FINGERPRINTS.move_to_end(key)
-            return fingerprint
     fingerprint = materialized_workload(key).fingerprint()
     with _LOCK:
         _FINGERPRINTS[key] = fingerprint

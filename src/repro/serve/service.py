@@ -7,8 +7,9 @@ buffer buy this workload?"* — turned into an online service.  One
 * the **spec layer** keys each query: a request parses into a frozen
   :class:`~repro.specs.SystemSpec`, whose ``spec_hash`` plus the trace's
   content fingerprint is the request identity;
-* the **result store** is the memo: a warm key is answered from disk
-  with zero simulation;
+* the **result store** is the memo: a warm key is answered with zero
+  simulation, and once hot, from the store's in-memory front tier on
+  the event loop itself;
 * the **engine** is the backend: a cold key becomes one
   :class:`~repro.experiments.engine.LevelJob` executed (with the PR 5
   resilience layer — retries, timeouts, recorded degradations) on a
@@ -33,7 +34,11 @@ with a socket:
 
 Plain and streamed queries run one sequence — store lookup, then
 attach-or-dispatch, then a deadline-bounded wait, then the payload —
-and streaming only adds the subscriber queue and heartbeats.  Rejected
+and streaming only adds the subscriber queue and heartbeats.  The
+lookup exits early on the event loop when memory alone answers it: the
+trace's fingerprint is already known and the key is in the store's
+front tier.  Anything else (a first-sight trace, a disk read) goes to
+the lookup pool.  Rejected
 bodies are remembered in a small in-memory LRU (the negative cache),
 consulted before parsing; it never touches the store, which holds
 simulation results only.
@@ -57,7 +62,6 @@ from ..specs import (
     NamedWorkloadSpec,
     SystemSpec,
     parse_structure_code,
-    spec_hash,
     workload_from_dict,
 )
 from ..specs.structures import structure_from_dict
@@ -72,6 +76,7 @@ from ..experiments.engine import (
     run_jobs,
 )
 from ..experiments.faults import InjectedFault, ServeFaults
+from ..experiments.workloads import known_fingerprint
 from .breaker import CircuitBreaker
 
 __all__ = [
@@ -207,9 +212,10 @@ class _GuardedStore:
       ``probe_interval`` seconds pass, then one operation probes it —
       success recovers to ``"ok"``, failure restarts the clock.
 
-    Mutations happen on lookup-pool and sim threads; the races between
-    them are benign (worst case: one extra probe or a double-counted
-    failure), so no lock is taken on the request path.
+    Mutations happen on the event loop and on lookup-pool and sim
+    threads; the races between them are benign (worst case: one extra
+    probe or a double-counted failure), so no lock is taken on the
+    request path.
     """
 
     def __init__(
@@ -239,6 +245,23 @@ class _GuardedStore:
             return None, 0
         self._note_success()
         return result
+
+    def peek(self, key: ResultKey) -> Optional[object]:
+        """The front tier's answer, or None.  Only a healthy store is
+        peeked (a degraded one is left to :meth:`get`'s probe), and a
+        front-tier hit is a read: ``store_read_fail`` fires on it."""
+        if self.state != "ok":
+            return None
+        try:
+            cached, _nbytes = self._store.peek(key)
+            if cached is not None:
+                clause = self._faults.fire("store_read_fail")
+                if clause is not None:
+                    raise InjectedFault(f"injected store read failure ({clause.action})")
+        except Exception as exc:
+            self._note_failure("read", exc)
+            return None
+        return cached
 
     def put(self, key: ResultKey, result: object) -> None:
         if not self._attempt_allowed():
@@ -445,8 +468,9 @@ class AdvisorService:
         self._sim_pool = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-serve-sim"
         )
-        #: Key derivation + store reads: kept off the sim pool so warm
-        #: hits never queue behind long cold simulations.
+        #: Key derivation + store reads that memory cannot answer (a
+        #: first-sight trace, a disk read): kept off the event loop, and
+        #: off the sim pool so they never queue behind cold simulations.
         self._lookup_pool = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-serve-lookup"
         )
@@ -551,9 +575,12 @@ class AdvisorService:
         loop = asyncio.get_running_loop()
         budget = self.effective_deadline(query)
         deadline = None if budget is None else loop.time() + budget
-        lookup = loop.run_in_executor(self._lookup_pool, self._lookup, query.spec)
         try:
-            job, key, summary = await self._bounded(lookup, deadline, budget, "store lookup")
+            found = self._memory_lookup(query.spec)
+            if found is None:
+                lookup = loop.run_in_executor(self._lookup_pool, self._lookup, query.spec)
+                found = await self._bounded(lookup, deadline, budget, "store lookup")
+            job, key, summary = found
         except AdviseError:
             raise
         except Exception as exc:
@@ -605,7 +632,7 @@ class AdvisorService:
                 raise
             if served_from == "simulated" and entry.from_store:
                 served_from = "store"
-        payload = self._payload(query.spec, key, summary, served_from)
+        payload = self._payload(key, summary, served_from)
         yield dict(payload, event="result") if stream else payload
 
     async def _bounded(self, awaitable, deadline, budget, phase: str,
@@ -632,6 +659,21 @@ class AdvisorService:
         return DeadlineExceededError(f"deadline of {budget:g}s exceeded during {phase}")
 
     # -- internals -------------------------------------------------------------
+
+    def _memory_lookup(self, spec: SystemSpec):
+        """(sync, event loop) :meth:`_lookup`'s answer for a hot key, else None.
+
+        Keys the query only when the trace's fingerprint is already in
+        memory, and probes only the store's front tier, so it never
+        builds a trace or reads the disk.
+        """
+        fingerprint = known_fingerprint(spec.trace)
+        if fingerprint is None:
+            return None
+        job = LevelJob(spec)
+        key = _store_key(job, fingerprint)
+        cached = self.guarded_store.peek(key)
+        return None if cached is None else (job, key, cached)
 
     def _lookup(self, spec: SystemSpec):
         """(sync, lookup pool) Build the job, its key, and probe the store.
@@ -778,10 +820,10 @@ class AdvisorService:
                 entry.future.set_result(done.result())
         self._fan_out(entry, None)
 
-    def _payload(self, spec, key, summary, served_from: str) -> Dict[str, object]:
+    def _payload(self, key, summary, served_from: str) -> Dict[str, object]:
         return {
             "served_from": served_from,
-            "spec_hash": spec_hash(spec),
+            "spec_hash": key.spec_hash,
             "trace_fingerprint": key.trace_fingerprint,
             "key_digest": key.digest(),
             "result": encode_result(summary),

@@ -8,7 +8,9 @@ worker processes.  :class:`SystemSpec` combines a workload spec, a
 :class:`~repro.specs.structures.StructureSpec` into one frozen,
 picklable value that fully determines a simulation run.  Canonical JSON
 via :meth:`SystemSpec.to_json` is what telemetry hashes and embeds, so a
-run record carries everything needed to replay the run.
+run record carries everything needed to replay the run.  A spec is
+immutable, so its canonical JSON and :func:`spec_hash` are computed once
+and remembered on the spec itself.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Mapping, Optional
 
 from ..common.config import BASELINE_L2_LINE, CacheConfig, SystemConfig, baseline_system
@@ -132,7 +135,17 @@ class SystemSpec:
 
     def to_json(self) -> str:
         """Canonical JSON: key-sorted, minimal separators."""
+        return self._canonical_json
+
+    # Memoized in the instance ``__dict__`` (which a frozen dataclass
+    # still has): every field is immutable, so neither value can go stale.
+    @cached_property
+    def _canonical_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+
+    @cached_property
+    def _hash(self) -> str:
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SystemSpec":
@@ -169,6 +182,7 @@ def spec_hash(spec: SystemSpec) -> str:
 
     Unlike hashing ``repr(config)``, this is independent of field
     declaration order and Python version, and every spec field — trace,
-    geometry, structure options, side, warmup — perturbs it.
+    geometry, structure options, side, warmup — perturbs it.  Computed
+    once per spec object.
     """
-    return hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()[:16]
+    return spec._hash

@@ -8,9 +8,9 @@ round trips are *exact*: a decoded result compares equal to the
 original, which is what lets a warm store reproduce every output row
 bit-for-bit.
 
-Imports of the result types are deferred into the codec functions:
-``repro.experiments.engine`` imports the store, so importing engine
-types at module level here would close a cycle.
+Imports of the result types are deferred to the first codec call (and
+then remembered): ``repro.experiments.engine`` imports the store, so
+importing engine types at module level here would close a cycle.
 
 Only simulation results are storable; anything else is a ``TypeError``
 on encode and a miss on decode.
@@ -18,11 +18,13 @@ on encode and a miss on decode.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict
 
 __all__ = ["encode_result", "decode_result"]
 
 
+@lru_cache(maxsize=None)
 def _result_types() -> Dict[str, type]:
     from ..experiments.engine import LevelSummary
     from ..experiments.sweeps import EntrySweep, RunLengthSweep

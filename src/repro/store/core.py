@@ -23,6 +23,14 @@ Design points:
   wrong-schema entry is a *miss*, never a crash: :meth:`ResultStore.get`
   swallows decode errors and the engine recomputes (and rewrites) the
   point.
+* **A front tier for hot keys.**  Each store keeps the last
+  :data:`FRONT_TIER_ENTRIES` entries it read from disk in memory — the
+  small fully-associative buffer in front of the slower level — so a key
+  read again is answered without touching the disk.  Only successful
+  disk reads fill it (``put`` never does, and drops the key instead), it
+  re-checks the stored key like a disk read, and it holds each result in
+  its encoded form, decoding on every hit, so no caller ever shares a
+  mutable result object.  :meth:`ResultStore.clear` empties it.
 
 The active store is resolved from the ``REPRO_RESULT_STORE`` environment
 variable (or ``repro-experiments --result-store``, which sets it so
@@ -36,8 +44,11 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -63,6 +74,22 @@ class StoreWriteWarning(UserWarning):
 RESULT_SCHEMA_VERSION = 1
 
 ENV_RESULT_STORE = "REPRO_RESULT_STORE"
+
+#: Entries each store's in-memory front tier holds (least recently used go first).
+FRONT_TIER_ENTRIES = 1024
+
+#: Guards every store's front tier: the serve daemon's event loop, lookup
+#: threads and simulation threads all read through one store.
+_FRONT_LOCK = threading.Lock()
+
+if hasattr(os, "register_at_fork"):
+    # Hold the lock across a fork so an engine worker never starts with a
+    # copy some other thread held.
+    os.register_at_fork(
+        before=_FRONT_LOCK.acquire,
+        after_in_parent=_FRONT_LOCK.release,
+        after_in_child=_FRONT_LOCK.release,
+    )
 
 
 @dataclass(frozen=True)
@@ -90,6 +117,11 @@ class ResultKey:
         }
 
     def digest(self) -> str:
+        """The entry's file name; computed once per key object."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         payload = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
@@ -129,6 +161,9 @@ class ResultStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self._warned_write = False
+        #: The front tier: digest -> (stored key, encoded result, entry
+        #: bytes), least recently used first.
+        self._front: "OrderedDict[str, Tuple[Dict, Dict, int]]" = OrderedDict()
 
     # -- paths ----------------------------------------------------------------
 
@@ -144,10 +179,16 @@ class ResultStore:
     def get(self, key: ResultKey) -> Tuple[Optional[object], int]:
         """``(result, bytes_read)`` for a key, or ``(None, 0)`` on a miss.
 
-        *Any* failure — missing file, truncated JSON, schema mismatch,
-        unknown result type, wrong field types — degrades to a miss so a
-        damaged store can only cost recomputation, never correctness.
+        The front tier answers first (``bytes_read`` is then the size of
+        the entry it holds); otherwise the entry file is read, and a
+        good one joins the front tier.  *Any* failure — missing file,
+        truncated JSON, schema mismatch, unknown result type, wrong field
+        types — degrades to a miss so a damaged store can only cost
+        recomputation, never correctness.
         """
+        cached, nbytes = self.peek(key)
+        if cached is not None:
+            return cached, nbytes
         path = self._entry_path(key)
         try:
             raw = path.read_bytes()
@@ -159,9 +200,29 @@ class ResultStore:
             if payload.get("key") != key.as_dict():
                 # Digest collision or tampered entry: treat as absent.
                 return None, 0
-            return decode_result(payload["result"]), len(raw)
+            result = decode_result(payload["result"])
         except (OSError, ValueError, KeyError, TypeError):
             return None, 0
+        digest = key.digest()
+        with _FRONT_LOCK:
+            self._front[digest] = (payload["key"], payload["result"], len(raw))
+            self._front.move_to_end(digest)
+            if len(self._front) > FRONT_TIER_ENTRIES:
+                self._front.popitem(last=False)
+        return result, len(raw)
+
+    def peek(self, key: ResultKey) -> Tuple[Optional[object], int]:
+        """:meth:`get` answered by the front tier alone: never touches the disk."""
+        digest = key.digest()
+        with _FRONT_LOCK:
+            entry = self._front.get(digest)
+            if entry is None:
+                return None, 0
+            self._front.move_to_end(digest)
+        stored_key, encoded, nbytes = entry
+        if stored_key != key.as_dict():
+            return None, 0
+        return decode_result(encoded), nbytes
 
     def put(self, key: ResultKey, result: object) -> None:
         """Insert (or overwrite) one result atomically.
@@ -183,6 +244,9 @@ class ResultStore:
             "key": key.as_dict(),
             "result": encode_result(result),
         }
+        # The next get reads what this put wrote.
+        with _FRONT_LOCK:
+            self._front.pop(key.digest(), None)
         try:
             path = self._entry_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -270,7 +334,10 @@ class ResultStore:
         return removed
 
     def clear(self) -> int:
-        """Remove every entry, current schema included; return count."""
+        """Remove every entry, current schema included, and empty the
+        front tier; return the count of files removed."""
+        with _FRONT_LOCK:
+            self._front.clear()
         removed = 0
         for path, _ in self._iter_entries():
             path.unlink(missing_ok=True)

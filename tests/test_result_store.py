@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
+import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,14 @@ def sim_counter(monkeypatch):
 def level_job(name="ccom", side="d"):
     trace = materialized_trace(name, SCALE)
     return LevelJob(SystemSpec.for_level(trace, CacheConfig(4096, 16), side=side))
+
+
+def count_file_reads(monkeypatch):
+    """Paths read through ``Path.read_bytes`` from now on."""
+    reads = []
+    real_read = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or real_read(path))
+    return reads
 
 
 class TestResultKey:
@@ -211,6 +222,128 @@ class TestCorruptionTolerance:
         assert store.get(key) == (None, 0)
 
 
+class TestFrontTier:
+    """The in-memory tier in front of the entry files."""
+
+    RESULTS = {
+        "level": LevelSummary(100, 10, 2, 8),
+        "entry": EntrySweep(total_misses=50, conflict_misses=20, hits_by_entries=[0, 3, 5]),
+        "system": MemorySystem().run([(0, 0), (1, 64), (2, 64), (0, 4096)]),
+    }
+
+    @staticmethod
+    def key(index):
+        return ResultKey("LevelJob", f"s{index}", "t", {})
+
+    def test_hit_reads_no_file_and_reports_entry_size(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        store.put(self.key(0), self.RESULTS["level"])
+        first = store.get(self.key(0))
+        reads = count_file_reads(monkeypatch)
+        assert store.get(self.key(0)) == first
+        assert reads == []
+        assert first[1] > 0
+
+    def test_size_cap_holds(self, tmp_path, monkeypatch):
+        import repro.store.core as core
+
+        monkeypatch.setattr(core, "FRONT_TIER_ENTRIES", 3)
+        store = ResultStore(tmp_path)
+        for index in range(5):
+            store.put(self.key(index), self.RESULTS["level"])
+            store.get(self.key(index))
+        hot = [store.peek(self.key(index))[0] is not None for index in range(5)]
+        assert hot == [False, False, True, True, True]
+        # A get moves its key to the front; the next fill evicts the oldest.
+        store.get(self.key(2))
+        store.get(self.key(0))
+        assert store.peek(self.key(3)) == (None, 0)
+        assert store.peek(self.key(2))[0] is not None
+
+    @pytest.mark.parametrize("kind", ["entry", "system"])
+    def test_mutating_a_result_does_not_change_the_next_get(self, tmp_path, kind):
+        store = ResultStore(tmp_path)
+        original = self.RESULTS[kind]
+        store.put(self.key(0), original)
+        for _ in range(2):  # from the disk, then from the front tier
+            result, _ = store.get(self.key(0))
+            assert result == original
+            if kind == "entry":
+                result.hits_by_entries.append(99)
+                result.total_misses += 1
+            else:
+                result.dstats.accesses += 1
+                result.l2stats.demand_misses += 1
+        assert store.get(self.key(0))[0] == original
+
+    def test_clear_empties_it(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(self.key(0), self.RESULTS["level"])
+        store.get(self.key(0))
+        assert store.clear() == 1
+        assert store.peek(self.key(0)) == (None, 0)
+        assert store.get(self.key(0)) == (None, 0)
+
+    def test_schema_bump_misses(self, tmp_path, monkeypatch):
+        import repro.store.core as core
+
+        store = ResultStore(tmp_path)
+        key = self.key(0)
+        store.put(key, self.RESULTS["level"])
+        assert store.get(key)[0] is not None
+        monkeypatch.setattr(core, "RESULT_SCHEMA_VERSION", RESULT_SCHEMA_VERSION + 1)
+        assert store.peek(key) == (None, 0)
+        assert store.get(key) == (None, 0)
+
+    def test_put_does_not_fill_it(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        store.put(self.key(0), self.RESULTS["level"])
+        assert store.peek(self.key(0)) == (None, 0)
+        reads = count_file_reads(monkeypatch)
+        assert store.get(self.key(0))[0] == self.RESULTS["level"]
+        assert len(reads) == 1
+        # A put over a hot key drops it: the next get reads what was written.
+        store.put(self.key(0), self.RESULTS["entry"])
+        assert store.peek(self.key(0)) == (None, 0)
+        assert store.get(self.key(0))[0] == self.RESULTS["entry"]
+
+    def test_threads_share_it_through_evictions(self, tmp_path, monkeypatch):
+        import sys
+
+        import repro.store.core as core
+
+        monkeypatch.setattr(core, "FRONT_TIER_ENTRIES", 4)
+        store = ResultStore(tmp_path)
+        expected = {}
+        for index in range(16):
+            expected[index] = LevelSummary(100 + index, 10, 2, 8)
+            store.put(self.key(index), expected[index])
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    index = rng.randrange(16)
+                    assert store.get(self.key(index))[0] == expected[index]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store._front) == 4
+
+
 class TestWarmRunsAreZeroSim:
     def test_warm_batch_runs_no_simulations(self, store, sim_counter):
         jobs = [level_job("ccom"), level_job("ccom", side="i"), level_job("liver")]
@@ -263,6 +396,14 @@ class TestWarmRunsAreZeroSim:
         assert scope.sections["store"]["misses"] == 0
         assert scope.system_runs == 0
         assert warm == cold
+
+    def test_second_warm_batch_reads_no_store_file(self, store, monkeypatch):
+        jobs = [level_job("ccom"), level_job("ccom", side="i"), level_job("liver")]
+        cold = run_jobs(jobs)
+        assert run_jobs(jobs) == cold  # reads every entry from disk once
+        reads = count_file_reads(monkeypatch)
+        assert run_jobs(jobs) == cold
+        assert reads == []
 
     def test_store_off_by_default(self, no_store, sim_counter):
         job = level_job()

@@ -712,6 +712,115 @@ class TestOneAdvisePath:
         serve_test(check, store_probe_interval=60.0)
 
 
+class TestHotKeys:
+    """A key read once from disk is answered from memory on the event loop."""
+
+    @staticmethod
+    def warm(service, payload):
+        """Store SUMMARY under *payload*'s key (the front tier stays empty)."""
+        _, key, _ = service._lookup(service_mod.parse_query(payload).spec)
+        service.store.put(key, SUMMARY)
+        return key
+
+    @staticmethod
+    def count_submits(service, monkeypatch):
+        submits = []
+        real_submit = service._lookup_pool.submit
+        monkeypatch.setattr(
+            service._lookup_pool, "submit",
+            lambda fn, *args: submits.append(fn) or real_submit(fn, *args),
+        )
+        return submits
+
+    def test_warm_advise_hashes_a_fresh_spec_once(self, store, fake_engine, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.specs import system as system_mod
+
+        hashes = []
+        real_sha256 = system_mod.hashlib.sha256
+
+        async def check(daemon):
+            service = daemon.service
+            self.warm(service, query(warmup=3))
+            monkeypatch.setattr(system_mod, "hashlib", SimpleNamespace(
+                sha256=lambda data: hashes.append(data) or real_sha256(data)
+            ))
+            # The first warm advise reads the disk, the second the front tier.
+            for expected in (1, 2):
+                body = await service.advise(service_mod.parse_query(query(warmup=3)))
+                assert body["served_from"] == "store"
+                assert len(hashes) == expected
+
+        serve_test(check)
+        assert fake_engine.calls == 0
+
+    def test_hot_key_skips_the_lookup_pool(self, store, fake_engine, monkeypatch):
+        async def check(daemon):
+            service = daemon.service
+            key = self.warm(service, query(warmup=3))
+            submits = self.count_submits(service, monkeypatch)
+            first = await service.advise(service_mod.parse_query(query(warmup=3)))
+            assert len(submits) == 1  # a disk read: on the lookup pool
+            second = await service.advise(service_mod.parse_query(query(warmup=3)))
+            assert len(submits) == 1  # hot: answered on the loop
+            assert first == second
+            assert second["served_from"] == "store"
+            assert second["spec_hash"] == key.spec_hash
+            assert second["key_digest"] == key.digest()
+            assert service.counters["requests"] == 2
+            assert service.counters["warm_hits"] == 2
+            fresh = await service.advise(service_mod.parse_query(query(warmup=4)))
+            assert fresh["served_from"] == "simulated"
+            assert len(submits) == 2  # a first-sight key still goes to the pool
+
+        serve_test(check)
+
+    def test_degraded_store_skips_the_front_tier(self, store, fake_engine, monkeypatch):
+        async def check(daemon):
+            service = daemon.service
+            self.warm(service, query(warmup=3))
+            await service.advise(service_mod.parse_query(query(warmup=3)))  # fills it
+            service.guarded_store._note_failure("read", OSError("disk gone"))
+            submits = self.count_submits(service, monkeypatch)
+            body = await service.advise(service_mod.parse_query(query(warmup=3)))
+            assert body["served_from"] == "simulated"
+            assert len(submits) == 1
+            assert fake_engine.calls == 1
+            assert service.counters["degraded_serves"] == 1
+
+        with pytest.warns(service_mod.StoreDegradedWarning):
+            serve_test(check, store_probe_interval=60.0)
+
+    def test_store_read_fail_fires_on_a_front_tier_hit(self, store, fake_engine, fault_plan):
+        async def check(daemon):
+            service = daemon.service
+            key = self.warm(service, query(warmup=3))
+            await service.advise(service_mod.parse_query(query(warmup=3)))  # fills it
+            assert service.store.peek(key)[0] == SUMMARY
+            fault_plan("store_read_fail@0")
+            with pytest.warns(service_mod.StoreDegradedWarning):
+                body = await service.advise(service_mod.parse_query(query(warmup=3)))
+            assert body["served_from"] == "simulated"
+            assert service.counters["store_errors"] == 1
+            assert service.store_state == "degraded"
+
+        serve_test(check, store_probe_interval=60.0)
+
+    def test_hot_stream_is_accepted_then_result(self, store, fake_engine, monkeypatch):
+        async def check(daemon):
+            self.warm(daemon.service, query(warmup=3))
+            await advise(daemon, query(warmup=3))  # fills the front tier
+            submits = self.count_submits(daemon.service, monkeypatch)
+            status, events = await stream(daemon, query(warmup=3))
+            assert status == 200
+            assert [event["event"] for event in events] == ["accepted", "result"]
+            assert events[0]["served_from"] == events[-1]["served_from"] == "store"
+            assert submits == []
+
+        serve_test(check)
+
+
 class TestStatsAndMetrics:
     def test_stats_payload_shape(self, store):
         async def check(daemon):
