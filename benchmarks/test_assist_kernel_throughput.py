@@ -34,7 +34,6 @@ from repro.specs.structures import (
 pytest.importorskip("numpy")
 
 from repro.kernels.assist import entry_sweep, simulate_assist_level  # noqa: E402
-from repro.kernels.numpy_backend import stream_array  # noqa: E402
 
 CONFIG = CacheConfig(4096, 16)
 MAX_ENTRIES = 15
@@ -57,7 +56,7 @@ def dstream(mixed_trace):
 
 @pytest.fixture(scope="module")
 def dstream_array(mixed_trace):
-    return stream_array(mixed_trace, "d")
+    return mixed_trace.stream_array("d")
 
 
 def _python(spec, dstream):

@@ -4,12 +4,10 @@ Not a paper artifact — these track the cost of the simulator itself
 (references per second through each cache model and the full system),
 so regressions in the hot paths show up in the benchmark report.
 
-The trace-delivery pair (``packed_trace`` vs ``list_trace``) measures
-the parallel engine's per-worker unit of work — receive one serialized
-trace, then replay it once — for the packed array representation
-against the legacy list of tuples.  Packed buffers serialize as two
-contiguous blocks instead of one object per reference, which is where
-the engine's worker warm-up time goes.
+``packed_trace_delivery_replay`` measures the parallel engine's
+per-worker unit of work — receive one serialized trace, then replay it
+once.  A materialized trace serializes as two contiguous buffers, which
+is where the engine's worker warm-up time goes.
 """
 
 import pickle
@@ -140,19 +138,11 @@ def _deliver_and_replay(trace) -> int:
 
 
 def test_packed_trace_delivery_replay(benchmark, mixed_trace):
-    # mixed_trace is a PackedTrace (materialize() packs by default); a
-    # fresh instance keeps lazy caches empty so only the buffers ship.
-    packed = type(mixed_trace)(mixed_trace.meta, mixed_trace._kinds, mixed_trace._addresses)
+    # A fresh instance keeps lazy caches empty so only the buffers ship.
+    packed = MaterializedTrace(mixed_trace.meta, mixed_trace._kinds, mixed_trace._addresses)
     assert benchmark.pedantic(
         lambda: _deliver_and_replay(packed), rounds=3, iterations=1
     ) == len(packed)
-
-
-def test_list_trace_delivery_replay(benchmark, mixed_trace):
-    listed = MaterializedTrace(mixed_trace.meta, list(mixed_trace))
-    assert benchmark.pedantic(
-        lambda: _deliver_and_replay(listed), rounds=3, iterations=1
-    ) == len(listed)
 
 
 def test_result_store_hit_throughput(benchmark, tmp_path):

@@ -23,7 +23,6 @@ pytest.importorskip("numpy")
 from repro.kernels.numpy_backend import (  # noqa: E402  (needs numpy)
     simulate_level,
     simulate_system,
-    stream_array,
 )
 
 CONFIG = CacheConfig(4096, 16)
@@ -41,7 +40,7 @@ def dstream(mixed_trace):
 
 @pytest.fixture(scope="module")
 def dstream_array(mixed_trace):
-    return stream_array(mixed_trace, "d")
+    return mixed_trace.stream_array("d")
 
 
 def test_direct_mapped_whole_trace_python(benchmark, dstream):
@@ -88,4 +87,4 @@ def test_full_system_numpy(benchmark, mixed_trace):
     run = benchmark.pedantic(
         lambda: simulate_system(mixed_trace), rounds=3, iterations=1
     )
-    assert run.result.l2stats.as_dict() == reference.l2stats.as_dict()
+    assert run.l2stats.as_dict() == reference.l2stats.as_dict()

@@ -145,5 +145,12 @@ class SystemConfig:
 
 
 def baseline_system() -> SystemConfig:
-    """The exact baseline parameters assumed throughout the paper."""
-    return SystemConfig()
+    """The exact baseline parameters assumed throughout the paper.
+
+    One shared value per process: the config is frozen all the way down,
+    so callers derive variants with ``dataclasses.replace``.
+    """
+    return _BASELINE
+
+
+_BASELINE = SystemConfig()

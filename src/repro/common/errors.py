@@ -7,7 +7,13 @@ can catch one base class; configuration mistakes additionally derive from
 
 from __future__ import annotations
 
-__all__ = ["ReproError", "ConfigurationError", "TraceFormatError", "UnknownWorkloadError"]
+__all__ = [
+    "ReproError",
+    "ConfigurationError",
+    "TraceFormatError",
+    "AddressRangeError",
+    "UnknownWorkloadError",
+]
 
 
 class ReproError(Exception):
@@ -20,6 +26,14 @@ class ConfigurationError(ReproError, ValueError):
 
 class TraceFormatError(ReproError):
     """A trace file or stream could not be decoded."""
+
+
+class AddressRangeError(TraceFormatError, ValueError):
+    """A reference address outside the range its consumer can hold.
+
+    Traces hold addresses in ``[0, 2**64)``; the numpy kernels, which
+    compute over int64 views, hold ``[0, 2**63)``.
+    """
 
 
 class UnknownWorkloadError(ReproError, KeyError):

@@ -543,17 +543,9 @@ def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
 
     if not trace_keys or multiprocessing.get_start_method() == "fork":
         return None, (), [], None
-    from ..traces.packed import PackedTrace, share_packed_traces
+    from ..traces.packed import share_packed_traces
 
-    entries = []
-    for key in trace_keys:
-        trace = key.trace()
-        if not isinstance(trace, PackedTrace):
-            return (
-                None, (), [],
-                f"trace {key.label!r} is not packed; workers build traces on demand",
-            )
-        entries.append((key, trace))
+    entries = [(key, key.trace()) for key in trace_keys]
     try:
         descriptors, segments = share_packed_traces(entries)
     except Exception as exc:

@@ -112,10 +112,10 @@ def _rates(pairs) -> Tuple[float, float]:
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
     traces = traces if traces is not None else suite(scale, seed)
     user = next(t for t in traces if t.name == "ccom")
-    pure_i, pure_d = _rates(user.pairs)
+    pure_i, pure_d = _rates(user)
     rows = []
     for interval in INTERVALS:
-        mixed = inject_interrupts(user.pairs, interval, seed)
+        mixed = inject_interrupts(user, interval, seed)
         i_rate, d_rate = _rates(mixed)
         ilevel, dlevel = _run_split(mixed)
         removed = ilevel.stats.removed_misses + dlevel.stats.removed_misses

@@ -68,7 +68,6 @@ from .numpy_backend import (
     classify_misses,
     direct_mapped_occupants,
     prev_occurrence,
-    stream_array,
     KernelLevelResult,
 )
 
@@ -418,7 +417,7 @@ def simulate_assist_summary(system):
 
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
-    addresses = stream_array(system.trace.trace(), system.side)
+    addresses = system.trace.trace().stream_array(system.side)
     run = simulate_assist_level(
         addresses,
         system.cache_config,
@@ -506,7 +505,7 @@ def _observed(system, sweep_fn, *args):
     """Run one sweep body over a spec point, observed like a level run."""
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
-    addresses = stream_array(system.trace.trace(), system.side)
+    addresses = system.trace.trace().stream_array(system.side)
     sweep, stats = sweep_fn(addresses, system.cache_config, *args)
     if scope is not None:
         scope.observe_level_run(stats, perf_counter() - started)

@@ -19,6 +19,13 @@ in a handful of whole-trace array passes instead:
   rank-counting problem solved level-by-level over a merge tree with
   ``np.searchsorted`` (:func:`_rank_left_leq`) in O(n log n).
 
+Kernels read a materialized trace through its cached zero-copy views
+(:meth:`~repro.traces.trace.MaterializedTrace.stream_array` and
+:meth:`~repro.traces.trace.MaterializedTrace.as_arrays`), which are int64:
+a trace holding an address of 2**63 or more raises
+:class:`~repro.common.errors.AddressRangeError` there instead of
+reaching a kernel as wrapped negative lines.
+
 Equivalence with the interpreter — every counter of
 :class:`~repro.hierarchy.level.LevelStats`, every classification bucket,
 warm-up semantics included — is pinned by ``tests/test_kernels.py``.
@@ -42,7 +49,6 @@ from ..hierarchy.system import L2Stats, SystemResult
 from ..telemetry.core import current as _telemetry_scope
 
 __all__ = [
-    "stream_array",
     "direct_mapped_hit_mask",
     "direct_mapped_occupants",
     "prev_occurrence",
@@ -55,33 +61,6 @@ __all__ = [
 ]
 
 _INT64 = np.int64
-
-
-# -- array views --------------------------------------------------------------
-
-
-def stream_array(trace, side: str) -> np.ndarray:
-    """One side's byte addresses as an int64 array.
-
-    Packed traces expose cached zero-copy views
-    (:meth:`~repro.traces.packed.PackedTrace.stream_array`); anything
-    else pays one conversion from its list stream.
-    """
-    getter = getattr(trace, "stream_array", None)
-    if getter is not None:
-        return getter(side)
-    return np.asarray(trace.stream(side), dtype=_INT64)
-
-
-def _trace_arrays(trace) -> Tuple[np.ndarray, np.ndarray]:
-    """A materialized trace's (kinds, addresses) as arrays."""
-    getter = getattr(trace, "as_arrays", None)
-    if getter is not None:
-        return getter()
-    n = len(trace)
-    kinds = np.fromiter((kind for kind, _ in trace), dtype=np.int8, count=n)
-    addresses = np.fromiter((addr for _, addr in trace), dtype=_INT64, count=n)
-    return kinds, addresses
 
 
 def _index_dtype(num_lines: int):
@@ -386,7 +365,7 @@ def simulate_level_summary(system):
 
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
-    addresses = stream_array(system.trace.trace(), system.side)
+    addresses = system.trace.trace().stream_array(system.side)
     run = simulate_level(
         addresses, system.cache_config, classify=system.classify, warmup=system.warmup
     )
@@ -421,7 +400,7 @@ def simulate_system(
     config = config if config is not None else baseline_system()
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
-    kinds, addresses = _trace_arrays(trace)
+    kinds, addresses = trace.as_arrays()
     is_ifetch = kinds == int(AccessKind.IFETCH)
 
     ilines = addresses[is_ifetch] >> config.icache.offset_bits

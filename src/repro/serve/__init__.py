@@ -7,11 +7,12 @@ an asyncio HTTP/JSON daemon (:mod:`repro.serve.daemon`) keyed by
 cold keys into single :mod:`engine <repro.experiments.engine>` jobs,
 with admission control and streamed progress heartbeats.  See
 ``docs/API.md`` ("Serving") for the endpoint and schema reference.
+The load generator lives in :mod:`repro.serve.loadgen` and is not
+re-exported here, so ``python -m repro.serve.loadgen`` starts cleanly.
 """
 
 from .breaker import CircuitBreaker
 from .daemon import CacheAdvisorDaemon, ServeConfig
-from .loadgen import LoadReport, percentiles, run_loadgen
 from .service import (
     AdviseError,
     AdviseQuery,
@@ -43,7 +44,4 @@ __all__ = [
     "UpstreamError",
     "SERVING_COUNTERS",
     "parse_query",
-    "LoadReport",
-    "run_loadgen",
-    "percentiles",
 ]

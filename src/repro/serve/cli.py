@@ -11,7 +11,7 @@ Usage::
 
 The daemon requires a result store — it *is* the warm path — so either
 ``--result-store DIR`` or ``$REPRO_RESULT_STORE`` must name one;
-``--jobs``, ``--job-timeout``, ``--retries``, and ``--backend`` travel
+``--job-timeout``, ``--retries``, and ``--backend`` travel
 through the same environment variables as ``repro-experiments`` so
 engine code behaves identically under the daemon, and
 ``--request-deadline`` defaults from ``$REPRO_REQUEST_DEADLINE`` the
@@ -130,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max distinct cold simulations in flight before 429 (default: 4)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="engine worker processes per simulation (default: REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
         "--heartbeat", type=float, default=1.0,
         help="seconds between streamed heartbeats (default: 1.0)",
     )
@@ -196,7 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ENV_JOB_TIMEOUT,
         ENV_RETRIES,
         validate_job_timeout,
-        validate_jobs,
         validate_retries,
     )
 
@@ -204,7 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         port = validate_port(args.port)
         max_inflight = validate_max_inflight(args.max_inflight)
         heartbeat = validate_heartbeat(args.heartbeat)
-        jobs = validate_jobs(args.jobs)
         job_timeout = validate_job_timeout(args.job_timeout)
         retries = validate_retries(args.retries)
         backend = None if args.backend is None else validate_backend(args.backend)
@@ -239,7 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         host=args.host,
         port=port,
         max_inflight=max_inflight,
-        jobs=jobs,
         heartbeat=heartbeat,
         request_deadline=request_deadline,
         drain_deadline=drain_deadline,

@@ -72,8 +72,6 @@ class ServeConfig:
     port: int = 0
     #: Bound on distinct cold keys simulating concurrently.
     max_inflight: int = 4
-    #: Worker processes per engine batch (1 = inline in the sim thread).
-    jobs: int = 1
     #: Seconds between streamed heartbeats.
     heartbeat: float = 1.0
     #: Seconds an idle keep-alive connection may sit between requests
@@ -112,7 +110,6 @@ class CacheAdvisorDaemon:
         self.service = AdvisorService(
             store=store,
             max_inflight=config.max_inflight,
-            jobs=config.jobs,
             heartbeat=config.heartbeat,
             request_deadline=config.request_deadline,
             breaker=breaker,
@@ -147,7 +144,7 @@ class CacheAdvisorDaemon:
         assert self._server is not None, "start() must run first"
         print(
             f"repro-serve listening on http://{self.config.host}:{self.port} "
-            f"(max_inflight={self.config.max_inflight}, jobs={self.config.jobs})",
+            f"(max_inflight={self.config.max_inflight})",
             file=sys.stderr,
             flush=True,
         )
@@ -216,7 +213,7 @@ class CacheAdvisorDaemon:
             run="serve",
             config=baseline_system(),
             wall_time_s=time.perf_counter() - self._started,
-            jobs=self.config.jobs,
+            jobs=1,
             spec=SystemSpec(trace=None, config=baseline_system()),
         )
         append_record(path, record)
@@ -345,7 +342,6 @@ class CacheAdvisorDaemon:
             "serving": dict(self.service.counters),
             "inflight": self.service.inflight,
             "max_inflight": self.service.max_inflight,
-            "jobs": self.service.jobs,
             "retry_after_hint_s": round(self.service.retry_after, 3),
             "uptime_s": round(time.perf_counter() - self._started, 3),
             "store_root": str(self.service.store.root),

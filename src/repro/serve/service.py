@@ -77,6 +77,7 @@ from ..experiments.engine import (
 )
 from ..experiments.faults import InjectedFault, ServeFaults
 from ..experiments.workloads import known_fingerprint
+from ..kernels import NUMPY, select_backend
 from .breaker import CircuitBreaker
 
 __all__ = [
@@ -428,7 +429,6 @@ class AdvisorService:
         self,
         store: Optional[ResultStore] = None,
         max_inflight: int = 4,
-        jobs: int = 1,
         heartbeat: float = 1.0,
         resilience: Optional[ResilienceOptions] = None,
         request_deadline: Optional[float] = None,
@@ -449,7 +449,6 @@ class AdvisorService:
             )
         self.store = store
         self.max_inflight = max_inflight
-        self.jobs = max(1, jobs)
         self.heartbeat = heartbeat
         self.resilience = resolve_resilience(resilience)
         #: Server-side ceiling on every request's deadline budget (s).
@@ -682,12 +681,18 @@ class AdvisorService:
         workload is referenced — the fingerprint half of the key needs
         the content.  The store probe goes through the degraded-mode
         guard: a failing store answers "miss" and the query is served
-        from the engine instead.
+        from the engine instead.  A miss bound for the numpy kernels
+        touches the trace's int64 views here, so a trace they cannot
+        hold (an address of 2**63 or more) is refused as a bad request
+        instead of failing in the engine and counting against the
+        circuit breaker.
         """
         job = LevelJob(spec)
         key = _store_key(job)
         assert key is not None  # LevelJob with a workload spec is always keyable
         cached, _nbytes = self.guarded_store.get(key)
+        if cached is None and select_backend(spec) == NUMPY:
+            spec.trace.trace().as_arrays()
         return job, key, cached
 
     def _attach_or_dispatch(self, job: LevelJob, key):
@@ -764,7 +769,7 @@ class AdvisorService:
                 raise InjectedFault("injected reject_sim: cold dispatch refused")
             summary = run_jobs(
                 [job],
-                jobs=self.jobs,
+                jobs=1,
                 progress=_progress,
                 heartbeat=self.heartbeat,
                 resilience=self.resilience,

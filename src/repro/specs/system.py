@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Mapping, Optional
 
 from ..common.config import BASELINE_L2_LINE, CacheConfig, SystemConfig, baseline_system
@@ -96,16 +96,9 @@ class SystemSpec:
             structure if structure is None or isinstance(structure, StructureSpec)
             else describe(structure)
         )
-        base = baseline_system()
-        config = replace(
-            base,
-            icache=cache_config,
-            dcache=cache_config,
-            l2=base.l2.with_line_size(max(BASELINE_L2_LINE, cache_config.line_size)),
-        )
         return cls(
             trace=_trace_spec(trace),
-            config=config,
+            config=_level_config(cache_config),
             structure=structure_spec,
             side=side,
             warmup=warmup,
@@ -163,6 +156,18 @@ class SystemSpec:
     @classmethod
     def from_json(cls, text: str) -> "SystemSpec":
         return cls.from_dict(json.loads(text))
+
+
+@lru_cache(maxsize=64)
+def _level_config(cache_config: CacheConfig) -> SystemConfig:
+    """The baseline with both L1s set to *cache_config*, one value per geometry."""
+    base = baseline_system()
+    return replace(
+        base,
+        icache=cache_config,
+        dcache=cache_config,
+        l2=base.l2.with_line_size(max(BASELINE_L2_LINE, cache_config.line_size)),
+    )
 
 
 def _trace_spec(trace) -> WorkloadSpec:

@@ -106,6 +106,11 @@ def _positive_int(kind: str, name: str, value) -> None:
         raise SpecError(f"{kind} spec: {name} must be a positive integer, got {value!r}")
 
 
+def _base_address(kind: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SpecError(f"{kind} spec: base must be a non-negative integer, got {value!r}")
+
+
 def _fraction(kind: str, name: str, value) -> None:
     if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
         raise SpecError(f"{kind} spec: {name} must be in [0, 1], got {value!r}")
@@ -420,6 +425,7 @@ class SequentialSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _positive_int(self.kind, "length", self.length)
+        _base_address(self.kind, self.base)
         _positive_int(self.kind, "extent", self.extent)
         _positive_int(self.kind, "stride", self.stride)
         _fraction(self.kind, "store_fraction", self.store_fraction)
@@ -446,6 +452,7 @@ class UniformRandomSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _positive_int(self.kind, "length", self.length)
+        _base_address(self.kind, self.base)
         _positive_int(self.kind, "working_set", self.working_set)
         _positive_int(self.kind, "granule", self.granule)
         _fraction(self.kind, "store_fraction", self.store_fraction)
@@ -481,6 +488,7 @@ class ZipfianSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _positive_int(self.kind, "length", self.length)
+        _base_address(self.kind, self.base)
         _positive_int(self.kind, "keys", self.keys)
         _positive_int(self.kind, "granule", self.granule)
         _fraction(self.kind, "store_fraction", self.store_fraction)
@@ -524,6 +532,7 @@ class HotspotSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _positive_int(self.kind, "length", self.length)
+        _base_address(self.kind, self.base)
         _positive_int(self.kind, "working_set", self.working_set)
         _positive_int(self.kind, "granule", self.granule)
         _fraction(self.kind, "hot_fraction", self.hot_fraction)
@@ -576,6 +585,7 @@ class BurstySpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _positive_int(self.kind, "length", self.length)
+        _base_address(self.kind, self.base)
         _positive_int(self.kind, "working_set", self.working_set)
         _positive_int(self.kind, "region", self.region)
         _positive_int(self.kind, "burst_bytes", self.burst_bytes)
@@ -617,6 +627,7 @@ class PointerChaseSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _positive_int(self.kind, "length", self.length)
+        _base_address(self.kind, self.base)
         _positive_int(self.kind, "nodes", self.nodes)
         _positive_int(self.kind, "node_size", self.node_size)
         _positive_int(self.kind, "fields_per_visit", self.fields_per_visit)

@@ -17,7 +17,6 @@ from .registry import (
     get_workload,
     list_workloads,
 )
-from .packed import PackedTrace
 from .synthetic import CustomWorkload
 from .trace import MaterializedTrace, Trace, TraceMeta, TraceStats, trace_from_pairs
 
@@ -27,7 +26,6 @@ __all__ = [
     "TraceMeta",
     "TraceStats",
     "MaterializedTrace",
-    "PackedTrace",
     "trace_from_pairs",
     "BENCHMARK_NAMES",
     "DEFAULT_SCALE",

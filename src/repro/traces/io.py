@@ -7,12 +7,15 @@ Two interchange formats are supported:
   classic "din" input format of Dinero-family cache simulators, chosen so
   traces can be exchanged with other tools and inspected by eye.
 * **Binary**: a fixed 12-byte little-endian record ``<B3xQ`` (kind byte,
-  3 pad bytes, 64-bit address) behind an 8-byte magic header; about 5x
-  smaller and much faster to load than text.
+  3 pad bytes, unsigned 64-bit address) behind an 8-byte magic header;
+  about 5x smaller and much faster to load than text.
 
 Both writers accept any iterable of ``(kind, address)`` pairs, and both
-readers yield pairs, so they compose directly with
-:class:`~repro.traces.trace.MaterializedTrace`.
+readers yield pairs.  :func:`load_trace` packs them into a
+:class:`~repro.traces.trace.MaterializedTrace`, whose unsigned 64-bit
+address buffer holds exactly what the binary format stores; a text
+address of 2**64 or more raises
+:class:`~repro.common.errors.AddressRangeError` on load.
 """
 
 from __future__ import annotations

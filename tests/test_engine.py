@@ -67,7 +67,7 @@ class TestTraceKey:
             key = WorkloadSpec.of(trace)
             assert isinstance(key, NamedWorkloadSpec)
             assert key.name == trace.name
-            assert key.trace().pairs == trace.pairs
+            assert list(key.trace()) == list(trace)
 
     def test_of_handmade_trace_is_none(self):
         trace = trace_from_pairs("toy", [(0, 0), (1, 16)])

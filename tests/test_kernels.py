@@ -76,14 +76,14 @@ def qualifying_spec(**overrides) -> SystemSpec:
 @pytest.mark.parametrize("side", ["i", "d"])
 def test_named_trace_level_equivalence(name, side):
     """Identical stats and 3C totals on every named workload, both sides."""
-    from repro.kernels.numpy_backend import simulate_level, stream_array
+    from repro.kernels.numpy_backend import simulate_level
 
     trace = build_trace(name, 3000).materialize()
     config = CacheConfig(4096, 16)
     addresses = trace.stream(side)
     reference = run_level(addresses, config, classify=True, warmup=500)
     kernel = simulate_level(
-        stream_array(trace, side), config, classify=True, warmup=500
+        trace.stream_array(side), config, classify=True, warmup=500
     )
     assert kernel.stats.as_dict() == reference.stats.as_dict()
     assert kernel.classification == reference.classifier.summary()

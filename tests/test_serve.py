@@ -10,7 +10,12 @@ small loadgen round trip use the real engine at a tiny scale.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +90,10 @@ def serve_test(coro_fn, **config):
             return await coro_fn(daemon)
         finally:
             await daemon.aclose()
+            # Join sim threads still running an abandoned job (a slow_sim
+            # sleep outlives its request's deadline): their late run_jobs
+            # call would otherwise land in the next test's fake engine.
+            daemon.service._sim_pool.shutdown(wait=True)
 
     return asyncio.run(runner())
 
@@ -171,6 +180,47 @@ class TestRoutes:
             assert "unknown workload" in body["error"]
             # KeyError repr quotes must not leak into the message.
             assert not body["error"].startswith('"')
+
+        serve_test(check)
+
+    def test_negative_base_is_400(self, store):
+        async def check(daemon):
+            status, _, body = await advise(
+                daemon, query(trace={"kind": "sequential", "length": 64, "base": -16})
+            )
+            assert status == 400 and "base" in body["error"]
+
+        serve_test(check)
+
+    def test_high_base_is_400(self, store, monkeypatch):
+        """A trace the numpy kernels cannot hold (an address of 2**63 or
+        more) is refused while the query is keyed: a 400, no engine
+        run, and no failure counted against the circuit breaker."""
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        calls = []
+        monkeypatch.setattr(service_mod, "run_jobs", lambda *a, **k: calls.append(a))
+
+        async def check(daemon):
+            high = query(trace={"kind": "sequential", "length": 64, "base": 2**63})
+            for _ in range(daemon.service.breaker.threshold + 1):
+                status, _, body = await advise(daemon, high)
+                assert status == 400 and "2**63" in body["error"]
+            assert calls == []
+            breaker = daemon.service.breaker_payload()
+            assert breaker["state"] == "closed" and breaker["recent_failures"] == 0
+            assert daemon.service.counters["failed"] == 0
+
+        serve_test(check)
+
+    def test_high_base_replays_on_python(self, store, monkeypatch):
+        """The interpreter holds the full unsigned range, so the same
+        query is answered on the python backend."""
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+
+        async def check(daemon):
+            high = query(trace={"kind": "sequential", "length": 64, "base": 2**63})
+            status, _, body = await advise(daemon, high)
+            assert status == 200, body
 
         serve_test(check)
 
@@ -712,6 +762,24 @@ class TestOneAdvisePath:
         serve_test(check, store_probe_interval=60.0)
 
 
+class TestParseQuery:
+    def test_shorthand_parse_builds_no_system_config(self, monkeypatch):
+        """The baseline is one shared value: after the first shorthand
+        query, parsing another constructs no ``SystemConfig``."""
+        from repro.common.config import SystemConfig
+
+        first = service_mod.parse_query(query())
+        built = []
+        original = SystemConfig.__post_init__
+        monkeypatch.setattr(
+            SystemConfig, "__post_init__", lambda self: (built.append(self), original(self))
+        )
+        second = service_mod.parse_query(query())
+        assert built == []
+        assert second.spec == first.spec
+        assert second.spec.config is first.spec.config
+
+
 class TestHotKeys:
     """A key read once from disk is answered from memory on the event loop."""
 
@@ -832,6 +900,7 @@ class TestStatsAndMetrics:
             assert stats["serving"]["requests"] == 1
             assert stats["serving"]["cold_misses"] == 1
             assert stats["max_inflight"] == 4
+            assert "jobs" not in stats
             assert stats["inflight"] == 0
             assert stats["retry_after_hint_s"] >= 1
             assert stats["store_root"] == str(daemon.service.store.root)
@@ -875,6 +944,27 @@ class TestCliValidation:
         monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
         assert serve_main(["--port", "0"]) == 2
         assert "result store" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert "jobs" not in {field.name for field in dataclasses.fields(ServeConfig)}
+
+    def test_loadgen_module_starts_without_runtime_warning(self):
+        """``python -m repro.serve.loadgen`` must not find itself already
+        imported by the ``repro.serve`` package (runpy's RuntimeWarning)."""
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.serve.loadgen",
+             "--help"],
+            capture_output=True, text=True, env=env, cwd=repo, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_loadgen_validation_exits_2(self, capsys):
         assert loadgen_main(["--port", "0"]) == 2

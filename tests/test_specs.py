@@ -347,7 +347,7 @@ class TestTraceSpec:
     def test_of_handmade_trace_is_none(self):
         from repro.traces.trace import MaterializedTrace, TraceMeta
 
-        trace = MaterializedTrace(TraceMeta(name="adhoc"), [(0, 0)])
+        trace = MaterializedTrace.from_pairs(TraceMeta(name="adhoc"), [(0, 0)])
         assert NamedWorkloadSpec.of(trace) is None
 
     def test_trace_materializes_the_referenced_workload(self):

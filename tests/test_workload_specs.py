@@ -167,6 +167,18 @@ class TestValidation:
         with pytest.raises(SpecError, match="must be WorkloadSpecs"):
             TenantMixSpec(tenants=("zipfian",))
 
+    @pytest.mark.parametrize(
+        "spec_cls",
+        [SequentialSpec, UniformRandomSpec, ZipfianSpec, HotspotSpec, BurstySpec,
+         PointerChaseSpec],
+    )
+    @pytest.mark.parametrize("base", [-1, -(2**63), True, 1.5])
+    def test_pattern_specs_reject_bad_base(self, spec_cls, base):
+        with pytest.raises(SpecError, match="base"):
+            spec_cls(base=base)
+        with pytest.raises(SpecError, match="base"):
+            workload_from_dict({"kind": spec_cls.kind, "base": base})
+
     def test_tenant_mix_rejects_negative_phase_length(self):
         with pytest.raises(SpecError, match="phase_length"):
             TenantMixSpec(tenants=(ZipfianSpec(),), phase_length=-1)
