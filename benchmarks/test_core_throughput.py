@@ -4,10 +4,9 @@ Not a paper artifact — these track the cost of the simulator itself
 (references per second through each cache model and the full system),
 so regressions in the hot paths show up in the benchmark report.
 
-``packed_trace_delivery_replay`` measures the parallel engine's
-per-worker unit of work — receive one serialized trace, then replay it
-once.  A materialized trace serializes as two contiguous buffers, which
-is where the engine's worker warm-up time goes.
+``packed_trace_delivery_replay`` measures one pickle round trip of a
+materialized trace (``MaterializedTrace.__getstate__`` ships its two
+contiguous buffers and no derived caches) plus one replay of the copy.
 """
 
 import pickle
@@ -129,7 +128,7 @@ def test_classifying_level_throughput(benchmark, random_lines):
 
 
 def _deliver_and_replay(trace) -> int:
-    """One engine worker's trace handoff: deserialize, then replay once."""
+    """Pickle and unpickle *trace*, then replay the copy once."""
     clone = pickle.loads(pickle.dumps(trace))
     count = 0
     for _kind, _address in clone:
@@ -138,7 +137,10 @@ def _deliver_and_replay(trace) -> int:
 
 
 def test_packed_trace_delivery_replay(benchmark, mixed_trace):
-    # A fresh instance keeps lazy caches empty so only the buffers ship.
+    """A trace's pickle round trip (its two buffers) plus one replay.
+
+    A fresh instance keeps the lazy caches empty, as a cold trace's are.
+    """
     packed = MaterializedTrace(mixed_trace.meta, mixed_trace._kinds, mixed_trace._addresses)
     assert benchmark.pedantic(
         lambda: _deliver_and_replay(packed), rounds=3, iterations=1

@@ -53,14 +53,11 @@ from .engine import (
     JobFailure,
     LevelJob,
     LevelSummary,
-    ResilienceOptions,
     RunSweepJob,
     SystemJob,
     default_jobs,
-    default_resilience,
     execute_job,
     resolve_jobs,
-    resolve_resilience,
     run_experiments,
     run_jobs,
     validate_job_timeout,
@@ -139,9 +136,6 @@ __all__ = [
     "run_experiments",
     "JobFailure",
     "JobFailedError",
-    "ResilienceOptions",
-    "default_resilience",
-    "resolve_resilience",
     "validate_job_timeout",
     "validate_retries",
     "validate_jobs",

@@ -58,11 +58,11 @@ def level_point_specs(
     ]
 
 
-def run_point_specs(specs, jobs: Optional[int] = None, resilience=None) -> List:
+def run_point_specs(specs, jobs: Optional[int] = None) -> List:
     """LevelSummaries for spec points, via the engine (inline at ``jobs=1``)."""
     from .engine import LevelJob, run_jobs
 
-    return run_jobs([LevelJob(spec) for spec in specs], jobs=jobs, resilience=resilience)
+    return run_jobs([LevelJob(spec) for spec in specs], jobs=jobs)
 
 
 def run_point_columns(traces, config, structures, side: str = "d") -> List[List]:

@@ -12,8 +12,8 @@ and fans jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   for its whole length, so no job rebuilds a trace another job already
   built, and store keys read each trace's remembered fingerprint instead
   of rebuilding the trace to hash it.  Fork-based workers inherit the
-  pinned memo copy-on-write; spawn-based ones receive packed buffers
-  through shared memory, or build on demand through the same memo.
+  pinned memo copy-on-write; under any other start method a worker
+  builds each trace it needs on demand, once, through the same memo.
 * **Deterministic ordering** — results always come back in job-submission
   order, so a parallel run is row-for-row identical to a serial one.
 * **Inline execution** — with ``jobs=1`` (the default, or via the
@@ -55,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, ReproError
 from ..common.stats import percent, safe_div
 from ..hierarchy.system import MemorySystem
 from ..kernels import (
@@ -88,7 +88,6 @@ __all__ = [
     "SystemJob",
     "ExperimentJob",
     "ExperimentOutcome",
-    "ResilienceOptions",
     "JobFailure",
     "JobFailedError",
     "ENV_JOB_TIMEOUT",
@@ -96,8 +95,6 @@ __all__ = [
     "default_jobs",
     "resolve_jobs",
     "validate_jobs",
-    "default_resilience",
-    "resolve_resilience",
     "validate_job_timeout",
     "validate_retries",
     "execute_job",
@@ -387,30 +384,21 @@ def validate_jobs(jobs: Optional[int]) -> int:
 
 # -- resilience ---------------------------------------------------------------
 
+#: A job attempt's wall-clock ceiling in seconds (unset = no limit) and
+#: how many times a failed job is re-attempted (default 2).  Each batch
+#: reads both once; the CLIs' ``--job-timeout``/``--retries`` set them.
 ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
 ENV_RETRIES = "REPRO_RETRIES"
 
-
-@dataclass(frozen=True)
-class ResilienceOptions:
-    """Per-batch failure-handling knobs for :func:`run_jobs`.
-
-    ``job_timeout`` is a wall-clock ceiling per job attempt (None = no
-    limit); ``retries`` bounds how many times one job is re-attempted
-    after a transient failure, timeout, or corrupt payload.  Retries back
-    off exponentially from ``backoff_base`` (with jitter, capped at
-    ``backoff_cap``).  ``max_pool_rebuilds`` bounds how many times a
-    broken process pool is rebuilt before the batch degrades to serial
-    execution; ``poison_strikes`` is how many times one job may be seen
-    breaking the pool single-handedly before it is excluded as poison.
-    """
-
-    job_timeout: Optional[float] = None
-    retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    max_pool_rebuilds: int = 5
-    poison_strikes: int = 2
+#: Retry backoff: ``BACKOFF_BASE * 2^(n-1)`` seconds after the n-th
+#: failed attempt, jittered, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Broken-pool rebuilds before a batch finishes its remaining jobs serially.
+MAX_POOL_REBUILDS = 5
+#: Times one job may break the pool single-handedly before it is
+#: excluded as poison.
+POISON_STRIKES = 2
 
 
 def _env_job_timeout() -> Optional[float]:
@@ -437,16 +425,6 @@ def _env_retries() -> int:
     if value < 0:
         raise ConfigurationError(f"{ENV_RETRIES} must be at least 0, got {raw!r}")
     return value
-
-
-def default_resilience() -> ResilienceOptions:
-    """Batch resilience from ``REPRO_JOB_TIMEOUT``/``REPRO_RETRIES``."""
-    return ResilienceOptions(job_timeout=_env_job_timeout(), retries=_env_retries())
-
-
-def resolve_resilience(resilience: Optional[ResilienceOptions]) -> ResilienceOptions:
-    """Explicit options, or the environment-derived default when None."""
-    return default_resilience() if resilience is None else resilience
 
 
 def validate_job_timeout(value: Optional[float]) -> Optional[float]:
@@ -494,66 +472,6 @@ class JobFailedError(RuntimeError):
             f"{len(self.failures)} job(s) failed permanently "
             f"(completed jobs were checkpointed): {detail}"
         )
-
-
-def _shm_warm_worker(descriptors: Tuple) -> None:
-    """Worker initializer: rebuild packed traces from shared memory.
-
-    Each descriptor names one shared-memory segment holding a trace's
-    packed buffers; attaching is two ``memcpy`` calls instead of a full
-    synthetic-generator replay.  Failures degrade gracefully — a trace
-    that cannot be attached is rebuilt on demand by the first job that
-    needs it, through the normal workload memo — but never silently: the
-    degradation and its cause are warned on the worker's stderr so a
-    slow spawn-platform pool can be diagnosed.
-    """
-    from ..traces.packed import attach_shared_trace
-    from .workloads import seed_materialized_workload
-
-    for descriptor in descriptors:
-        try:
-            trace = attach_shared_trace(descriptor)
-        except Exception as exc:
-            warnings.warn(
-                f"shared-memory attach failed for trace {descriptor.memo_key!r} "
-                f"({exc!r}); this worker rebuilds it from its generator instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        seed_materialized_workload(descriptor.memo_key, trace)
-
-
-def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
-    """``(initializer, initargs, segments, degraded)`` for a batch's pool.
-
-    Fork-based platforms need no initializer: workers inherit the
-    parent's trace memo, pins included, so a worker builds only the
-    traces the parent has not, each at most once.  On spawn/forkserver
-    platforms each worker would replay every synthetic generator from
-    scratch; instead the parent materializes once, lays the packed
-    buffers out in shared memory, and workers attach-and-copy.  The
-    caller must pass *segments* to
-    :func:`~repro.traces.packed.release_shared_segments` after the pool
-    has shut down.  *degraded* is None, or the reason shared-memory
-    delivery was unavailable and workers build traces on demand instead
-    (surfaced in progress heartbeats rather than swallowed).
-    """
-    import multiprocessing
-
-    if not trace_keys or multiprocessing.get_start_method() == "fork":
-        return None, (), [], None
-    from ..traces.packed import share_packed_traces
-
-    entries = [(key, key.trace()) for key in trace_keys]
-    try:
-        descriptors, segments = share_packed_traces(entries)
-    except Exception as exc:
-        return (
-            None, (), [],
-            f"shared memory unavailable ({exc!r}); workers build traces on demand",
-        )
-    return _shm_warm_worker, (tuple(descriptors),), segments, None
 
 
 def _distinct_trace_keys(jobs: Iterable[Job]) -> Tuple[WorkloadSpec, ...]:
@@ -665,11 +583,10 @@ def _guarded_execute(job: Job, index: int, attempt: int):
 class _Pending:
     """Book-keeping for one not-yet-completed job of a batch."""
 
-    __slots__ = ("slot", "index", "job", "key", "attempts", "strikes", "started")
+    __slots__ = ("index", "job", "key", "attempts", "strikes", "started")
 
-    def __init__(self, slot: int, job: Job, key: Optional[ResultKey]) -> None:
-        self.slot = slot          # result-list position == submission index
-        self.index = slot         # fault-plan identity (stable across retries)
+    def __init__(self, index: int, job: Job, key: Optional[ResultKey]) -> None:
+        self.index = index        # submission index: result slot and fault-plan identity
         self.job = job
         self.key = key
         self.attempts = 0         # failed attempts so far
@@ -691,7 +608,6 @@ class _Reporter:
         total: int,
         store_hits: int,
         stats: Dict[str, int],
-        note: Optional[str],
         backend: str = "",
     ) -> None:
         self.progress = progress
@@ -699,7 +615,6 @@ class _Reporter:
         self.total = total
         self.store_hits = store_hits
         self.stats = stats
-        self.note = note or ""
         self.backend = backend
         self.completed = store_hits
         self.started = time.perf_counter()
@@ -721,7 +636,6 @@ class _Reporter:
                 self.store_hits,
                 retries=self.stats["retries"],
                 recoveries=self.stats["pool_rebuilds"],
-                note=self.note,
                 backend=self.backend,
             )
         )
@@ -729,12 +643,34 @@ class _Reporter:
         self._last_time = now
 
 
-def _backoff_delay(opts: ResilienceOptions, failed_attempts: int) -> float:
+def _backoff_delay(failed_attempts: int) -> float:
     """Exponential backoff with jitter: base * 2^(n-1) * U[0.5, 1), capped."""
-    if opts.backoff_base <= 0.0:
+    if BACKOFF_BASE <= 0.0:
         return 0.0
-    delay = opts.backoff_base * (2.0 ** max(0, failed_attempts - 1))
-    return min(opts.backoff_cap, delay) * (0.5 + random.random() / 2.0)
+    delay = BACKOFF_BASE * (2.0 ** max(0, failed_attempts - 1))
+    return min(BACKOFF_CAP, delay) * (0.5 + random.random() / 2.0)
+
+
+def _count_failure(
+    entry: _Pending,
+    reason: str,
+    permanent: bool,
+    retries: int,
+    stats: Dict[str, int],
+    failures: List[JobFailure],
+) -> bool:
+    """Count one failed attempt of *entry*; True when it should run again.
+
+    A *permanent* failure — the job raised a :class:`ReproError`, a
+    deterministic input error another attempt would only repeat — and a
+    job out of retries become a :class:`JobFailure` instead.
+    """
+    entry.attempts += 1
+    if permanent or entry.attempts > retries:
+        failures.append(JobFailure(entry.index, reason))
+        return False
+    stats["retries"] += 1
+    return True
 
 
 class _JobTimeoutError(Exception):
@@ -843,7 +779,8 @@ def _is_corrupt(outcome) -> bool:
 
 def _run_serial(
     entries: List[_Pending],
-    opts: ResilienceOptions,
+    job_timeout: Optional[float],
+    retries: int,
     stats: Dict[str, int],
     failures: List[JobFailure],
     complete,
@@ -856,29 +793,27 @@ def _run_serial(
     """
     for entry in entries:
         while True:
-            reason = None
+            reason, permanent = None, False
             try:
                 outcome = _execute_with_deadline(
-                    entry.job, entry.index, entry.attempts, opts.job_timeout
+                    entry.job, entry.index, entry.attempts, job_timeout
                 )
                 if _is_corrupt(outcome):
                     reason = "corrupt result payload"
             except _JobTimeoutError:
                 stats["timeouts"] += 1
-                reason = f"timed out after {opts.job_timeout:g}s"
+                reason = f"timed out after {job_timeout:g}s"
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
                 reason = f"{type(exc).__name__}: {exc}"
+                permanent = isinstance(exc, ReproError)
             if reason is None:
                 complete(entry, outcome)
                 break
-            entry.attempts += 1
-            if entry.attempts > opts.retries:
-                failures.append(JobFailure(entry.index, reason))
+            if not _count_failure(entry, reason, permanent, retries, stats, failures):
                 break
-            stats["retries"] += 1
-            time.sleep(_backoff_delay(opts, entry.attempts))
+            time.sleep(_backoff_delay(entry.attempts))
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -901,7 +836,8 @@ def _drain_pool(
     pool: ProcessPoolExecutor,
     batch: List[_Pending],
     remaining: List[_Pending],
-    opts: ResilienceOptions,
+    job_timeout: Optional[float],
+    retries: int,
     stats: Dict[str, int],
     failures: List[JobFailure],
     complete,
@@ -921,8 +857,8 @@ def _drain_pool(
     queue = list(batch) if sequential else []
     active: Dict = {}
     tick = reporter.heartbeat
-    if opts.job_timeout is not None:
-        tick = max(0.02, min(tick, opts.job_timeout / 5.0))
+    if job_timeout is not None:
+        tick = max(0.02, min(tick, job_timeout / 5.0))
 
     def submit(entry: _Pending) -> bool:
         entry.started = None
@@ -933,15 +869,11 @@ def _drain_pool(
         active[future] = entry
         return True
 
-    def fail_or_retry(entry: _Pending, reason: str, pause: bool = True) -> None:
-        entry.attempts += 1
-        if entry.attempts > opts.retries:
-            failures.append(JobFailure(entry.index, reason))
+    def fail_or_retry(entry: _Pending, reason: str, permanent: bool = False) -> None:
+        if not _count_failure(entry, reason, permanent, retries, stats, failures):
             remaining.remove(entry)
             return
-        stats["retries"] += 1
-        if pause:
-            time.sleep(_backoff_delay(opts, entry.attempts))
+        time.sleep(_backoff_delay(entry.attempts))
         if not submit(entry):
             raise BrokenProcessPool("pool broke while re-submitting a retried job")
 
@@ -965,7 +897,9 @@ def _drain_pool(
                     _abandon_pool(pool)
                     return "broke", entry if sequential else None
                 if exc is not None:
-                    fail_or_retry(entry, f"{type(exc).__name__}: {exc}")
+                    fail_or_retry(
+                        entry, f"{type(exc).__name__}: {exc}", isinstance(exc, ReproError)
+                    )
                     continue
                 outcome = future.result()
                 if _is_corrupt(outcome):
@@ -982,18 +916,11 @@ def _drain_pool(
                     continue
                 if entry.started is None:
                     entry.started = now
-                elif opts.job_timeout is not None and now - entry.started > opts.job_timeout:
+                elif job_timeout is not None and now - entry.started > job_timeout:
                     stats["timeouts"] += 1
-                    entry.attempts += 1
-                    if entry.attempts > opts.retries:
-                        failures.append(
-                            JobFailure(
-                                entry.index, f"timed out after {opts.job_timeout:g}s"
-                            )
-                        )
+                    reason = f"timed out after {job_timeout:g}s"
+                    if not _count_failure(entry, reason, False, retries, stats, failures):
                         remaining.remove(entry)
-                    else:
-                        stats["retries"] += 1
                     _abandon_pool(pool)
                     return "abandoned", None
             if sequential and not active and queue:
@@ -1016,51 +943,47 @@ def _drain_pool(
 def _execute_entries(
     entries: List[_Pending],
     workers: int,
-    opts: ResilienceOptions,
+    job_timeout: Optional[float],
+    retries: int,
     store,
     stats: Dict[str, int],
     progress: Optional[ProgressCallback],
     heartbeat: float,
     total: int,
     store_hits: int,
-    pool_env: Optional[Tuple] = None,
-    note: Optional[str] = None,
     backend: str = "",
 ) -> Tuple[Dict[int, object], List[JobFailure]]:
     """Execute pending entries with retries, timeouts, and pool recovery.
 
-    Returns ``(results_by_slot, permanent_failures)``.  Every completed
+    ``workers > 1`` runs them on a process pool (rebuilt when it breaks),
+    and whatever the pool could not finish runs inline.  Returns
+    ``(results_by_index, permanent_failures)``.  Every completed
     result is flushed to *store* (when active and the entry is cacheable)
     *as it completes*, so a crash, hang, or interrupt later in the batch
     never loses finished work.
     """
     results: Dict[int, object] = {}
     failures: List[JobFailure] = []
-    reporter = _Reporter(progress, heartbeat, total, store_hits, stats, note, backend)
+    reporter = _Reporter(progress, heartbeat, total, store_hits, stats, backend)
 
     def complete(entry: _Pending, outcome) -> None:
-        results[entry.slot] = outcome
+        results[entry.index] = outcome
         if store is not None and entry.key is not None:
             store.put(entry.key, outcome)
         reporter.completed += 1
         reporter.report()
 
     remaining = list(entries)
-    if workers > 1 and pool_env is not None:
-        initializer, initargs = pool_env
+    if workers > 1:
         pool_breaks = 0
         careful = False
-        while remaining and pool_breaks <= opts.max_pool_rebuilds:
+        while remaining and pool_breaks <= MAX_POOL_REBUILDS:
             batch = list(remaining)
-            pool = ProcessPoolExecutor(
-                max_workers=1 if careful else min(workers, len(batch)),
-                initializer=initializer,
-                initargs=initargs,
-            )
+            pool = ProcessPoolExecutor(max_workers=1 if careful else min(workers, len(batch)))
             status, culprit = "done", None
             try:
                 status, culprit = _drain_pool(
-                    pool, batch, remaining, opts, stats, failures,
+                    pool, batch, remaining, job_timeout, retries, stats, failures,
                     complete, reporter, sequential=careful,
                 )
             finally:
@@ -1074,7 +997,7 @@ def _execute_entries(
                     # alone in flight when the pool died is the culprit.
                     culprit.strikes += 1
                     culprit.attempts += 1
-                    if culprit.strikes >= opts.poison_strikes:
+                    if culprit.strikes >= POISON_STRIKES:
                         failures.append(
                             JobFailure(
                                 culprit.index,
@@ -1097,7 +1020,7 @@ def _execute_entries(
                 f"finishing {len(remaining)} job(s) serially",
                 stacklevel=4,
             )
-    _run_serial(remaining, opts, stats, failures, complete)
+    _run_serial(remaining, job_timeout, retries, stats, failures, complete)
     return results, failures
 
 
@@ -1132,7 +1055,6 @@ def run_jobs(
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     heartbeat: float = 5.0,
-    resilience: Optional[ResilienceOptions] = None,
 ) -> List:
     """Execute jobs, returning results in submission order.
 
@@ -1150,14 +1072,16 @@ def run_jobs(
     so an interrupted or crashed batch keeps every finished point and a
     rerun (or ``--resume``) continues where it stopped.
 
-    *resilience* (default: from ``REPRO_JOB_TIMEOUT``/``REPRO_RETRIES``)
-    governs per-job timeouts, bounded retry with exponential backoff,
-    broken-pool recovery, and poison-job exclusion; jobs that still fail
-    raise :class:`JobFailedError` *after* the rest of the batch has
-    completed and been flushed.
+    ``REPRO_JOB_TIMEOUT``/``REPRO_RETRIES``, read once per batch, govern
+    per-job timeouts and bounded retry with exponential backoff; a job
+    that raises a :class:`~repro.common.errors.ReproError` fails on its
+    first attempt.  A broken pool is rebuilt and a job that keeps
+    breaking it is excluded as poison.  Jobs that still fail raise
+    :class:`JobFailedError` *after* the rest of the batch has completed
+    and been flushed.
     """
     job_list = list(job_list)
-    opts = resolve_resilience(resilience)
+    job_timeout, retries = _env_job_timeout(), _env_retries()
     store = current_store()
     scope = _telemetry_scope()
     started = time.perf_counter() if scope is not None else 0.0
@@ -1192,39 +1116,23 @@ def run_jobs(
         # hits never re-simulate, so they are not counted), surfaced in every
         # heartbeat and folded into the run record.
         backends = _backend_counts([entry.job for entry in entries])
-        backend_note = _backend_note(backends)
         if not entries:
             if progress is not None and hits:
                 # Fully warm batch: one summary heartbeat instead of silence.
                 progress(JobProgress(hits, len(job_list), 0.0, hits))
             computed: Dict[int, object] = {}
-        elif workers <= 1:
-            computed, failures = _execute_entries(
-                entries, 1, opts, store, stats, progress, heartbeat, len(job_list), hits,
-                backend=backend_note,
-            )
         else:
-            if backends.keys() - {PYTHON}:
+            if workers > 1 and backends.keys() - {PYTHON}:
                 # Load the kernels (and numpy) before forking, so workers
                 # inherit them instead of each importing numpy again.
                 from ..kernels import assist  # noqa: F401
-            initializer, initargs, segments, note = _pool_setup(
-                _distinct_trace_keys([entry.job for entry in entries])
+            computed, failures = _execute_entries(
+                entries, workers, job_timeout, retries, store, stats, progress,
+                heartbeat, len(job_list), hits, backend=_backend_note(backends),
             )
-            try:
-                computed, failures = _execute_entries(
-                    entries, workers, opts, store, stats, progress, heartbeat,
-                    len(job_list), hits, pool_env=(initializer, initargs), note=note,
-                    backend=backend_note,
-                )
-            finally:
-                if segments:
-                    from ..traces.packed import release_shared_segments
 
-                    release_shared_segments(segments)
-
-    for slot, outcome in computed.items():
-        results[slot] = outcome
+    for index, outcome in computed.items():
+        results[index] = outcome
 
     if scope is not None and job_list:
         _record_batch(
@@ -1243,7 +1151,6 @@ def run_experiments(
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     heartbeat: float = 5.0,
-    resilience: Optional[ResilienceOptions] = None,
 ) -> List[ExperimentOutcome]:
     """Run whole experiment modules, optionally in parallel.
 
@@ -1253,40 +1160,28 @@ def run_experiments(
     :func:`run_jobs`: a heartbeat per completion change and at least
     every *heartbeat* seconds of pool time.  Experiment modules are not
     store-cacheable, but retries, timeouts, and broken-pool recovery
-    (*resilience*) apply exactly as in :func:`run_jobs`.
+    apply exactly as in :func:`run_jobs`.
     """
     job_list = [ExperimentJob(name, scale, seed) for name in names]
-    opts = resolve_resilience(resilience)
+    job_timeout, retries = _env_job_timeout(), _env_retries()
     entries = [_Pending(index, job, None) for index, job in enumerate(job_list)]
     workers = min(resolve_jobs(jobs), len(job_list)) if job_list else 1
     scope = _telemetry_scope()
     started = time.perf_counter() if scope is not None else 0.0
     stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
-    failures: List[JobFailure] = []
-    if workers <= 1:
-        computed, failures = _execute_entries(
-            entries, 1, opts, None, stats, progress, heartbeat, len(job_list), 0
-        )
-    else:
-        # Build the suite once in the parent before forking, pinned:
-        # fork-based workers then share the materialized traces
-        # copy-on-write for the whole run, and spawn-based ones receive
-        # the packed buffers through shared memory via the initializer
-        # (or build on demand when shared memory is unavailable).
+    # A pool's suite is built once in the parent before forking, pinned:
+    # fork-based workers then share the materialized traces copy-on-write
+    # for the whole run (other start methods build on demand per worker).
+    suite_keys = ()
+    if workers > 1:
         suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
-        with pinned_workloads(suite_keys):
+    with pinned_workloads(suite_keys):
+        if suite_keys:
             suite(scale, seed)
-            initializer, initargs, segments, note = _pool_setup(suite_keys)
-            try:
-                computed, failures = _execute_entries(
-                    entries, workers, opts, None, stats, progress, heartbeat,
-                    len(job_list), 0, pool_env=(initializer, initargs), note=note,
-                )
-            finally:
-                if segments:
-                    from ..traces.packed import release_shared_segments
-
-                    release_shared_segments(segments)
+        computed, failures = _execute_entries(
+            entries, workers, job_timeout, retries, None, stats, progress, heartbeat,
+            len(job_list), 0,
+        )
     if scope is not None and job_list:
         _record_batch(scope, "ExperimentJob", len(job_list), workers, started, stats)
     if failures:

@@ -22,19 +22,11 @@ PAPER_AVERAGE_I = 29.0
 PAPER_AVERAGE_D = 39.0
 
 
-def run(
-    traces=None,
-    scale: Optional[int] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    resilience=None,
-) -> FigureResult:
+def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     traces = list(traces) if traces is not None else suite(scale, seed)
     config = CacheConfig(4096, 16)
     names = [trace.name for trace in traces]
-    summaries = run_point_specs(
-        level_point_specs(traces, config, classify=True), jobs=jobs, resilience=resilience
-    )
+    summaries = run_point_specs(level_point_specs(traces, config, classify=True))
     i_pct = [percent(s.conflict_misses, s.demand_misses) for s in summaries[: len(traces)]]
     d_pct = [percent(s.conflict_misses, s.demand_misses) for s in summaries[len(traces):]]
     names.append("average")

@@ -87,7 +87,6 @@ def sweep_grid(
     side: str = "d",
     experiment_id: str = "grid",
     jobs: Optional[int] = None,
-    resilience=None,
 ) -> TableResult:
     """Run every grid point for every trace; long-format results.
 
@@ -117,7 +116,7 @@ def sweep_grid(
                     )
                     job_list.append(LevelJob(system))
                     points.append((trace.name, size_kb, line_size, label))
-    summaries = run_jobs(job_list, jobs=jobs, resilience=resilience)
+    summaries = run_jobs(job_list, jobs=jobs)
     rows = [
         [
             name,

@@ -161,7 +161,6 @@ def batch_entry_sweeps(
     sides: Sequence[str] = ("i", "d"),
     max_entries: int = 15,
     jobs=None,
-    resilience=None,
 ) -> List[EntrySweep]:
     """Entry sweeps for every (side, trace) pair, in nested order.
 
@@ -176,7 +175,7 @@ def batch_entry_sweeps(
         EntrySweepJob(system=system, kind=kind, max_entries=max_entries)
         for system in level_point_specs(traces, config, sides=sides)
     ]
-    return run_jobs(job_list, jobs=jobs, resilience=resilience)
+    return run_jobs(job_list, jobs=jobs)
 
 
 def batch_run_sweeps(
@@ -187,7 +186,6 @@ def batch_run_sweeps(
     entries: int = 4,
     max_run: int = 16,
     jobs=None,
-    resilience=None,
 ) -> List[RunLengthSweep]:
     """Stream-buffer run sweeps for every (side, trace) pair, nested order.
 
@@ -199,4 +197,4 @@ def batch_run_sweeps(
         RunSweepJob(system=system, ways=ways, entries=entries, max_run=max_run)
         for system in level_point_specs(traces, config, sides=sides)
     ]
-    return run_jobs(job_list, jobs=jobs, resilience=resilience)
+    return run_jobs(job_list, jobs=jobs)

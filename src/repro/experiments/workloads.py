@@ -4,12 +4,14 @@ Building and materializing traces takes seconds, so all experiments
 share one process-level memoization keyed by *resolved workload spec*:
 running "all experiments" (or a grid of engine jobs) builds each trace
 exactly once per process, no matter how many experiments or jobs replay
-it.  The engine's worker processes use the same cache, so each worker
-also materializes each trace at most once and reuses it across every
-job it executes.  Any :class:`~repro.specs.workloads.WorkloadSpec` —
-registry benchmarks, parameterized patterns, tenant mixes — memoizes
-the same way; the historical ``(name, scale, seed)`` entry points
-remain as thin wrappers over :class:`NamedWorkloadSpec`.
+it.  The engine's worker processes use the same cache: a fork-based
+worker inherits the parent's memo, and a worker under any other start
+method builds each trace it needs on demand, at most once, and reuses
+it across every job it executes.  Any
+:class:`~repro.specs.workloads.WorkloadSpec` — registry benchmarks,
+parameterized patterns, tenant mixes — memoizes the same way; the
+historical ``(name, scale, seed)`` entry points remain as thin wrappers
+over :class:`NamedWorkloadSpec`.
 
 The registry scale can be overridden globally with the ``REPRO_SCALE``
 environment variable (instructions per unit of Table 2-1 relative
@@ -67,7 +69,6 @@ __all__ = [
     "workload_fingerprint",
     "known_fingerprint",
     "pinned_workloads",
-    "seed_materialized_workload",
     "materialized_trace",
     "default_scale",
     "validate_scale",
@@ -224,21 +225,6 @@ def pinned_workloads(specs: Iterable[WorkloadSpec]) -> Iterator[None]:
                 if not _PINS[key]:
                     del _PINS[key]
             _trim()
-
-
-def seed_materialized_workload(spec: WorkloadSpec, trace: MaterializedTrace) -> None:
-    """Pre-seed the memo with an already-materialized trace, pinned.
-
-    Used by engine worker initializers that receive packed trace buffers
-    through shared memory: seeding the memo means later jobs in the
-    worker never replay the generator.  A worker lives for one batch and
-    is seeded with exactly that batch's traces, so the seed stays pinned
-    for the life of the process.
-    """
-    key = spec.resolve()
-    with _LOCK:
-        _PINS[key] += 1
-    _remember(key, trace)
 
 
 def materialized_trace(

@@ -200,7 +200,7 @@ class CacheAdvisorDaemon:
                 writer.close()
             await self._server.wait_closed()
             self._server = None
-        self.service.close()
+        await asyncio.to_thread(self.service.close)
         if self.config.emit_metrics:
             self._emit_run_record(self.config.emit_metrics)
 

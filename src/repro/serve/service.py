@@ -11,9 +11,10 @@ buffer buy this workload?"* — turned into an online service.  One
   simulation, and once hot, from the store's in-memory front tier on
   the event loop itself;
 * the **engine** is the backend: a cold key becomes one
-  :class:`~repro.experiments.engine.LevelJob` executed (with the PR 5
-  resilience layer — retries, timeouts, recorded degradations) on a
-  bounded thread pool.
+  :class:`~repro.experiments.engine.LevelJob` executed (with the
+  engine's resilience layer — retries and timeouts from
+  ``REPRO_RETRIES``/``REPRO_JOB_TIMEOUT``, recorded degradations) on a
+  bounded thread pool, which :meth:`AdvisorService.close` drains.
 
 Three serving behaviours make it production-shaped rather than a CLI
 with a socket:
@@ -68,13 +69,7 @@ from ..specs.structures import structure_from_dict
 from ..store import ResultKey, ResultStore, current_store
 from ..store.codec import encode_result
 from ..traces.registry import get_workload
-from ..experiments.engine import (
-    LevelJob,
-    ResilienceOptions,
-    _store_key,
-    resolve_resilience,
-    run_jobs,
-)
+from ..experiments.engine import LevelJob, _store_key, run_jobs
 from ..experiments.faults import InjectedFault, ServeFaults
 from ..experiments.workloads import known_fingerprint
 from ..kernels import NUMPY, select_backend
@@ -430,7 +425,6 @@ class AdvisorService:
         store: Optional[ResultStore] = None,
         max_inflight: int = 4,
         heartbeat: float = 1.0,
-        resilience: Optional[ResilienceOptions] = None,
         request_deadline: Optional[float] = None,
         breaker: Optional[CircuitBreaker] = None,
         store_probe_interval: float = 5.0,
@@ -450,7 +444,6 @@ class AdvisorService:
         self.store = store
         self.max_inflight = max_inflight
         self.heartbeat = heartbeat
-        self.resilience = resolve_resilience(resilience)
         #: Server-side ceiling on every request's deadline budget (s).
         self.request_deadline = request_deadline
         #: Cold-dispatch circuit breaker; None = disabled.
@@ -481,8 +474,15 @@ class AdvisorService:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        self._sim_pool.shutdown(wait=False, cancel_futures=True)
-        self._lookup_pool.shutdown(wait=False, cancel_futures=True)
+        """Shut both thread pools down once their running work finishes.
+
+        Queued work is cancelled; a running simulation, even one whose
+        request was abandoned at its deadline, finishes first, so no
+        work the service started outlives it.  Blocks: call it off the
+        event loop.
+        """
+        self._sim_pool.shutdown(wait=True, cancel_futures=True)
+        self._lookup_pool.shutdown(wait=True, cancel_futures=True)
 
     @property
     def inflight(self) -> int:
@@ -739,7 +739,6 @@ class AdvisorService:
                 "elapsed_s": round(update.elapsed, 3),
                 "store_hits": update.store_hits,
                 "retries": update.retries,
-                "note": update.note,
                 "backend": update.backend,
             }
             loop.call_soon_threadsafe(self._fan_out, entry, payload)
@@ -772,7 +771,6 @@ class AdvisorService:
                 jobs=1,
                 progress=_progress,
                 heartbeat=self.heartbeat,
-                resilience=self.resilience,
             )[0]
             # The engine flushes to the env-resolved store; when the
             # service was handed a different one, flush there too or the

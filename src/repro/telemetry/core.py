@@ -25,9 +25,10 @@ additionally records the reason for the run record when active.
 Thread-safety: scopes are process-local and activation is not
 re-entrant by design — one logical run per process at a time, matching
 how the CLI and the experiment modules use it.  Worker processes of the
-parallel engine never inherit an active scope (it is not picklable
-state), so simulations running inside workers report into the engine's
-job statistics instead.
+parallel engine report into no parent scope — a fork-based worker holds
+a copy whose observations stay in the worker, and a worker under any
+other start method starts with none — so simulations running inside
+workers report into the engine's job statistics instead.
 """
 
 from __future__ import annotations
@@ -131,17 +132,14 @@ class JobProgress:
     ``store_hits`` counts jobs of the batch satisfied from the result
     store instead of simulated; they are included in ``done``.
     ``retries`` and ``recoveries`` (re-run job attempts and worker-pool
-    rebuilds so far) stay zero on a healthy batch; ``note`` carries a
-    degradation reason — e.g. why packed shared-memory trace delivery
-    was unavailable — when the batch is running in a reduced mode.
+    rebuilds so far) stay zero on a healthy batch.
     ``backend`` names the simulation kernel backend(s) executing the
     batch ("numpy", "python", or a mixed "numpy:3 python:5" split);
     empty when the batch runs no backend-dispatched simulations.
     """
 
     __slots__ = (
-        "done", "total", "elapsed", "store_hits", "retries", "recoveries", "note",
-        "backend",
+        "done", "total", "elapsed", "store_hits", "retries", "recoveries", "backend",
     )
 
     def __init__(
@@ -152,7 +150,6 @@ class JobProgress:
         store_hits: int = 0,
         retries: int = 0,
         recoveries: int = 0,
-        note: str = "",
         backend: str = "",
     ) -> None:
         self.done = done
@@ -161,7 +158,6 @@ class JobProgress:
         self.store_hits = store_hits
         self.retries = retries
         self.recoveries = recoveries
-        self.note = note
         self.backend = backend
 
     def __str__(self) -> str:
@@ -174,8 +170,6 @@ class JobProgress:
             base += f" [{self.retries} retried]"
         if self.recoveries:
             base += f" [{self.recoveries} pool rebuilds]"
-        if self.note:
-            base += f" [{self.note}]"
         return base
 
 

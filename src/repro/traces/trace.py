@@ -12,8 +12,8 @@ exactly and anything outside raises
 It serves the interpreter's split instruction/data lists (the paper's L1
 caches are split, and its figures treat the two sides independently),
 the numpy kernels' zero-copy int64 views (addresses below 2**63 only),
-the content fingerprint that keys the result store, and the buffers the
-engine hands to pool workers (:mod:`repro.traces.packed`).
+the content fingerprint that keys the result store, and the pickled
+payload, which carries the two buffers alone.
 """
 
 from __future__ import annotations
@@ -267,22 +267,17 @@ class MaterializedTrace:
         shift = _line_shift(line_size)
         return len({addr >> shift for addr in self.stream(side)})
 
-    def _content_buffers(self) -> Tuple[bytes, bytes]:
-        """The trace's content as packed (kinds, addresses) byte buffers."""
-        return self._kinds.tobytes(), self._addresses.tobytes()
-
     def fingerprint(self) -> str:
         """Short content hash over the packed (kind, address) buffers.
 
         Two traces with identical reference streams share a fingerprint
         regardless of how they were built (generator replay, file load,
-        shared-memory attach) — the identity the result store uses for
-        content addressing.  Cached after the first call.
+        unpickling) — the identity the result store uses for content
+        addressing.  Cached after the first call.
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for buffer in self._content_buffers():
-                digest.update(buffer)
+            digest = hashlib.sha256(self._kinds)
+            digest.update(self._addresses)
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint
 

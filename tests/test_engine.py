@@ -7,7 +7,12 @@ seed, jobs must stay picklable, and anything the engine cannot describe
 :class:`ConfigurationError` rather than silently taking another route.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +374,55 @@ class TestBatchSweeps:
         serial = batch_run_sweeps(tiny_suite[:3], CONFIG, ways=4, jobs=1)
         parallel = batch_run_sweeps(tiny_suite[:3], CONFIG, ways=4, jobs=4)
         assert serial == parallel
+
+
+class TestNonForkPool:
+    """Under a start method other than fork, pool workers inherit no
+    trace memo: each builds the traces its jobs need on demand."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import multiprocessing
+
+        multiprocessing.set_start_method("spawn")
+
+        from repro.common.config import CacheConfig
+        from repro.experiments.engine import EntrySweepJob, LevelJob, RunSweepJob, run_jobs
+        from repro.specs import NamedWorkloadSpec, SystemSpec, VictimCacheSpec
+
+        config = CacheConfig(4096, 16)
+        jobs = []
+        for name in ("ccom", "linpack"):
+            workload = NamedWorkloadSpec(name, 1500, 0)
+            system = SystemSpec.for_level(workload, config, side="d")
+            assisted = SystemSpec.for_level(
+                workload, config, side="d", structure=VictimCacheSpec(4)
+            )
+            jobs += [
+                LevelJob(system),
+                LevelJob(assisted),
+                EntrySweepJob(system, kind="victim"),
+                RunSweepJob(system, ways=4),
+            ]
+        parallel = run_jobs(jobs, jobs=2)
+        assert parallel == run_jobs(jobs, jobs=1), "spawn pool results differ"
+        print("spawn pool matches inline:", len(parallel), "jobs")
+        """
+    )
+
+    def test_spawn_pool_matches_inline(self):
+        repo = Path(__file__).resolve().parents[1]
+        env = {
+            key: value for key, value in os.environ.items()
+            if key not in ("REPRO_RESULT_STORE", "REPRO_JOBS")
+        }
+        env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True, text=True, env=env, cwd=repo, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "spawn pool matches inline: 8 jobs" in proc.stdout
 
 
 class TestExperimentDeterminism:

@@ -4,12 +4,14 @@ The contract under test: transient failures retry and succeed, permanent
 failures surface as :class:`JobFailedError` *after* the rest of the
 batch completed and was flushed, a dead worker never takes the batch
 down (the pool is rebuilt and only unfinished jobs re-run), a hung job
-is cut short by ``--job-timeout``, and an interrupted run resumes from
-the result store with zero re-simulations of flushed work.
+is cut short by ``--job-timeout``, a deterministic input error fails on
+its first attempt, and an interrupted run resumes from the result store
+with zero re-simulations of flushed work.
 
-Every failure here is injected through :mod:`repro.experiments.faults`,
+Every other failure here is injected through :mod:`repro.experiments.faults`,
 so the schedule is deterministic: ``crash@2x*`` means job 2 fails on
-every attempt, on any machine, every time.
+every attempt, on any machine, every time.  Retry settings come from
+``REPRO_RETRIES``/``REPRO_JOB_TIMEOUT`` and the engine's constants.
 """
 
 import os
@@ -17,12 +19,11 @@ import os
 import pytest
 
 from repro.common.config import CacheConfig
-from repro.common.errors import ConfigurationError
-from repro.experiments import faults
+from repro.common.errors import ConfigurationError, UnknownWorkloadError
+from repro.experiments import engine, faults
 from repro.experiments.engine import (
     JobFailedError,
     LevelJob,
-    ResilienceOptions,
     run_jobs,
     validate_job_timeout,
     validate_retries,
@@ -30,7 +31,7 @@ from repro.experiments.engine import (
 from repro.experiments.grid import GridSpec, sweep_grid
 from repro.experiments.workloads import materialized_trace, suite
 from repro.hierarchy.level import CacheLevel
-from repro.specs import SystemSpec, parse_structure_code
+from repro.specs import NamedWorkloadSpec, SystemSpec, parse_structure_code
 from repro.store import current_store
 from repro.store.core import ResultStore, StoreWriteWarning
 from repro.telemetry import core as telemetry
@@ -40,10 +41,6 @@ from repro.telemetry.record import build_run_record, validate_record
 SCALE = 1_500
 CONFIG = CacheConfig(4096, 16)
 
-#: Fast retries: tests never need real backoff sleeps.
-FAST = ResilienceOptions(retries=2, backoff_base=0.0)
-NO_RETRY = ResilienceOptions(retries=0, backoff_base=0.0)
-
 
 @pytest.fixture(autouse=True)
 def clean_fault_plan(monkeypatch):
@@ -52,6 +49,19 @@ def clean_fault_plan(monkeypatch):
     faults.set_plan(None)
     yield
     faults.set_plan(None)
+
+
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Default retries (2), no timeout, and no real backoff sleeps."""
+    monkeypatch.delenv(engine.ENV_JOB_TIMEOUT, raising=False)
+    monkeypatch.delenv(engine.ENV_RETRIES, raising=False)
+    monkeypatch.setattr(engine, "BACKOFF_BASE", 0.0)
+
+
+@pytest.fixture
+def no_retry(monkeypatch):
+    monkeypatch.setenv(engine.ENV_RETRIES, "0")
 
 
 @pytest.fixture
@@ -165,48 +175,49 @@ class TestSerialResilience:
         jobs = level_jobs(2)
         clean = run_jobs(jobs)
         faults.set_plan("crash@0x2")
-        assert run_jobs(jobs, resilience=FAST) == clean
+        assert run_jobs(jobs) == clean
 
     def test_retry_exhaustion_raises_after_finishing_batch(self, no_store, store):
         jobs = level_jobs(4)
         faults.set_plan("crash@1x*")
         with pytest.raises(JobFailedError) as excinfo:
-            run_jobs(jobs, resilience=FAST)
+            run_jobs(jobs)
         assert [f.index for f in excinfo.value.failures] == [1]
         assert "injected crash" in str(excinfo.value)
         # The three healthy jobs were still executed and checkpointed.
         assert store.stats().entries == 3
 
-    def test_corrupt_payload_is_retried(self, no_store):
+    def test_corrupt_payload_is_retried(self, no_store, monkeypatch):
         jobs = level_jobs(1)
         clean = run_jobs(jobs)
         faults.set_plan("corrupt@0x1")
-        assert run_jobs(jobs, resilience=FAST) == clean
+        assert run_jobs(jobs) == clean
         faults.set_plan("corrupt@0x*")
+        monkeypatch.setenv(engine.ENV_RETRIES, "0")
         with pytest.raises(JobFailedError) as excinfo:
-            run_jobs(jobs, resilience=NO_RETRY)
+            run_jobs(jobs)
         assert "corrupt result payload" in excinfo.value.failures[0].reason
 
-    def test_serial_timeout_cuts_hung_job(self, no_store):
+    def test_serial_timeout_cuts_hung_job(self, no_store, no_retry, monkeypatch):
         jobs = level_jobs(2)
         faults.set_plan("hang@0:30")
-        opts = ResilienceOptions(job_timeout=0.3, retries=0, backoff_base=0.0)
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "0.3")
         with pytest.raises(JobFailedError) as excinfo:
-            run_jobs(jobs, resilience=opts)
+            run_jobs(jobs)
         assert "timed out after 0.3s" in excinfo.value.failures[0].reason
 
-    def test_interrupt_preserves_flushed_results(self, store):
+    def test_interrupt_preserves_flushed_results(self, store, no_retry):
         jobs = level_jobs(4)
         faults.set_plan("interrupt@2")
         with pytest.raises(KeyboardInterrupt):
-            run_jobs(jobs, resilience=NO_RETRY)
+            run_jobs(jobs)
         # Jobs 0 and 1 completed before the injected Ctrl-C and survive.
         assert store.stats().entries == 2
 
     def test_retries_recorded_on_scope(self, no_store):
         faults.set_plan("crash@0x1")
         with telemetry.scoped() as scope:
-            run_jobs(level_jobs(1), resilience=FAST)
+            run_jobs(level_jobs(1))
         assert scope.sections["resilience"]["retries"] == 1
         record = build_run_record(scope, run="x", config=None, wall_time_s=0.1)
         payload = record.as_dict()
@@ -220,7 +231,7 @@ class TestPoolResilience:
         clean = run_jobs(jobs)
         monkeypatch.setenv(faults.ENV_FAULT_PLAN, "kill@1x1")
         with telemetry.scoped() as scope:
-            assert run_jobs(jobs, jobs=2, resilience=FAST) == clean
+            assert run_jobs(jobs, jobs=2) == clean
         assert scope.sections["resilience"]["pool_rebuilds"] >= 1
 
     def test_poison_job_is_isolated(self, store, monkeypatch):
@@ -228,7 +239,7 @@ class TestPoolResilience:
         monkeypatch.setenv(faults.ENV_FAULT_PLAN, "kill@1x*")
         with telemetry.scoped() as scope:
             with pytest.raises(JobFailedError) as excinfo:
-                run_jobs(jobs, jobs=2, resilience=FAST)
+                run_jobs(jobs, jobs=2)
         assert [f.index for f in excinfo.value.failures] == [1]
         assert "poison" in excinfo.value.failures[0].reason
         assert scope.sections["resilience"]["poisoned_jobs"] == 1
@@ -239,21 +250,68 @@ class TestPoolResilience:
         jobs = level_jobs(2)
         clean = run_jobs(jobs)
         monkeypatch.setenv(faults.ENV_FAULT_PLAN, "hang@0x1:30")
-        opts = ResilienceOptions(job_timeout=0.5, retries=2, backoff_base=0.0)
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "0.5")
         with telemetry.scoped() as scope:
-            assert run_jobs(jobs, jobs=2, resilience=opts) == clean
+            assert run_jobs(jobs, jobs=2) == clean
         assert scope.sections["resilience"]["timeouts"] >= 1
 
     def test_repeated_breakage_falls_back_to_serial(self, no_store, monkeypatch):
         jobs = level_jobs(2)
         clean = run_jobs(jobs)
         monkeypatch.setenv(faults.ENV_FAULT_PLAN, "kill@0x1,kill@1x1")
-        opts = ResilienceOptions(retries=5, backoff_base=0.0, max_pool_rebuilds=0)
+        monkeypatch.setenv(engine.ENV_RETRIES, "5")
+        monkeypatch.setattr(engine, "MAX_POOL_REBUILDS", 0)
         # One break exhausts the rebuild budget; the remainder must finish
         # serially (in-process, where `kill` raises instead of exiting)
         # with the fallback surfaced, not swallowed.
         with pytest.warns(ParallelFallbackWarning, match="pool broke"):
-            assert run_jobs(jobs, jobs=2, resilience=opts) == clean
+            assert run_jobs(jobs, jobs=2) == clean
+
+
+def unknown_workload_job():
+    """A job that passes construction but raises a ReproError when run."""
+    missing = NamedWorkloadSpec("no-such-workload", SCALE, 0)
+    return LevelJob(SystemSpec.for_level(missing, CONFIG, side="d"))
+
+
+class TestDeterministicErrors:
+    """A job that raises a ReproError (a bad spec, an out-of-range trace,
+    an unknown workload) would raise it again on every attempt: it fails
+    on the first one, without retries or backoff."""
+
+    def test_inline_batch_fails_on_first_attempt(self, no_store, monkeypatch):
+        attempts = []
+        real = engine.execute_job
+
+        def counting(job):
+            attempts.append(job)
+            return real(job)
+
+        monkeypatch.setattr(engine, "execute_job", counting)
+        jobs = [level_jobs(1)[0], unknown_workload_job()]
+        with telemetry.scoped() as scope:
+            with pytest.raises(JobFailedError) as excinfo:
+                run_jobs(jobs)
+        (failure,) = excinfo.value.failures
+        assert failure.index == 1
+        assert UnknownWorkloadError.__name__ in failure.reason
+        assert len(attempts) == 2  # one per job: the bad one was not retried
+        assert "resilience" not in scope.sections
+
+    def test_pool_batch_fails_on_first_attempt(self, no_store):
+        jobs = level_jobs(2) + [unknown_workload_job()]
+        with telemetry.scoped() as scope:
+            with pytest.raises(JobFailedError) as excinfo:
+                run_jobs(jobs, jobs=2)
+        assert [f.index for f in excinfo.value.failures] == [2]
+        assert UnknownWorkloadError.__name__ in excinfo.value.failures[0].reason
+        assert "resilience" not in scope.sections
+
+    def test_injected_crash_still_retries(self, no_store):
+        faults.set_plan("crash@0x1")
+        with telemetry.scoped() as scope:
+            run_jobs(level_jobs(1))
+        assert scope.sections["resilience"]["retries"] == 1
 
 
 class TestOffMainThreadTimeout:
@@ -284,23 +342,21 @@ class TestOffMainThreadTimeout:
 
     @pytest.fixture(autouse=True)
     def fresh_watchdog_warning(self, monkeypatch):
-        from repro.experiments import engine
-
         monkeypatch.setattr(engine, "_WATCHDOG_WARNED", False)
 
-    def test_hung_job_times_out_with_a_recorded_warning(self, no_store):
+    def test_hung_job_times_out_with_a_recorded_warning(self, no_store, no_retry, monkeypatch):
         import warnings
 
         jobs = level_jobs(2)
         faults.set_plan("hang@0:5")
-        opts = ResilienceOptions(job_timeout=0.3, retries=0, backoff_base=0.0)
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "0.3")
 
         def call():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with telemetry.scoped() as scope:
                     with pytest.raises(JobFailedError) as excinfo:
-                        run_jobs(jobs, resilience=opts)
+                        run_jobs(jobs)
             return excinfo.value, caught, scope
 
         error, caught, scope = self.run_in_thread(call)
@@ -315,17 +371,17 @@ class TestOffMainThreadTimeout:
         )
         assert any(event.component == "serial_deadline" for event in scope.fallbacks)
 
-    def test_clean_jobs_pass_results_through_the_watchdog(self, no_store):
+    def test_clean_jobs_pass_results_through_the_watchdog(self, no_store, no_retry, monkeypatch):
         jobs = level_jobs(2)
         clean = run_jobs(jobs)  # main thread, no deadline
-        opts = ResilienceOptions(job_timeout=30.0, retries=0, backoff_base=0.0)
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "30.0")
         with pytest.warns(RuntimeWarning, match="watchdog"):
-            assert self.run_in_thread(lambda: run_jobs(jobs, resilience=opts)) == clean
+            assert self.run_in_thread(lambda: run_jobs(jobs)) == clean
 
 
 class TestCheckpointResume:
     def test_crash_then_resume_matches_clean_serial_run(
-        self, tmp_path, monkeypatch, sim_counter
+        self, tmp_path, monkeypatch, sim_counter, no_retry
     ):
         """The acceptance scenario: crash at job N, rerun, identical rows."""
         traces = suite(SCALE, 0)[:2]
@@ -340,13 +396,13 @@ class TestCheckpointResume:
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
         faults.set_plan("crash@2x*")
         with pytest.raises(JobFailedError):
-            sweep_grid(traces, spec, jobs=1, resilience=NO_RETRY)
+            sweep_grid(traces, spec, jobs=1)
         assert current_store().stats().entries == 3  # jobs 0, 1, 3 flushed
 
         faults.set_plan(None)
         before = sim_counter["levels"]
         with telemetry.scoped() as scope:
-            resumed = sweep_grid(traces, spec, jobs=1, resilience=NO_RETRY)
+            resumed = sweep_grid(traces, spec, jobs=1)
         assert resumed.rows == reference.rows
         store_section = scope.sections["store"]
         assert store_section["hits"] == 3 and store_section["misses"] == 1
@@ -420,27 +476,27 @@ class TestCLIValidation:
         assert self.run_main(["--resume", "--list"]) == 0
 
     def test_flags_exported_to_environment(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        # Empty reads as unset; setenv (not delenv) first, so the values
+        # the CLI exports are undone after the test instead of leaking.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "")
+        monkeypatch.setenv("REPRO_RETRIES", "")
         assert self.run_main(["--job-timeout", "9.5", "--retries", "3", "--list"]) == 0
         assert os.environ["REPRO_JOB_TIMEOUT"] == "9.5"
         assert os.environ["REPRO_RETRIES"] == "3"
-        monkeypatch.delenv("REPRO_JOB_TIMEOUT")
-        monkeypatch.delenv("REPRO_RETRIES")
 
 
 class TestHeartbeatFields:
     def test_progress_reports_resilience_activity(self, no_store):
         faults.set_plan("crash@0x1")
         beats = []
-        run_jobs(level_jobs(1), progress=beats.append, resilience=FAST)
+        run_jobs(level_jobs(1), progress=beats.append)
         assert beats and beats[-1].done == 1
         assert beats[-1].retries == 1
 
     def test_jobprogress_renders_additive_fields(self):
-        text = str(JobProgress(3, 8, 1.0, store_hits=2, retries=1, recoveries=1, note="n"))
+        text = str(JobProgress(3, 8, 1.0, store_hits=2, retries=1, recoveries=1, backend="numpy"))
         assert "jobs done" in text
-        assert "[1 retried]" in text and "[1 pool rebuilds]" in text and "[n]" in text
+        assert "[1 retried]" in text and "[1 pool rebuilds]" in text and "[numpy]" in text
 
 
 @pytest.mark.skipif(
@@ -460,6 +516,6 @@ class TestChaos:
         reference = sweep_grid(traces, spec, jobs=1)
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
         monkeypatch.setenv(faults.ENV_FAULT_PLAN, "crash@0x2,kill@3x1,corrupt@5x1")
-        opts = ResilienceOptions(retries=3, backoff_base=0.0)
-        chaotic = sweep_grid(traces, spec, jobs=2, resilience=opts)
+        monkeypatch.setenv(engine.ENV_RETRIES, "3")
+        chaotic = sweep_grid(traces, spec, jobs=2)
         assert chaotic.rows == reference.rows

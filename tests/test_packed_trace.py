@@ -1,4 +1,4 @@
-"""The one materialized trace: pinned content, address domain, SHM handoff."""
+"""The one materialized trace: pinned content, address domain, pickling."""
 
 from __future__ import annotations
 
@@ -10,11 +10,6 @@ from repro.common.config import CacheConfig
 from repro.common.errors import AddressRangeError, ConfigurationError, TraceFormatError
 from repro.common.types import AccessKind
 from repro.traces.io import load_trace, save_trace
-from repro.traces.packed import (
-    attach_shared_trace,
-    release_shared_segments,
-    share_packed_traces,
-)
 from repro.traces.registry import build_trace
 from repro.traces.trace import MaterializedTrace, Trace, TraceMeta, TraceStats, trace_from_pairs
 
@@ -246,80 +241,10 @@ class TestPicklePayload:
             assert not stream.flags.writeable
             assert stream.tolist() == source.stream_array(side).tolist()
 
-
-class TestSharedMemoryHandoff:
-    def test_round_trip(self):
-        source = build_trace("liver", 2_000).materialize()
-        key = ("liver", 2_000, 0)
-        descriptors, segments = share_packed_traces([(key, source)])
-        try:
-            assert descriptors[0].memo_key == key
-            clone = attach_shared_trace(descriptors[0])
-        finally:
-            release_shared_segments(segments)
-        assert len(clone) == len(source)
-        assert list(clone) == list(source)
-        assert clone.fingerprint() == source.fingerprint()
-        assert clone.meta == source.meta
-
     def test_round_trip_keeps_unsigned_addresses(self):
+        import pickle
+
         source = packed(HIGH)
-        descriptors, segments = share_packed_traces([(("high", None, 0), source)])
-        try:
-            clone = attach_shared_trace(descriptors[0])
-        finally:
-            release_shared_segments(segments)
+        clone = pickle.loads(pickle.dumps(source))
         assert list(clone) == HIGH
         assert clone.fingerprint() == source.fingerprint()
-
-    def test_release_is_idempotent(self):
-        source = packed()
-        _, segments = share_packed_traces([(("t", None, 0), source)])
-        release_shared_segments(segments)
-        release_shared_segments(segments)  # second call must not raise
-
-    def test_midloop_failure_unwinds_earlier_segments(self, monkeypatch):
-        """Regression: an ENOSPC on the second segment must unlink the
-        first — shared-memory names are system-global and outlive the
-        process when leaked."""
-        from multiprocessing import shared_memory
-
-        real = shared_memory.SharedMemory
-        created = []
-
-        def flaky(*args, **kwargs):
-            if kwargs.get("create"):
-                if created:  # second create fails like a full /dev/shm
-                    raise OSError(28, "No space left on device")
-                segment = real(*args, **kwargs)
-                created.append(segment.name)
-                return segment
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", flaky)
-        with pytest.raises(OSError, match="No space left"):
-            share_packed_traces([(("a", None, 0), packed()), (("b", None, 0), packed())])
-        assert created
-        with pytest.raises(FileNotFoundError):
-            real(name=created[0])  # the first segment was unlinked
-
-    def test_unlink_happens_even_when_close_fails(self):
-        """Regression: close() and unlink() fail independently; a close
-        error must not leave the name registered."""
-        from multiprocessing import shared_memory
-
-        _, segments = share_packed_traces([(("t", None, 0), packed())])
-        (segment,) = segments
-        name = segment.name
-
-        class CloseFails:
-            def close(self):
-                raise OSError("mapping already torn down")
-
-            def unlink(self):
-                segment.unlink()
-
-        release_shared_segments([CloseFails()])
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        segment.close()  # release this process's mapping

@@ -90,10 +90,6 @@ def serve_test(coro_fn, **config):
             return await coro_fn(daemon)
         finally:
             await daemon.aclose()
-            # Join sim threads still running an abandoned job (a slow_sim
-            # sleep outlives its request's deadline): their late run_jobs
-            # call would otherwise land in the next test's fake engine.
-            daemon.service._sim_pool.shutdown(wait=True)
 
     return asyncio.run(runner())
 

@@ -263,6 +263,27 @@ class TestDeadlines:
 
         serve_test(check, request_deadline=0.15)
 
+    def test_aclose_waits_for_a_sim_abandoned_at_its_deadline(self, store, fake_engine):
+        """A cold job outliving its request must not outlive the daemon:
+        its late engine call would land in whatever runs next."""
+        set_plan("slow_sim@1:0.5")
+
+        def sim_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("repro-serve-sim")]
+
+        async def check(daemon):
+            # A first cold query warms the lookup path, so the second
+            # one's deadline expires while its job sleeps, not earlier.
+            assert (await advise(daemon, query()))[0] == 200
+            status, _, body = await advise(daemon, dict(query(warmup=1), deadline_ms=100))
+            assert status == 504 and "deadline" in body["error"]
+            assert fake_engine.calls == 1  # the abandoned job is still asleep
+            await asyncio.wait_for(daemon.aclose(), 10)
+            assert fake_engine.calls == 2  # ...and ran to its end before aclose returned
+            assert not sim_threads()
+
+        serve_test(check)
+
 
 # -- the breaker on the wire ---------------------------------------------------
 

@@ -377,8 +377,8 @@ class TestEveryProducerOneRecord:
         return run.stats.as_dict()
 
     def test_every_section_of_one_record(self, trace, tmp_path, monkeypatch):
-        from repro.experiments import faults
-        from repro.experiments.engine import ResilienceOptions, _store_key
+        from repro.experiments import engine, faults
+        from repro.experiments.engine import _store_key
         from repro.specs import MultiWayStreamBufferSpec
         from repro.store import current_store
 
@@ -401,14 +401,15 @@ class TestEveryProducerOneRecord:
         )
         vector = LevelJob(SystemSpec.for_level(key, CONFIG, side="i"))
         run_jobs([cached])  # populate the store outside any scope
-        fast = ResilienceOptions(retries=2, backoff_base=0.0)
+        monkeypatch.delenv(engine.ENV_RETRIES, raising=False)
+        monkeypatch.setattr(engine, "BACKOFF_BASE", 0.0)
 
         with scoped() as scope:
             system = MemorySystem().run(trace)
             level = run_level(trace.stream("d"), CONFIG)
             run_jobs([cached, fresh], jobs=1)
             monkeypatch.setenv(faults.ENV_FAULT_PLAN, "crash@0")
-            run_jobs([replayed, vector], jobs=1, resilience=fast)
+            run_jobs([replayed, vector], jobs=1)
             monkeypatch.delenv(faults.ENV_FAULT_PLAN)
             record = build_run_record(scope, "every-producer", baseline_system(), 0.5)
 
