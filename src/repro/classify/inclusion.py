@@ -31,9 +31,13 @@ from ..caches.direct_mapped import DirectMappedCache
 from ..common.config import CacheConfig
 from ..common.errors import ConfigurationError
 from ..common.stats import safe_div
+from ..common.types import AccessOutcome
 from ..hierarchy.level import CacheLevel
 
 __all__ = ["InclusionReport", "InclusionMonitor"]
+
+_HIT = AccessOutcome.HIT
+_MISS = AccessOutcome.MISS
 
 
 @dataclass
@@ -77,18 +81,37 @@ class InclusionMonitor:
         self.l2 = DirectMappedCache(l2_config)
         self._l1_shift = l1_config.offset_bits
         self._l2_shift = l2_config.offset_bits
-        self._lines_per_l2_line = l2_config.line_size // l1_config.line_size
-        #: Scanning every resident line per access is O(cache size); a
-        #: sampling interval > 1 trades temporal resolution for speed
-        #: (the rate estimate stays unbiased for stationary behaviour).
+        #: log2 of the L1 lines per L2 line.
+        self._fragment_bits = self._l2_shift - self._l1_shift
+        #: Sampling every step is exact and cheap: the unbacked L1 count
+        #: is kept up to date line by line as residency changes, and only
+        #: the few victim-cache lines are recounted.  A sampling interval
+        #: > 1 still trades temporal resolution for speed (the rate
+        #: estimate stays unbiased for stationary behaviour).
         self.sample_interval = sample_interval
         self._since_sample = 0
+        self._l1_unbacked = 0
+        #: Victim-cache lines lacking L2 backing as of the last count; a
+        #: plain L1 hit leaves the victim cache and the L2 alone, so the
+        #: count stays exact until some other outcome happens.
+        self._victim_unbacked = 0
+        self._victim_moved = False
         self.report = InclusionReport()
 
     def access(self, byte_address: int) -> None:
-        outcome = self.level.access_line(byte_address >> self._l1_shift)
-        if outcome.goes_to_next_level:
-            self.l2.access_and_fill(byte_address >> self._l2_shift)
+        line = byte_address >> self._l1_shift
+        cache = self.level.cache
+        evicted = cache.resident_at(cache.index_of(line))
+        outcome = self.level.access_line(line)
+        if outcome is not _HIT:
+            # The L1 set traded *evicted* for *line*; judge both against
+            # the L2 as it stands before this step's L2 fill.
+            self._l1_unbacked += self._unbacked(line)
+            if evicted is not None:
+                self._l1_unbacked -= self._unbacked(evicted)
+            self._victim_moved = True
+            if outcome is _MISS:
+                self._fill_l2(byte_address >> self._l2_shift)
         self._since_sample += 1
         if self._since_sample >= self.sample_interval:
             self._since_sample = 0
@@ -101,20 +124,34 @@ class InclusionMonitor:
 
     # -- internals --------------------------------------------------------------
 
-    def _l2_backs(self, l1_line: int) -> bool:
-        shift = self._l2_shift - self._l1_shift
-        return self.l2.probe(l1_line >> shift)
+    def _unbacked(self, l1_line: int) -> bool:
+        return not self.l2.probe(l1_line >> self._fragment_bits)
+
+    def _resident_fragments(self, l2_line: int) -> int:
+        """How many L1 lines inside *l2_line* the L1 holds."""
+        first = l2_line << self._fragment_bits
+        probe = self.level.cache.probe
+        return sum(1 for line in range(first, first + (1 << self._fragment_bits)) if probe(line))
+
+    def _fill_l2(self, l2_line: int) -> None:
+        """Fill the L2 and move the L1 lines of the lines it swapped."""
+        l2 = self.l2
+        displaced = l2.resident_at(l2.index_of(l2_line))
+        if displaced == l2_line:
+            return
+        l2.fill(l2_line)
+        if displaced is not None:
+            self._l1_unbacked += self._resident_fragments(displaced)
+        self._l1_unbacked -= self._resident_fragments(l2_line)
 
     def _observe(self) -> None:
         self.report.accesses += 1
-        unbacked = sum(
-            1 for line in self.level.cache.resident_lines() if not self._l2_backs(line)
-        )
-        victim_unbacked = 0
-        if self.victim is not None:
-            victim_unbacked = sum(
-                1 for line in self.victim.resident_lines() if not self._l2_backs(line)
+        if self._victim_moved and self.victim is not None:
+            self._victim_moved = False
+            self._victim_unbacked = sum(
+                1 for line in self.victim.resident_lines() if self._unbacked(line)
             )
+        unbacked, victim_unbacked = self._l1_unbacked, self._victim_unbacked
         total = unbacked + victim_unbacked
         if total:
             self.report.steps_with_violation += 1

@@ -58,6 +58,7 @@ from .engine import (
     default_jobs,
     execute_job,
     resolve_jobs,
+    result_memo,
     run_experiments,
     run_jobs,
     validate_job_timeout,
@@ -132,6 +133,7 @@ __all__ = [
     "default_jobs",
     "resolve_jobs",
     "execute_job",
+    "result_memo",
     "run_jobs",
     "run_experiments",
     "JobFailure",

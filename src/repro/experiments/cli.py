@@ -289,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    from .engine import run_experiments, validate_jobs
+    from .engine import result_memo, run_experiments, validate_jobs
 
     try:
         jobs = validate_jobs(args.jobs)
@@ -319,9 +319,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if jobs > 1 and workload_specs is None:
         # Fan out over the engine; outcomes come back in selection order
         # with per-experiment wall time measured inside the worker.  One
-        # telemetry scope covers the whole batch: the simulations run in
-        # workers, so the records carry timing plus the shared engine
-        # section (job batches, serial-fallback reasons), not counters.
+        # telemetry scope covers the whole batch: it merges the counter
+        # sections the workers send back, so every record carries the
+        # whole run's store, backend and simulation counters plus the
+        # shared engine section (job batches, serial-fallback reasons).
         scope = telemetry.activate() if emit else None
         try:
             outcomes = run_experiments(
@@ -338,23 +339,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Materialize the shared suite once so per-experiment times are
     # honest; workload-driven runs build their own traces instead.
     traces = None if workload_specs is not None else suite(args.scale, args.seed)
-    for name in selected:
-        started = time.time()
-        # One scope per experiment: serial runs report their simulation
-        # counters into it, so each record is self-contained.
-        scope = telemetry.activate() if emit else None
-        try:
-            kwargs = dict(traces=traces, scale=args.scale, seed=args.seed)
-            if workload_specs is not None:
-                kwargs["workloads"] = workload_specs
-            result = ALL_EXPERIMENTS[name](**kwargs)
-        finally:
+    # One result map for the whole invocation: an engine job an earlier
+    # experiment already ran is answered from memory, not simulated again.
+    with result_memo():
+        for name in selected:
+            started = time.perf_counter()
+            # One scope per experiment: serial runs report their simulation
+            # counters into it, so each record is self-contained.
+            scope = telemetry.activate() if emit else None
+            try:
+                kwargs = dict(traces=traces, scale=args.scale, seed=args.seed)
+                if workload_specs is not None:
+                    kwargs["workloads"] = workload_specs
+                result = ALL_EXPERIMENTS[name](**kwargs)
+            finally:
+                if scope is not None:
+                    telemetry.deactivate()
+            elapsed = time.perf_counter() - started
+            _print_result(name, result, elapsed, args.plot)
             if scope is not None:
-                telemetry.deactivate()
-        elapsed = time.time() - started
-        _print_result(name, result, elapsed, args.plot)
-        if scope is not None:
-            _emit_record(emit, scope, name, elapsed, jobs, args, workloads=workload_specs)
+                _emit_record(emit, scope, name, elapsed, jobs, args, workloads=workload_specs)
     return 0
 
 

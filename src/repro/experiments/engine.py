@@ -16,6 +16,10 @@ and fans jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   builds each trace it needs on demand, once, through the same memo.
 * **Deterministic ordering** — results always come back in job-submission
   order, so a parallel run is row-for-row identical to a serial one.
+* **One run per distinct job per call** — inside a :func:`result_memo`
+  block (every :func:`run_experiments` call opens one) a job equal to
+  one already answered is answered from memory: no simulation, no store
+  traffic.
 * **Inline execution** — with ``jobs=1`` (the default, or via the
   ``REPRO_JOBS`` environment variable) everything runs in the calling
   process; no pool, no pickling, byte-identical results.
@@ -43,6 +47,7 @@ not.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
@@ -52,8 +57,8 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ConfigurationError, ReproError
 from ..common.stats import percent, safe_div
@@ -69,7 +74,7 @@ from ..kernels import (
 from ..specs import NamedWorkloadSpec, SpecError, StructureSpec, SystemSpec, WorkloadSpec
 from ..specs import build, spec_hash
 from ..store import ResultKey, current_store
-from ..telemetry.core import JobProgress, ProgressCallback, record_fallback
+from ..telemetry.core import JobProgress, ProgressCallback, record_fallback, scoped
 from ..telemetry.core import current as _telemetry_scope
 from .base import FigureResult, TableResult
 from .runner import run_level
@@ -98,6 +103,7 @@ __all__ = [
     "validate_job_timeout",
     "validate_retries",
     "execute_job",
+    "result_memo",
     "run_jobs",
     "run_experiments",
 ]
@@ -239,20 +245,31 @@ class SystemJob:
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One whole experiment module run at a given scale and seed."""
+    """One whole experiment module run at a given scale and seed.
+
+    With ``metrics`` set, the module runs under a telemetry scope of its
+    own whose counter sections come back on the outcome, so a parent
+    process can merge what its pool workers counted.
+    """
 
     name: str
     scale: Optional[int] = None
     seed: int = 0
+    metrics: bool = False
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """Result of an :class:`ExperimentJob`, with worker-side timing."""
+    """Result of an :class:`ExperimentJob`, with worker-side timing.
+
+    ``sections`` holds the module's telemetry counter sections (section
+    -> counter -> count) when its job asked for ``metrics``.
+    """
 
     name: str
     result: Union[TableResult, FigureResult]
     elapsed: float
+    sections: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 Job = Union[LevelJob, EntrySweepJob, RunSweepJob, SystemJob, ExperimentJob]
@@ -344,10 +361,61 @@ def execute_job(job: Job):
         # __init__, which itself imports this module.
         from . import ALL_EXPERIMENTS
 
-        started = time.time()
-        result = ALL_EXPERIMENTS[job.name](traces=None, scale=job.scale, seed=job.seed)
-        return ExperimentOutcome(name=job.name, result=result, elapsed=time.time() - started)
+        run = ALL_EXPERIMENTS[job.name]
+        sections: Dict[str, Dict[str, int]] = {}
+        started = time.perf_counter()
+        with result_memo():
+            if job.metrics:
+                with scoped() as scope:
+                    result = run(traces=None, scale=job.scale, seed=job.seed)
+                sections = scope.sections
+            else:
+                result = run(traces=None, scale=job.scale, seed=job.seed)
+        return ExperimentOutcome(job.name, result, time.perf_counter() - started, sections)
     raise TypeError(f"not an engine job: {job!r}")
+
+
+# -- the result map -----------------------------------------------------------
+
+#: The open :func:`result_memo` block's map from job to result, or None.
+_RESULT_MEMO: Optional[Dict[Job, object]] = None
+
+
+def _forget_result_memo() -> None:
+    global _RESULT_MEMO
+    _RESULT_MEMO = None
+
+
+if hasattr(os, "register_at_fork"):
+    # A result map belongs to the process that opened it: a fork worker
+    # starts without one, exactly like a worker under any other start
+    # method, so what a worker runs never depends on the start method.
+    os.register_at_fork(after_in_child=_forget_result_memo)
+
+
+@contextmanager
+def result_memo() -> Iterator[None]:
+    """Answer repeated engine jobs from memory until the block exits.
+
+    Inside the block every :func:`run_jobs` batch looks each job up by
+    value (jobs are frozen dataclasses) before the result store, and
+    remembers every result it computes or reads from the store, so a job
+    an earlier batch answered never runs or reaches the store again.  A job
+    answered from memory counts like a store hit in progress heartbeats
+    and adds no simulation counters and no store traffic.  Answers are
+    shared, not copied: callers treat results as read-only.  Blocks nest
+    (an inner block shares the outer map); a batch outside any block
+    never hashes a job.
+    """
+    global _RESULT_MEMO
+    if _RESULT_MEMO is not None:
+        yield
+        return
+    _RESULT_MEMO = {}
+    try:
+        yield
+    finally:
+        _RESULT_MEMO = None
 
 
 def default_jobs() -> int:
@@ -1070,7 +1138,9 @@ def run_jobs(
     ``--result-store``), each cacheable job is looked up before dispatch
     and its result flushed back **as it completes** — not at batch end —
     so an interrupted or crashed batch keeps every finished point and a
-    rerun (or ``--resume``) continues where it stopped.
+    rerun (or ``--resume``) continues where it stopped.  Inside a
+    :func:`result_memo` block the in-memory result map is consulted
+    before the store.
 
     ``REPRO_JOB_TIMEOUT``/``REPRO_RETRIES``, read once per batch, govern
     per-job timeouts and bounded retry with exponential backoff; a job
@@ -1085,18 +1155,25 @@ def run_jobs(
     store = current_store()
     scope = _telemetry_scope()
     started = time.perf_counter() if scope is not None else 0.0
+    memo = _RESULT_MEMO
 
     # Pin the batch's traces for its whole length: store keys and jobs
     # then build each trace at most once in this process, however many
     # distinct traces the batch has.
     with pinned_workloads(_distinct_trace_keys(job_list)):
-        # Consult the store first: hits fill their result slots directly,
-        # misses become pending entries whose computed results are flushed
-        # back — and merged — in submission order.
+        # Consult the result map, then the store: answers fill their
+        # result slots directly, misses become pending entries whose
+        # computed results are flushed back — and merged — in
+        # submission order.
         results: List = [None] * len(job_list)
         entries: List[_Pending] = []
         traffic = {"hits": 0, "misses": 0, "bytes_read": 0}
         for index, job in enumerate(job_list):
+            if memo is not None:
+                known = memo.get(job)
+                if known is not None:
+                    results[index] = known
+                    continue
             key = _store_key(job) if store is not None else None
             if key is not None:
                 cached, nbytes = store.get(key)
@@ -1107,7 +1184,8 @@ def run_jobs(
                     continue
                 traffic["misses"] += 1
             entries.append(_Pending(index, job, key))
-        hits = traffic["hits"]
+        # Everything answered without simulating, map answers included.
+        hits = len(job_list) - len(entries)
 
         workers = min(resolve_jobs(jobs), len(entries)) if entries else 1
         stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
@@ -1133,6 +1211,10 @@ def run_jobs(
 
     for index, outcome in computed.items():
         results[index] = outcome
+    if memo is not None:
+        for job, result in zip(job_list, results):
+            if result is not None:
+                memo[job] = result
 
     if scope is not None and job_list:
         _record_batch(
@@ -1142,6 +1224,11 @@ def run_jobs(
     if failures:
         raise JobFailedError(failures)
     return results
+
+
+def _forks_workers() -> bool:
+    """True when a process pool here would start its workers by fork."""
+    return multiprocessing.get_start_method() == "fork"
 
 
 def run_experiments(
@@ -1161,28 +1248,37 @@ def run_experiments(
     every *heartbeat* seconds of pool time.  Experiment modules are not
     store-cacheable, but retries, timeouts, and broken-pool recovery
     apply exactly as in :func:`run_jobs`.
+
+    The call does each piece of work once per process.  It holds a
+    :func:`result_memo` open, so each distinct engine job runs once per
+    call inline (once per module in a pool worker), and it pins the
+    six-trace suite for its whole length, so no module's other traces
+    evict it.  Before a fork pool the parent builds the suite, for the
+    workers to inherit; workers under any other start method build what
+    they need.  With a telemetry scope active, pool workers send their
+    counter sections back and the scope merges them.
     """
-    job_list = [ExperimentJob(name, scale, seed) for name in names]
+    scope = _telemetry_scope()
+    workers = min(resolve_jobs(jobs), len(names)) if names else 1
+    metrics = scope is not None and workers > 1
+    job_list = [ExperimentJob(name, scale, seed, metrics) for name in names]
     job_timeout, retries = _env_job_timeout(), _env_retries()
     entries = [_Pending(index, job, None) for index, job in enumerate(job_list)]
-    workers = min(resolve_jobs(jobs), len(job_list)) if job_list else 1
-    scope = _telemetry_scope()
     started = time.perf_counter() if scope is not None else 0.0
     stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
-    # A pool's suite is built once in the parent before forking, pinned:
-    # fork-based workers then share the materialized traces copy-on-write
-    # for the whole run (other start methods build on demand per worker).
-    suite_keys = ()
-    if workers > 1:
-        suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
-    with pinned_workloads(suite_keys):
-        if suite_keys:
+    suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
+    with pinned_workloads(suite_keys), result_memo():
+        if workers > 1 and _forks_workers():
             suite(scale, seed)
         computed, failures = _execute_entries(
             entries, workers, job_timeout, retries, None, stats, progress, heartbeat,
             len(job_list), 0,
         )
     if scope is not None and job_list:
+        if metrics:
+            for outcome in computed.values():
+                for section, counts in outcome.sections.items():
+                    scope.add(section, counts)
         _record_batch(scope, "ExperimentJob", len(job_list), workers, started, stats)
     if failures:
         raise JobFailedError(failures)

@@ -24,11 +24,14 @@ additionally records the reason for the run record when active.
 
 Thread-safety: scopes are process-local and activation is not
 re-entrant by design — one logical run per process at a time, matching
-how the CLI and the experiment modules use it.  Worker processes of the
+how the CLI and the experiment modules use it; a nested :class:`scoped`
+block restores the outer scope when it exits.  Worker processes of the
 parallel engine report into no parent scope — a fork-based worker holds
 a copy whose observations stay in the worker, and a worker under any
-other start method starts with none — so simulations running inside
-workers report into the engine's job statistics instead.
+other start method starts with none.  An experiment module run in a
+worker therefore runs under a scope of its own, and its counter
+sections travel back on the outcome for the parent to merge
+(:func:`repro.experiments.engine.run_experiments`).
 """
 
 from __future__ import annotations
@@ -129,8 +132,10 @@ class JobBatchStats:
 class JobProgress:
     """One heartbeat of a running parallel batch (for progress callbacks).
 
-    ``store_hits`` counts jobs of the batch satisfied from the result
-    store instead of simulated; they are included in ``done``.
+    ``store_hits`` counts jobs of the batch answered instead of
+    simulated — from the result store, or from the engine's in-memory
+    result map (:func:`repro.experiments.engine.result_memo`); they are
+    included in ``done``.
     ``retries`` and ``recoveries`` (re-run job attempts and worker-pool
     rebuilds so far) stay zero on a healthy batch.
     ``backend`` names the simulation kernel backend(s) executing the
@@ -289,17 +294,22 @@ class scoped:
         with telemetry.scoped() as scope:
             run_experiment(...)
         record = build_run_record(scope, ...)
+
+    Leaving the block restores whatever scope was active before it.
     """
 
     def __init__(self) -> None:
         self.scope = MetricsScope()
+        self._previous: Optional[MetricsScope] = None
 
     def __enter__(self) -> MetricsScope:
+        self._previous = _SCOPE
         activate(self.scope)
         return self.scope
 
     def __exit__(self, *exc_info) -> None:
-        deactivate()
+        global _SCOPE
+        _SCOPE = self._previous
 
 
 def record_fallback(component: str, reason: str, stacklevel: int = 3) -> None:

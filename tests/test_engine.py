@@ -7,29 +7,36 @@ seed, jobs must stay picklable, and anything the engine cannot describe
 :class:`ConfigurationError` rather than silently taking another route.
 """
 
+import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.buffers.miss_cache import MissCache
 from repro.buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
 from repro.buffers.victim_cache import VictimCache
 from repro.caches.fully_associative import ReplacementPolicy
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigurationError
+from repro.experiments import ALL_EXPERIMENTS, engine
 from repro.experiments.engine import (
     EntrySweepJob,
     ExperimentJob,
     LevelJob,
     RunSweepJob,
+    SystemJob,
     default_jobs,
     execute_job,
     resolve_jobs,
+    result_memo,
     run_experiments,
     run_jobs,
     validate_jobs,
@@ -410,7 +417,8 @@ class TestNonForkPool:
         """
     )
 
-    def test_spawn_pool_matches_inline(self):
+    @staticmethod
+    def run_script(script, *args):
         repo = Path(__file__).resolve().parents[1]
         env = {
             key: value for key, value in os.environ.items()
@@ -418,11 +426,44 @@ class TestNonForkPool:
         }
         env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
+            [sys.executable, "-c", script, *args],
             capture_output=True, text=True, env=env, cwd=repo, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "spawn pool matches inline: 8 jobs" in proc.stdout
+        return proc.stdout
+
+    def test_spawn_pool_matches_inline(self):
+        assert "spawn pool matches inline: 8 jobs" in self.run_script(self.SCRIPT)
+
+    EXPERIMENTS = textwrap.dedent(
+        """
+        import json
+        import multiprocessing
+        import sys
+
+        multiprocessing.set_start_method(sys.argv[1])
+
+        from repro import telemetry
+        from repro.experiments.engine import run_experiments
+
+        with telemetry.scoped() as scope:
+            outcomes = run_experiments(["table_2_2", "figure_5_1"], scale=1500, jobs=2)
+        print(json.dumps({
+            "results": [repr(outcome.result) for outcome in outcomes],
+            "sections": scope.sections,
+        }))
+        """
+    )
+
+    def test_experiment_workers_report_alike_under_fork_and_spawn(self):
+        """Each worker runs its module under a fresh result map and scope,
+        whatever the start method, and the parent merges what it counted."""
+        fork, spawn = (
+            json.loads(self.run_script(self.EXPERIMENTS, method).splitlines()[-1])
+            for method in ("fork", "spawn")
+        )
+        assert fork == spawn
+        assert sum(fork["sections"]["backends"].values()) == 18  # 6 + 12 SystemJobs
 
 
 class TestExperimentDeterminism:
@@ -449,3 +490,117 @@ class TestExperimentDeterminism:
             return [line for line in text.splitlines() if not line.startswith("[")]
 
         assert strip_timing(parallel_out) == strip_timing(serial_out)
+
+
+def _worker_result_map():
+    return engine._RESULT_MEMO
+
+
+class TestResultMemo:
+    """One ``run_experiments`` call runs each distinct engine job once."""
+
+    #: Three modules that all submit ``base_and_improved``'s 12 SystemJobs.
+    NAMES = ["figure_5_1", "ext_penalty_sweep", "ext_timing_fidelity"]
+
+    @pytest.fixture(autouse=True)
+    def no_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+
+    @staticmethod
+    def count_executions(monkeypatch):
+        calls = Counter()
+        original = engine.execute_job
+
+        def counted(job):
+            calls[job] += 1
+            return original(job)
+
+        monkeypatch.setattr(engine, "execute_job", counted)
+        return calls
+
+    def test_each_distinct_job_runs_once_per_call(self, monkeypatch):
+        calls = self.count_executions(monkeypatch)
+        for name in self.NAMES:
+            run_experiments([name], scale=SCALE, jobs=1)
+        submitted = sum(n for job, n in calls.items() if isinstance(job, SystemJob))
+        calls.clear()
+        run_experiments(self.NAMES, scale=SCALE, jobs=1)
+        system_jobs = [job for job in calls if isinstance(job, SystemJob)]
+        assert len(system_jobs) == 12 and submitted == 36
+        assert set(calls.values()) == {1}
+
+    def test_shared_call_matches_each_module_alone(self):
+        together = run_experiments(self.NAMES, scale=SCALE, jobs=1)
+        alone = [run_experiments([name], scale=SCALE, jobs=1)[0] for name in self.NAMES]
+        assert [repr(o.result) for o in together] == [repr(o.result) for o in alone]
+
+    def test_map_answers_add_no_store_traffic_or_counters(self, monkeypatch, tmp_path):
+        """With a store, each distinct key reaches it once per call, and a
+        module answered from the map adds no simulation counters."""
+        counted = ("store", "backends", "l1i", "l1d", "l2", "level")
+
+        def sections(names, store):
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / store))
+            with telemetry.scoped() as scope:
+                run_experiments(names, scale=SCALE, jobs=1)
+            return {name: scope.sections.get(name) for name in counted}
+
+        alone = sections(["figure_5_1"], "alone")
+        cold = sections(["figure_5_1", "ext_penalty_sweep"], "shared")
+        assert cold["store"] == {"hits": 0, "misses": 12, "bytes_read": 0}
+        assert cold == alone
+        warm = sections(["figure_5_1", "ext_penalty_sweep"], "shared")
+        assert warm["store"]["hits"] == 12 and warm["store"]["misses"] == 0
+        assert warm["backends"] is warm["l1i"] is warm["l2"] is None
+
+    def test_batch_inside_a_block_answers_from_memory(self):
+        jobs = [LevelJob(SystemSpec.for_level(NamedWorkloadSpec(name, SCALE), CONFIG))
+                for name in ("ccom", "grr")]
+        updates = []
+        with result_memo():
+            first = run_jobs(jobs)
+            again = run_jobs(jobs, progress=updates.append)
+        assert [a is b for a, b in zip(first, again)] == [True, True]
+        assert (updates[-1].done, updates[-1].store_hits) == (2, 2)
+        assert run_jobs(jobs)[0] is not first[0]  # the map closed with the block
+
+    def test_fork_workers_start_without_the_parents_map(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with result_memo():
+            assert engine._RESULT_MEMO == {}
+            with ProcessPoolExecutor(1, mp_context=context) as pool:
+                assert pool.submit(_worker_result_map).result() is None
+
+    def test_no_module_mutates_a_shared_result(self, monkeypatch):
+        """Map answers are shared, not copied: every module must leave a
+        result it gets back as the engine handed it over."""
+
+        class SnapshotMap(dict):
+            def __init__(self):
+                super().__init__()
+                self.snapshots = {}
+
+            def __setitem__(self, job, result):
+                self.snapshots.setdefault(job, pickle.dumps(result))
+                super().__setitem__(job, result)
+
+        shared = SnapshotMap()
+        monkeypatch.setattr(engine, "_RESULT_MEMO", shared)
+        run_experiments(list(ALL_EXPERIMENTS), scale=SCALE, jobs=1)
+        assert len(shared) > 500
+        assert [job for job, result in shared.items()
+                if pickle.dumps(result) != shared.snapshots[job]] == []
+
+
+class TestSuiteBuildBeforePool:
+    """The parent builds the suite before a pool only when workers fork."""
+
+    @pytest.mark.parametrize("method, builds", [("fork", 1), ("spawn", 0)])
+    def test_parent_builds_the_suite_only_for_fork_workers(self, monkeypatch, method, builds):
+        built = []
+        monkeypatch.setattr(engine, "suite", lambda *args: built.append(args))
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: method)
+        run_experiments(["table_1_1", "table_2_1"], scale=SCALE, jobs=2)
+        assert len(built) == builds

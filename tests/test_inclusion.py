@@ -1,10 +1,16 @@
 """Tests for the §3.5 inclusion monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.classify.inclusion import InclusionMonitor
+from repro.buffers.victim_cache import VictimCache
+from repro.caches.direct_mapped import DirectMappedCache
+from repro.classify.inclusion import InclusionMonitor, InclusionReport
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigurationError
+from repro.common.types import AccessOutcome
+from repro.hierarchy.level import CacheLevel
 
 L1 = CacheConfig(256, 16)          # 16 lines
 L2_MATCHED = CacheConfig(1024, 16)
@@ -87,3 +93,52 @@ class TestSampling:
         sparse.run(iter(addresses))
         assert dense.report.accesses == 1000
         assert sparse.report.accesses == 100
+
+
+def rescan_report(addresses, l1_config, l2_config, victim_entries, sample_interval):
+    """The inclusion report by brute force: rescan every upper line each sample."""
+    victim = VictimCache(victim_entries) if victim_entries else None
+    level = CacheLevel(l1_config, victim)
+    l2 = DirectMappedCache(l2_config)
+    shift = l2_config.offset_bits - l1_config.offset_bits
+    report = InclusionReport()
+    for step, address in enumerate(addresses, start=1):
+        if level.access(address) is AccessOutcome.MISS:
+            l2.access_and_fill(address >> l2_config.offset_bits)
+        if step % sample_interval:
+            continue
+        in_l1 = sum(1 for line in level.cache.resident_lines() if not l2.probe(line >> shift))
+        in_vc = 0 if victim is None else sum(
+            1 for line in victim.resident_lines() if not l2.probe(line >> shift)
+        )
+        report.accesses += 1
+        if in_l1 + in_vc:
+            report.steps_with_violation += 1
+            report.violating_line_steps += in_l1 + in_vc
+            report.victim_cache_violations += in_vc
+            report.peak_violations = max(report.peak_violations, in_l1 + in_vc)
+    return report
+
+
+class TestIncrementalCountMatchesRescan:
+    """The monitor keeps its unbacked-line count up to date as lines move;
+    on any stream it must report what a full rescan every step reports."""
+
+    # A 4KB address window over a 16-line L1: hits, conflicts, victim
+    # swaps and L2 replacements all happen within a few hundred steps.
+    streams = st.lists(st.integers(0, 4095), max_size=400)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        addresses=streams,
+        sample_interval=st.sampled_from([1, 8]),
+        victim_entries=st.sampled_from([0, 4]),
+        l2_config=st.sampled_from([CacheConfig(1024, 16), CacheConfig(1024, 128)]),
+    )
+    def test_report_equals_full_rescan(
+        self, addresses, sample_interval, victim_entries, l2_config
+    ):
+        monitor = InclusionMonitor(L1, l2_config, victim_entries, sample_interval)
+        assert monitor.run(addresses) == rescan_report(
+            addresses, L1, l2_config, victim_entries, sample_interval
+        )

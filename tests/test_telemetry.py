@@ -10,6 +10,7 @@ through JSON Lines and are schema-validated.
 
 import json
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -78,6 +79,13 @@ class TestScopeLifecycle:
     def test_scoped_activates_and_deactivates(self):
         with scoped() as scope:
             assert telemetry_core.current() is scope
+        assert telemetry_core.current() is None
+
+    def test_leaving_a_nested_scope_restores_the_outer_one(self):
+        with scoped() as outer:
+            with scoped() as inner:
+                assert telemetry_core.current() is inner
+            assert telemetry_core.current() is outer
         assert telemetry_core.current() is None
 
     def test_deactivated_on_exception(self):
@@ -338,6 +346,30 @@ class TestCliEmitMetrics:
             assert record.mode == "parallel"
             assert record.jobs == 2
             assert record.engine["job_batches"], "parallel record must carry the batch stats"
+
+    def test_parallel_records_count_their_workers_batches(self, tmp_path, capsys):
+        """Pool workers send their counter sections back: a ``--jobs 2``
+        record counts every store lookup its modules' batches made."""
+        from repro.experiments.cli import main
+
+        def run(names, jobs, store):
+            path = str(tmp_path / f"{store}.jsonl")
+            argv = names + ["--scale", "1500", "--jobs", str(jobs), "--emit-metrics", path,
+                            "--result-store", str(tmp_path / store)]
+            assert main(argv) == 0
+            return list(read_records(path))
+
+        alone = [run([name], 1, name)[0] for name in ("table_2_2", "figure_5_1")]
+        together = run(["table_2_2", "figure_5_1"], 2, "both")
+        capsys.readouterr()
+        expected = sum(r.store["hits"] + r.store["misses"] for r in alone)
+        backends = Counter()
+        for record in alone:
+            backends.update(record.backends)
+        assert expected == 18 and sum(backends.values()) == 18
+        for record in together:
+            assert record.store["hits"] + record.store["misses"] == expected
+            assert record.backends == dict(backends)
 
     def test_no_metrics_file_without_flag(self, tmp_path, capsys):
         from repro.experiments.cli import main

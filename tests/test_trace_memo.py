@@ -16,9 +16,10 @@ import pytest
 
 from repro.common.config import CacheConfig
 from repro.experiments import workloads
-from repro.experiments.engine import EntrySweepJob, LevelJob, run_jobs
+from repro.experiments.engine import EntrySweepJob, LevelJob, run_experiments, run_jobs
 from repro.specs import NamedWorkloadSpec, SystemSpec
 from repro.specs.workloads import SequentialSpec, UniformRandomSpec
+from repro.traces.registry import BENCHMARK_NAMES
 from repro.traces.trace import Trace
 
 #: The memo cap the tests run under; fork workers inherit the patch.
@@ -110,6 +111,25 @@ class TestBatchBuilds:
         run_jobs(grouped_grid(pattern_specs(CAP + 1)), jobs=1)
         assert len(memo._TRACE_CACHE) == CAP
         assert not memo._PINS
+
+
+class TestSuitePinnedForTheCall:
+    def test_a_module_with_many_traces_does_not_evict_the_suite(
+        self, monkeypatch, builds
+    ):
+        """ext_modern_workloads replays eight traces of its own, enough to
+        evict the six-trace suite from the memo at the default cap; the
+        call pins the suite, so the module after it rebuilds nothing."""
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
+        monkeypatch.setattr(workloads, "_FINGERPRINTS", type(workloads._FINGERPRINTS)())
+        run_experiments(["figure_3_3", "ext_modern_workloads", "figure_3_5"], scale=1_000)
+        built = Counter(source for _pid, source in builds())
+        suite_sources = {
+            NamedWorkloadSpec(name, 1_000).resolve().to_json() for name in BENCHMARK_NAMES
+        }
+        assert suite_sources <= set(built)
+        assert set(built.values()) == {1}
 
 
 class TestFingerprintTier:
