@@ -31,10 +31,10 @@ rejected with a clear error instead of being silently clamped.
 
 ``--emit-metrics PATH`` appends one JSON Lines run record per executed
 experiment (see :mod:`repro.telemetry.record` for the schema): wall
-time, references/sec, aggregated L1/L2 counters (serial runs), the
-engine's job batches and serial-fallback reasons, and result-store
-traffic when a store is active.  ``--progress`` prints parallel-engine
-heartbeats to stderr.
+time, references/sec, aggregated L1/L2 counters, the engine's job
+batches and serial-fallback reasons, and result-store traffic when a
+store is active — the same counters for a module at any ``--jobs``.
+``--progress`` prints parallel-engine heartbeats to stderr.
 
 ``--result-store DIR`` (or the ``REPRO_RESULT_STORE`` environment
 variable) activates the content-addressed result store: every engine
@@ -66,13 +66,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 from ..common.config import baseline_system
 from ..common.errors import ConfigurationError
 from ..specs import SystemSpec
-from ..telemetry import core as telemetry
 from ..telemetry.record import append_record, build_run_record
 from . import ALL_EXPERIMENTS
 from .base import FigureResult
@@ -309,56 +307,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(f"wrote report to {path}")
         return 0
-    emit = args.emit_metrics
-    progress = _heartbeat_printer if args.progress else None
+    # Workload-driven experiments fan out *internally* (their jobs carry
+    # full workload specs through run_jobs), so they run one module at a
+    # time and hand the worker count to the engine through the
+    # environment.
     if workload_specs is not None and jobs > 1:
-        # Workload-driven experiments fan out *internally* (their jobs
-        # carry full workload specs through run_jobs); propagate the
-        # worker count through the environment the engine resolves.
         os.environ["REPRO_JOBS"] = str(jobs)
-    if jobs > 1 and workload_specs is None:
-        # Fan out over the engine; outcomes come back in selection order
-        # with per-experiment wall time measured inside the worker.  One
-        # telemetry scope covers the whole batch: it merges the counter
-        # sections the workers send back, so every record carries the
-        # whole run's store, backend and simulation counters plus the
-        # shared engine section (job batches, serial-fallback reasons).
-        scope = telemetry.activate() if emit else None
-        try:
-            outcomes = run_experiments(
-                selected, scale=args.scale, seed=args.seed, jobs=jobs, progress=progress
-            )
-        finally:
-            if scope is not None:
-                telemetry.deactivate()
-        for outcome in outcomes:
-            _print_result(outcome.name, outcome.result, outcome.elapsed, args.plot)
-            if scope is not None:
-                _emit_record(emit, scope, outcome.name, outcome.elapsed, jobs, args)
-        return 0
-    # Materialize the shared suite once so per-experiment times are
-    # honest; workload-driven runs build their own traces instead.
-    traces = None if workload_specs is not None else suite(args.scale, args.seed)
-    # One result map for the whole invocation: an engine job an earlier
-    # experiment already ran is answered from memory, not simulated again.
+    module_jobs = 1 if workload_specs is not None else jobs
+    # A pool returns every outcome at once; serially, each experiment is
+    # its own call, so it prints as soon as it finishes.  One result map
+    # covers the whole invocation: an engine job an earlier experiment
+    # already ran is answered from memory, not simulated again.
+    batches = [selected] if module_jobs > 1 else [[name] for name in selected]
+    progress = _heartbeat_printer if args.progress and module_jobs > 1 else None
     with result_memo():
-        for name in selected:
-            started = time.perf_counter()
-            # One scope per experiment: serial runs report their simulation
-            # counters into it, so each record is self-contained.
-            scope = telemetry.activate() if emit else None
-            try:
-                kwargs = dict(traces=traces, scale=args.scale, seed=args.seed)
-                if workload_specs is not None:
-                    kwargs["workloads"] = workload_specs
-                result = ALL_EXPERIMENTS[name](**kwargs)
-            finally:
-                if scope is not None:
-                    telemetry.deactivate()
-            elapsed = time.perf_counter() - started
-            _print_result(name, result, elapsed, args.plot)
-            if scope is not None:
-                _emit_record(emit, scope, name, elapsed, jobs, args, workloads=workload_specs)
+        for names in batches:
+            outcomes = run_experiments(
+                names, scale=args.scale, seed=args.seed, jobs=module_jobs,
+                progress=progress, workloads=workload_specs,
+            )
+            for outcome in outcomes:
+                _print_result(outcome.name, outcome.result, outcome.elapsed, args.plot)
+                if args.emit_metrics:
+                    _emit_record(args.emit_metrics, outcome, jobs, args, workload_specs)
     return 0
 
 
@@ -366,17 +337,15 @@ def _heartbeat_printer(update) -> None:
     print(f"[engine] {update}", file=sys.stderr, flush=True)
 
 
-def _emit_record(
-    path: str, scope, name: str, elapsed: float, jobs: int, args, workloads=None
-) -> None:
+def _emit_record(path: str, outcome, jobs: int, args, workloads) -> None:
     # Experiments span many traces, so the embedded spec is config-only
     # (trace=None): it still pins geometry/timing and hashes canonically.
     # Explicit --workload specs are embedded in replayable form.
     record = build_run_record(
-        scope,
-        run=name,
+        outcome.metrics,
+        run=outcome.name,
         config=baseline_system(),
-        wall_time_s=elapsed,
+        wall_time_s=outcome.elapsed,
         jobs=jobs,
         scale=args.scale,
         seed=args.seed,

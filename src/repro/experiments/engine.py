@@ -57,7 +57,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ConfigurationError, ReproError
@@ -74,7 +74,14 @@ from ..kernels import (
 from ..specs import NamedWorkloadSpec, SpecError, StructureSpec, SystemSpec, WorkloadSpec
 from ..specs import build, spec_hash
 from ..store import ResultKey, current_store
-from ..telemetry.core import JobProgress, ProgressCallback, record_fallback, scoped
+from ..telemetry.core import (
+    JobBatchStats,
+    JobProgress,
+    MetricsScope,
+    ProgressCallback,
+    record_fallback,
+    scoped,
+)
 from ..telemetry.core import current as _telemetry_scope
 from .base import FigureResult, TableResult
 from .runner import run_level
@@ -247,29 +254,28 @@ class SystemJob:
 class ExperimentJob:
     """One whole experiment module run at a given scale and seed.
 
-    With ``metrics`` set, the module runs under a telemetry scope of its
-    own whose counter sections come back on the outcome, so a parent
-    process can merge what its pool workers counted.
+    ``workloads`` drives a workload-aware module (one whose ``run``
+    takes ``workloads``) with these specs instead of its defaults.
     """
 
     name: str
     scale: Optional[int] = None
     seed: int = 0
-    metrics: bool = False
+    workloads: Optional[Tuple[WorkloadSpec, ...]] = None
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
     """Result of an :class:`ExperimentJob`, with worker-side timing.
 
-    ``sections`` holds the module's telemetry counter sections (section
-    -> counter -> count) when its job asked for ``metrics``.
+    ``metrics`` is the telemetry scope the module ran under, inline or
+    in a pool worker: its simulations, job batches and fallbacks.
     """
 
     name: str
     result: Union[TableResult, FigureResult]
     elapsed: float
-    sections: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    metrics: MetricsScope
 
 
 Job = Union[LevelJob, EntrySweepJob, RunSweepJob, SystemJob, ExperimentJob]
@@ -362,16 +368,11 @@ def execute_job(job: Job):
         from . import ALL_EXPERIMENTS
 
         run = ALL_EXPERIMENTS[job.name]
-        sections: Dict[str, Dict[str, int]] = {}
+        kwargs = {} if job.workloads is None else {"workloads": list(job.workloads)}
         started = time.perf_counter()
-        with result_memo():
-            if job.metrics:
-                with scoped() as scope:
-                    result = run(traces=None, scale=job.scale, seed=job.seed)
-                sections = scope.sections
-            else:
-                result = run(traces=None, scale=job.scale, seed=job.seed)
-        return ExperimentOutcome(job.name, result, time.perf_counter() - started, sections)
+        with result_memo(), scoped() as scope:
+            result = run(traces=None, scale=job.scale, seed=job.seed, **kwargs)
+        return ExperimentOutcome(job.name, result, time.perf_counter() - started, scope)
     raise TypeError(f"not an engine job: {job!r}")
 
 
@@ -829,9 +830,13 @@ def _execute_with_deadline(job: Job, index: int, attempt: int, seconds: Optional
 
     Main thread: ``SIGALRM`` interrupts the attempt in place.  Any other
     thread: the watchdog path above.  No ceiling configured: plain
-    execution.
+    execution.  An inline experiment job runs plainly too: the ceiling
+    bounds each engine job its batches run (a process has one
+    ``SIGALRM`` timer, which the first of them would clear), while a
+    pool bounds a whole experiment job, the only way to reclaim its
+    worker.
     """
-    if not seconds:
+    if not seconds or isinstance(job, ExperimentJob):
         return _guarded_execute(job, index, attempt)
     if threading.current_thread() is threading.main_thread():
         with _serial_deadline(seconds):
@@ -1238,6 +1243,7 @@ def run_experiments(
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     heartbeat: float = 5.0,
+    workloads: Optional[Sequence[WorkloadSpec]] = None,
 ) -> List[ExperimentOutcome]:
     """Run whole experiment modules, optionally in parallel.
 
@@ -1247,39 +1253,49 @@ def run_experiments(
     :func:`run_jobs`: a heartbeat per completion change and at least
     every *heartbeat* seconds of pool time.  Experiment modules are not
     store-cacheable, but retries, timeouts, and broken-pool recovery
-    apply exactly as in :func:`run_jobs`.
+    apply exactly as in :func:`run_jobs`.  *workloads* drives
+    workload-aware modules with those specs instead of the suite.
 
     The call does each piece of work once per process.  It holds a
     :func:`result_memo` open, so each distinct engine job runs once per
     call inline (once per module in a pool worker), and it pins the
     six-trace suite for its whole length, so no module's other traces
-    evict it.  Before a fork pool the parent builds the suite, for the
-    workers to inherit; workers under any other start method build what
-    they need.  With a telemetry scope active, pool workers send their
-    counter sections back and the scope merges them.
+    evict it.  The parent builds the suite first, outside every module's
+    time, unless the modules run *workloads* instead or the call spawns
+    a pool whose workers do not fork (they build what they need).
+
+    Each module runs under a telemetry scope of its own, inline or in a
+    worker, and its outcome carries that scope as ``metrics``.  Every
+    outcome's scope ends with the stats of the experiment batch that ran
+    it; with a scope active, the call merges every outcome's scope into
+    it and records the batch there once.
     """
     scope = _telemetry_scope()
     workers = min(resolve_jobs(jobs), len(names)) if names else 1
-    metrics = scope is not None and workers > 1
-    job_list = [ExperimentJob(name, scale, seed, metrics) for name in names]
+    specs = None if workloads is None else tuple(workloads)
+    job_list = [ExperimentJob(name, scale, seed, specs) for name in names]
     job_timeout, retries = _env_job_timeout(), _env_retries()
     entries = [_Pending(index, job, None) for index, job in enumerate(job_list)]
-    started = time.perf_counter() if scope is not None else 0.0
+    started = time.perf_counter()
     stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
     suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
     with pinned_workloads(suite_keys), result_memo():
-        if workers > 1 and _forks_workers():
+        if specs is None and (workers == 1 or _forks_workers()):
             suite(scale, seed)
         computed, failures = _execute_entries(
             entries, workers, job_timeout, retries, None, stats, progress, heartbeat,
             len(job_list), 0,
         )
+    batch = JobBatchStats("ExperimentJob", len(job_list), workers, time.perf_counter() - started)
+    for index in sorted(computed):
+        metrics = computed[index].metrics
+        if scope is not None:
+            scope.merge(metrics)
+        metrics.job_batches.append(batch)
     if scope is not None and job_list:
-        if metrics:
-            for outcome in computed.values():
-                for section, counts in outcome.sections.items():
-                    scope.add(section, counts)
-        _record_batch(scope, "ExperimentJob", len(job_list), workers, started, stats)
+        scope.job_batches.append(batch)
+        if any(stats.values()):
+            scope.add("resilience", stats)
     if failures:
         raise JobFailedError(failures)
     return [computed[index] for index in range(len(job_list))]

@@ -26,7 +26,7 @@ from ..common.config import CacheConfig
 from ..common.stats import percent, safe_div
 from ..specs import build
 from ..traces.trace import MaterializedTrace
-from .base import TableResult
+from .base import TableResult, level_point_specs, run_point_specs
 from .figure_5_1 import IMPROVED_DSTRUCTURE
 from .runner import run_level
 from .workloads import suite
@@ -68,12 +68,9 @@ def interleave_processes(
 
 
 def _standalone_miss_rate(traces) -> float:
-    misses = 0
-    accesses = 0
-    for trace in traces:
-        run = run_level(trace.data_addresses, CONFIG)
-        misses += run.misses
-        accesses += run.stats.accesses
+    summaries = run_point_specs(level_point_specs(traces, CONFIG, sides=("d",)))
+    misses = sum(summary.demand_misses for summary in summaries)
+    accesses = sum(summary.accesses for summary in summaries)
     return safe_div(misses, accesses)
 
 

@@ -1,11 +1,10 @@
-"""Run telemetry: counters/timers, structured run records, bench diffs.
+"""Run telemetry: counters, structured run records, bench diffs.
 
 Three layers, importable with no dependency on the rest of the package:
 
-* :mod:`repro.telemetry.core` — the :class:`Timer` primitive and the
-  active :class:`MetricsScope`.  Disabled by default;
-  instrumented code checks once per *run* (never per simulated
-  reference) whether a scope is active.
+* :mod:`repro.telemetry.core` — the active :class:`MetricsScope`.
+  Disabled by default; instrumented code checks once per *run* (never
+  per simulated reference) whether a scope is active.
 * :mod:`repro.telemetry.record` — the schema-versioned per-run
   :class:`RunRecord` emitted as JSON Lines by
   ``repro-experiments --emit-metrics PATH``.
@@ -20,7 +19,6 @@ from .core import (
     JobProgress,
     MetricsScope,
     ParallelFallbackWarning,
-    Timer,
     activate,
     current,
     deactivate,
@@ -39,7 +37,6 @@ from .record import (
 )
 
 __all__ = [
-    "Timer",
     "MetricsScope",
     "FallbackEvent",
     "JobBatchStats",

@@ -1,4 +1,4 @@
-"""Lightweight run telemetry: counter sections, timers, and an active scope.
+"""Lightweight run telemetry: counter sections and an active scope.
 
 Observability for the simulator follows the same wiring-time pattern as
 ``MemorySystem._has_prefetch_sinks``: instrumented code checks *once per
@@ -7,8 +7,8 @@ active, and does nothing at all when none is.  A scope is activated for
 the duration of one logical run — one experiment, one CLI invocation —
 and collects:
 
-* **counter sections** (:meth:`MetricsScope.add`) and **timers**
-  (:class:`Timer`) fed by instrumented call sites;
+* **counter sections** (:meth:`MetricsScope.add`) fed by instrumented
+  call sites;
 * **simulation observations** — every :meth:`MemorySystem.run
   <repro.hierarchy.system.MemorySystem.run>` and
   :func:`~repro.experiments.runner.run_level` executed while the scope
@@ -28,20 +28,19 @@ how the CLI and the experiment modules use it; a nested :class:`scoped`
 block restores the outer scope when it exits.  Worker processes of the
 parallel engine report into no parent scope — a fork-based worker holds
 a copy whose observations stay in the worker, and a worker under any
-other start method starts with none.  An experiment module run in a
-worker therefore runs under a scope of its own, and its counter
-sections travel back on the outcome for the parent to merge
+other start method starts with none.  Every experiment module therefore
+runs under a scope of its own, inline or in a worker; the whole scope
+travels back on its outcome, and the caller folds it into its own with
+:meth:`MetricsScope.merge`
 (:func:`repro.experiments.engine.run_experiments`).
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
-    "Timer",
     "FallbackEvent",
     "JobBatchStats",
     "JobProgress",
@@ -58,39 +57,6 @@ __all__ = [
 
 class ParallelFallbackWarning(UserWarning):
     """A parallel batch degraded to serial execution (its pool kept breaking)."""
-
-
-class Timer:
-    """A named accumulating wall-clock timer (context manager).
-
-    ::
-
-        with scope.timer("materialize"):
-            ...
-
-    Accumulates across uses, so one timer can cover a loop body.
-    """
-
-    __slots__ = ("name", "elapsed", "calls", "_started")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.elapsed = 0.0
-        self.calls = 0
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._started is not None
-        self.elapsed += time.perf_counter() - self._started
-        self.calls += 1
-        self._started = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer({self.name}={self.elapsed:.6f}s/{self.calls})"
 
 
 class FallbackEvent:
@@ -190,7 +156,6 @@ class MetricsScope:
     """
 
     def __init__(self) -> None:
-        self.timers: Dict[str, Timer] = {}
         self.fallbacks: List[FallbackEvent] = []
         self.job_batches: List[JobBatchStats] = []
         # Aggregated simulation observations.
@@ -203,14 +168,6 @@ class MetricsScope:
         # ``resilience``, ``backends`` and ``serving`` from the engine and
         # the repro-serve daemon): section -> counter name -> count.
         self.sections: Dict[str, Dict[str, int]] = {}
-
-    # -- timers ---------------------------------------------------------------
-
-    def timer(self, name: str) -> Timer:
-        timer = self.timers.get(name)
-        if timer is None:
-            timer = self.timers[name] = Timer(name)
-        return timer
 
     # -- counter sections -----------------------------------------------------
 
@@ -225,6 +182,23 @@ class MetricsScope:
         into = self.sections.setdefault(section, {})
         for name, count in counts.items():
             into[name] = into.get(name, 0) + count
+
+    def merge(self, other: "MetricsScope") -> None:
+        """Fold everything *other* collected into this scope.
+
+        Adds its counter sections (only those it holds), its simulation
+        observations, and appends its job batches and fallbacks — so a
+        caller holds what a run under its own scope (an experiment job,
+        inline or in a pool worker) observed.
+        """
+        for section, counts in other.sections.items():
+            self.add(section, counts)
+        self.system_runs += other.system_runs
+        self.level_runs += other.level_runs
+        self.references += other.references
+        self.sim_wall_time += other.sim_wall_time
+        self.job_batches.extend(other.job_batches)
+        self.fallbacks.extend(other.fallbacks)
 
     # -- engine events --------------------------------------------------------
 

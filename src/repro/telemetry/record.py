@@ -32,10 +32,13 @@ that produced it, and equal hashes mean equal specs field-for-field.
 
 Counter groups (``l1i``/``l1d``/``l2`` from full-system runs,
 ``level`` from single-level replays) aggregate every simulation executed
-in the emitting process while the run's scope was active.  Parallel runs
-execute their simulations in worker processes, so their counter groups
-stay empty and the record's value is the timing plus the ``engine``
-section — job batches and serial-fallback reasons.
+while the run's scope was active.  ``repro-experiments`` runs each
+experiment module under a scope of its own, inline or in a pool worker,
+and builds the module's record from that scope, so a ``--jobs N``
+record holds the same counters and simulation counts as the module run
+alone at ``--jobs 1``.  Its ``engine`` section lists the module's job
+batches, then the experiment batch that ran it, and any serial-fallback
+reasons.
 
 The optional ``store``, ``resilience``, ``backends`` and ``serving``
 sections are counter sections like the four above: each producer (the

@@ -131,39 +131,41 @@ def _parse_stream(spec: str):
 def _cmd_simulate(args) -> int:
     import dataclasses
 
-    from ..buffers.base import CompositeAugmentation
-    from ..buffers.miss_cache import MissCache
-    from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
-    from ..buffers.victim_cache import VictimCache
     from ..common.config import CacheConfig, baseline_system
     from ..hierarchy.performance import evaluate_performance
     from ..hierarchy.system import MemorySystem
+    from ..specs import (
+        CompositeSpec,
+        MissCacheSpec,
+        MultiWayStreamBufferSpec,
+        StreamBufferSpec,
+        VictimCacheSpec,
+        build,
+    )
 
     trace = load_trace(args.trace)
     l1 = CacheConfig(args.cache_kb * 1024, args.line)
     config = dataclasses.replace(baseline_system(), icache=l1, dcache=l1)
 
-    daugs = []
+    dspecs = []
     if args.victim and args.miss_cache:
         raise ReproError("choose either --victim or --miss-cache, not both")
     if args.victim:
-        daugs.append(VictimCache(args.victim))
+        dspecs.append(VictimCacheSpec(args.victim))
     if args.miss_cache:
-        daugs.append(MissCache(args.miss_cache))
-    iaug = None
+        dspecs.append(MissCacheSpec(args.miss_cache))
+    ispec = None
     if args.stream:
         ways, entries = _parse_stream(args.stream)
-        iaug = StreamBuffer(entries=entries)
-        daugs.append(
-            StreamBuffer(entries=entries)
-            if ways == 1
-            else MultiWayStreamBuffer(ways=ways, entries=entries)
+        ispec = StreamBufferSpec(entries=entries)
+        dspecs.append(
+            ispec if ways == 1 else MultiWayStreamBufferSpec(ways=ways, entries=entries)
         )
-    daug = None
-    if len(daugs) == 1:
-        daug = daugs[0]
-    elif daugs:
-        daug = CompositeAugmentation(daugs)
+    dspec = None
+    if len(dspecs) == 1:
+        dspec = dspecs[0]
+    elif dspecs:
+        dspec = CompositeSpec(tuple(dspecs))
 
     baseline = MemorySystem(config, classify=args.classify)
     base_result = baseline.run(trace)
@@ -182,9 +184,9 @@ def _cmd_simulate(args) -> int:
                 f"(compulsory {summary['compulsory']}, capacity {summary['capacity']}, "
                 f"conflict {summary['conflict']} = {summary['percent_conflict']:.0f}%)"
             )
-    if daug is None and iaug is None:
+    if dspec is None and ispec is None:
         return 0
-    improved = MemorySystem(config, iaugmentation=iaug, daugmentation=daug)
+    improved = MemorySystem(config, iaugmentation=build(ispec), daugmentation=build(dspec))
     improved_result = improved.run(trace)
     print("with the requested structures:")
     print(

@@ -451,6 +451,7 @@ class TestNonForkPool:
         print(json.dumps({
             "results": [repr(outcome.result) for outcome in outcomes],
             "sections": scope.sections,
+            "scalars": [scope.references, scope.system_runs, scope.level_runs],
         }))
         """
     )
@@ -464,6 +465,10 @@ class TestNonForkPool:
         )
         assert fork == spawn
         assert sum(fork["sections"]["backends"].values()) == 18  # 6 + 12 SystemJobs
+        references, system_runs, level_runs = fork["scalars"]
+        l1i, l1d = fork["sections"]["l1i"], fork["sections"]["l1d"]
+        assert (system_runs, level_runs) == (18, 0)
+        assert references == l1i["accesses"] + l1d["accesses"]
 
 
 class TestExperimentDeterminism:
@@ -490,6 +495,39 @@ class TestExperimentDeterminism:
             return [line for line in text.splitlines() if not line.startswith("[")]
 
         assert strip_timing(parallel_out) == strip_timing(serial_out)
+
+
+class TestExperimentScopes:
+    """Every experiment job hands back the whole scope its module ran under."""
+
+    NAMES = ["table_2_2", "figure_3_3", "figure_5_1"]
+    SCALARS = ("references", "system_runs", "level_runs")
+
+    @pytest.fixture(autouse=True)
+    def no_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+
+    def merged(self, jobs):
+        with telemetry.scoped() as scope:
+            outcomes = run_experiments(self.NAMES, scale=SCALE, jobs=jobs)
+        return scope, outcomes
+
+    def test_a_scope_merges_alike_inline_and_in_a_pool(self):
+        (inline, _), (pooled, _) = self.merged(1), self.merged(2)
+        assert pooled.sections == inline.sections
+        for name in self.SCALARS:
+            assert getattr(pooled, name) == getattr(inline, name)
+        assert inline.system_runs == 18 and inline.level_runs == 12
+
+    def test_each_outcome_holds_its_own_module_only(self):
+        scope, outcomes = self.merged(2)
+        for name in self.SCALARS:
+            assert getattr(scope, name) == sum(getattr(o.metrics, name) for o in outcomes)
+        table, sweep, figure = (o.metrics for o in outcomes)
+        assert "level" not in table.sections and "l1i" not in sweep.sections
+        assert (table.system_runs, sweep.level_runs, figure.system_runs) == (6, 12, 12)
+        assert [b.kind for b in scope.job_batches][-1] == "ExperimentJob"
+        assert all(o.metrics.job_batches[-1] is scope.job_batches[-1] for o in outcomes)
 
 
 def _worker_result_map():

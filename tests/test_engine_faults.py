@@ -15,6 +15,7 @@ every attempt, on any machine, every time.  Retry settings come from
 """
 
 import os
+import time
 
 import pytest
 
@@ -205,6 +206,22 @@ class TestSerialResilience:
         with pytest.raises(JobFailedError) as excinfo:
             run_jobs(jobs)
         assert "timed out after 0.3s" in excinfo.value.failures[0].reason
+
+    def test_inline_experiments_are_bounded_per_engine_job(
+        self, no_store, no_retry, monkeypatch
+    ):
+        """Inline, the ceiling bounds the engine jobs a module runs, not the
+        module: a module slower than the ceiling still completes."""
+        from repro.experiments import ALL_EXPERIMENTS, run_experiments
+
+        def slow(traces=None, scale=None, seed=0):
+            time.sleep(0.5)
+            return ALL_EXPERIMENTS["table_1_1"](traces, scale, seed)
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "slow", slow)
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "0.2")
+        [outcome] = run_experiments(["slow"], scale=SCALE, jobs=1)
+        assert outcome.elapsed >= 0.5
 
     def test_interrupt_preserves_flushed_results(self, store, no_retry):
         jobs = level_jobs(4)

@@ -10,7 +10,6 @@ through JSON Lines and are schema-validated.
 
 import json
 import warnings
-from collections import Counter
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.specs import SystemSpec, VictimCacheSpec, WorkloadSpec
 from repro.telemetry import (
     MetricsScope,
     ParallelFallbackWarning,
-    Timer,
     append_record,
     build_run_record,
     config_hash,
@@ -57,18 +55,38 @@ def no_leaked_scope():
     telemetry_core.deactivate()
 
 
-class TestPrimitives:
-    def test_timer_accumulates_across_uses(self):
-        timer = Timer("t")
-        for _ in range(2):
-            with timer:
-                pass
-        assert timer.calls == 2
-        assert timer.elapsed >= 0.0
+class TestMerge:
+    def test_merge_folds_every_observation(self, trace):
+        with scoped() as outer:
+            MemorySystem().run(trace)
+            record_fallback_quietly("outer")
+        with scoped() as inner:
+            MemorySystem().run(trace)
+            run_level(trace.data_addresses, CONFIG)
+            inner.record_job_batch("LevelJob", 1, 1, 0.5)
+            record_fallback_quietly("inner")
+        scalars = ("system_runs", "level_runs", "references", "sim_wall_time")
+        expected = {name: getattr(outer, name) + getattr(inner, name) for name in scalars}
+        before = outer.sections["l1i"]["accesses"]
+        outer.merge(inner)
+        assert {name: getattr(outer, name) for name in scalars} == expected
+        assert (outer.system_runs, outer.level_runs) == (2, 1)
+        assert outer.sections["l1i"]["accesses"] == 2 * before
+        assert outer.sections["level"] == inner.sections["level"]
+        assert [batch.kind for batch in outer.job_batches] == ["LevelJob"]
+        assert [event.component for event in outer.fallbacks] == ["outer", "inner"]
 
-    def test_scope_memoizes_counters_and_timers(self):
-        scope = MetricsScope()
-        assert scope.timer("b") is scope.timer("b")
+    def test_merge_adds_no_section_the_other_scope_lacks(self):
+        into, other = MetricsScope(), MetricsScope()
+        other.add("store", {"hits": 1})
+        into.merge(other)
+        into.merge(MetricsScope())
+        assert into.sections == {"store": {"hits": 1}}
+
+
+def record_fallback_quietly(component):
+    with pytest.warns(ParallelFallbackWarning):
+        record_fallback(component, "because", stacklevel=2)
 
 
 class TestScopeLifecycle:
@@ -348,9 +366,11 @@ class TestCliEmitMetrics:
             assert record.engine["job_batches"], "parallel record must carry the batch stats"
 
     def test_parallel_records_count_their_workers_batches(self, tmp_path, capsys):
-        """Pool workers send their counter sections back: a ``--jobs 2``
-        record counts every store lookup its modules' batches made."""
+        """Each module runs under a scope of its own, inline or in a pool
+        worker: a ``--jobs 2`` record holds exactly what that module's
+        record holds when it runs alone at ``--jobs 1``."""
         from repro.experiments.cli import main
+        from repro.telemetry.record import COUNTER_SECTIONS
 
         def run(names, jobs, store):
             path = str(tmp_path / f"{store}.jsonl")
@@ -359,17 +379,18 @@ class TestCliEmitMetrics:
             assert main(argv) == 0
             return list(read_records(path))
 
-        alone = [run([name], 1, name)[0] for name in ("table_2_2", "figure_5_1")]
-        together = run(["table_2_2", "figure_5_1"], 2, "both")
+        def observed(record):
+            fields = ("references", "system_runs", "level_runs") + COUNTER_SECTIONS
+            return {name: getattr(record, name) for name in fields}
+
+        names = ["table_2_2", "figure_5_1"]
+        alone = [run([name], 1, name)[0] for name in names]
+        together = run(names, 2, "both")
         capsys.readouterr()
-        expected = sum(r.store["hits"] + r.store["misses"] for r in alone)
-        backends = Counter()
-        for record in alone:
-            backends.update(record.backends)
-        assert expected == 18 and sum(backends.values()) == 18
-        for record in together:
-            assert record.store["hits"] + record.store["misses"] == expected
-            assert record.backends == dict(backends)
+        assert [record.run for record in together] == names
+        assert [r.system_runs for r in alone] == [6, 12]
+        assert [sum(r.backends.values()) for r in alone] == [6, 12]
+        assert [observed(r) for r in together] == [observed(r) for r in alone]
 
     def test_no_metrics_file_without_flag(self, tmp_path, capsys):
         from repro.experiments.cli import main

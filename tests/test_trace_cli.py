@@ -127,3 +127,40 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", trace_file, "--miss-cache", "2"]) == 0
         assert "misses removed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                ["--victim", "4", "--stream", "4x4"],
+                """\
+L1: 4KB direct-mapped, 16B lines (split I/D)
+  baseline I miss rate: 0.1073
+  baseline D miss rate: 0.0751
+with the requested structures:
+  I misses removed: 118 of 161
+  D misses removed: 32 of 57
+  modelled speedup (24/320-cycle penalties): 1.91x
+""",
+            ),
+            (
+                ["--miss-cache", "2", "--classify"],
+                """\
+L1: 4KB direct-mapped, 16B lines (split I/D)
+  baseline I miss rate: 0.1073
+  baseline D miss rate: 0.0751
+  I misses: 161 (compulsory 111, capacity 0, conflict 50 = 31%)
+  D misses: 57 (compulsory 43, capacity 0, conflict 14 = 25%)
+with the requested structures:
+  I misses removed: 0 of 161
+  D misses removed: 4 of 57
+  modelled speedup (24/320-cycle penalties): 1.01x
+""",
+            ),
+        ],
+    )
+    def test_stdout_is_pinned(self, trace_file, capsys, flags, expected):
+        capsys.readouterr()
+        assert main(["simulate", trace_file, *flags]) == 0
+        out = capsys.readouterr().out
+        assert out == f"trace: {trace_file}  (2259 references)\n" + expected
