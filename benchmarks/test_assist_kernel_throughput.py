@@ -9,9 +9,16 @@ compressed miss-stream replay).  Pairs share a naming scheme
 (``*_python`` / ``*_kernel``) so the ``repro-bench diff`` gate tracks
 both sides, on the same benchmark trace the PR 6 kernel pairs use.
 
-The last pair is figure-level: a Figure 3-5 style entry sweep priced as
+The next pair is figure-level: a Figure 3-5 style entry sweep priced as
 ``MAX_ENTRIES`` independent interpreter runs versus the kernel's single
-reuse-distance rank pass, which yields every capacity at once.
+reuse-distance rank pass, which yields every capacity at once.  The raw
+kernel entry points compute everything from the addresses they are
+given on every call, so these pairs time cold computation.
+
+The last benchmark is the shape that shares work: one trace's design
+sweep (eleven structures and both entry sweeps) through ``execute_job``,
+on a freshly materialized trace each round, so its first point computes
+the trace's miss stream and depths and the other twelve read them.
 
 The equivalence of the two backends is pinned by ``tests/test_kernels.py``;
 here each kernel variant asserts its counters against the interpreter so
@@ -20,16 +27,22 @@ a silently wrong kernel cannot post a fast time.
 
 import pytest
 
+from conftest import BENCH_SCALE
 from repro.buffers.victim_cache import VictimCache
 from repro.common.config import CacheConfig
+from repro.experiments import workloads
+from repro.experiments.engine import EntrySweepJob, LevelJob, execute_job
 from repro.experiments.runner import run_level
 from repro.experiments.sweeps import victim_cache_sweep
+from repro.kernels import ENV_BACKEND, PYTHON
+from repro.specs import NamedWorkloadSpec, SystemSpec
 from repro.specs.structures import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
     StreamBufferSpec,
     VictimCacheSpec,
     build,
+    parse_structure_code,
 )
 pytest.importorskip("numpy")
 
@@ -136,3 +149,37 @@ def test_victim_entry_sweep_one_pass_kernel(benchmark, dstream, dstream_array):
     )
     assert sweep.hits_by_entries == reference.hits_by_entries
     assert sweep.total_misses == reference.total_misses
+
+
+#: The design-sweep grid's structures per trace, plus both entry sweeps.
+SWEEP_STRUCTURES = (
+    "none", "vc1", "vc2", "vc4", "mc1", "mc2", "mc4", "sb1", "sb4", "sb2x4", "sb4x4",
+)
+
+
+def test_trace_design_sweep_shared_products_kernel(benchmark, monkeypatch):
+    spec = NamedWorkloadSpec("ccom", BENCH_SCALE, 0)
+    jobs = [
+        LevelJob(SystemSpec.for_level(spec, CONFIG, structure=parse_structure_code(code)))
+        for code in SWEEP_STRUCTURES
+    ]
+    jobs += [
+        EntrySweepJob(SystemSpec.for_level(spec, CONFIG), kind=kind, max_entries=MAX_ENTRIES)
+        for kind in ("miss", "victim")
+    ]
+
+    def fresh_trace():
+        # Drop the memoized trace, and its products with it; the rebuild
+        # happens here, outside the timed round.
+        workloads._TRACE_CACHE.pop(spec.resolve(), None)
+        spec.trace()
+
+    answers = benchmark.pedantic(
+        lambda: [execute_job(job) for job in jobs],
+        setup=fresh_trace,
+        rounds=3,
+        iterations=1,
+    )
+    monkeypatch.setenv(ENV_BACKEND, PYTHON)
+    reference = [execute_job(job) for job in jobs]
+    assert [a.__dict__ for a in answers] == [r.__dict__ for r in reference]

@@ -634,19 +634,35 @@ def _backend_note(counts: Dict[str, int]) -> str:
     return " ".join(f"{name}:{counts[name]}" for name in sorted(counts))
 
 
-def _guarded_execute(job: Job, index: int, attempt: int):
+class _Observed:
+    """A pool job's result together with the telemetry scope it ran under."""
+
+    __slots__ = ("result", "metrics")
+
+    def __init__(self, result, metrics: MetricsScope) -> None:
+        self.result = result
+        self.metrics = metrics
+
+
+def _guarded_execute(job: Job, index: int, attempt: int, observe: bool = False):
     """Run one job with the fault harness consulted first.
 
     Module-level (hence picklable by reference) so it can be submitted
     to pool workers; with no fault plan configured the guard is one
-    cached environment check per job.
+    cached environment check per job.  With *observe* the job runs under
+    a scope of its own and comes back as an :class:`_Observed`, so a
+    pool worker's simulations reach the parent's scope.
     """
     from . import faults
 
     injected = faults.maybe_inject(index, attempt)
     if injected is not None:
         return injected
-    return execute_job(job)
+    if not observe:
+        return execute_job(job)
+    with scoped() as scope:
+        result = execute_job(job)
+    return _Observed(result, scope)
 
 
 class _Pending:
@@ -929,6 +945,9 @@ def _drain_pool(
     """
     queue = list(batch) if sequential else []
     active: Dict = {}
+    # With telemetry on, every job but an experiment job (which carries
+    # its own scope back) reports its worker's observations.
+    scope = _telemetry_scope()
     tick = reporter.heartbeat
     if job_timeout is not None:
         tick = max(0.02, min(tick, job_timeout / 5.0))
@@ -936,7 +955,10 @@ def _drain_pool(
     def submit(entry: _Pending) -> bool:
         entry.started = None
         try:
-            future = pool.submit(_guarded_execute, entry.job, entry.index, entry.attempts)
+            observe = scope is not None and not isinstance(entry.job, ExperimentJob)
+            future = pool.submit(
+                _guarded_execute, entry.job, entry.index, entry.attempts, observe
+            )
         except Exception:  # pool already broken or shut down
             return False
         active[future] = entry
@@ -978,6 +1000,9 @@ def _drain_pool(
                 if _is_corrupt(outcome):
                     fail_or_retry(entry, "corrupt result payload")
                     continue
+                if isinstance(outcome, _Observed):
+                    scope.merge(outcome.metrics)
+                    outcome = outcome.result
                 remaining.remove(entry)
                 complete(entry, outcome)
             # Start the per-job clock at first observed execution and
@@ -1137,7 +1162,9 @@ def run_jobs(
     :class:`~repro.telemetry.core.JobProgress` heartbeat on every
     completion change and at least every *heartbeat* seconds.  When a
     telemetry scope is active, the batch's job count, worker count, wall
-    time, and resilience counters are recorded.
+    time, and resilience counters are recorded, and each pool worker
+    runs its job under a scope of its own that the active scope merges,
+    so a pool batch observes what the same batch inline would.
 
     When a result store is active (``REPRO_RESULT_STORE`` or
     ``--result-store``), each cacheable job is looked up before dispatch

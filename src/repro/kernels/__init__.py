@@ -25,6 +25,11 @@ modes (:func:`kernel_mode`):
   availability modelling, allocation filters, full-comparator stream
   buffers, composites).
 
+Neither pass depends on a point's capacity or warm-up window, so the
+engine's job bodies read both from products cached on the materialized
+trace per side and geometry (:func:`repro.kernels.assist.level_products`)
+and compute them once per trace, not once per point.
+
 Both backends produce **identical statistics**, pinned by the
 equivalence suite in ``tests/test_kernels.py``; which one runs is a pure
 performance decision.

@@ -40,6 +40,17 @@ relies on).  That splits any structure run into two passes:
     composites stay bit-exact while paying Python dispatch only per
     *miss*, not per reference.
 
+Neither pass depends on a point's capacity or warm-up window: the miss
+stream is the same for every structure, and the vector-mode hit tests
+are unbounded stack depths and run offsets that price every capacity at
+once.  :class:`LevelProducts` holds both for one stream and geometry,
+and :func:`level_products` caches it on the materialized trace, so the
+engine's job bodies (``*_summary``) compute them once per trace, side
+and geometry and apply only each point's own capacity and window.  The
+raw-array entry points (:func:`simulate_assist_level`,
+:func:`entry_sweep`, :func:`run_length_sweep`) run the same code over a
+fresh product set of their own.
+
 Warm-up follows the interpreter exactly: structure and cache state are
 warmed over the full stream; counters only accumulate inside the
 measurement window.  Equivalence — every
@@ -52,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +85,8 @@ from .numpy_backend import (
 __all__ = [
     "MissStream",
     "extract_miss_stream",
+    "LevelProducts",
+    "level_products",
     "simulate_assist_level",
     "simulate_assist_summary",
     "entry_sweep",
@@ -307,12 +320,13 @@ def _multi_way_stream_hits(
 # -- pass 2, miss-replay mode -------------------------------------------------
 
 
-def _replay_structure(structure, miss_stream: MissStream, start: int) -> LevelStats:
+def _replay_structure(structure, stream, start: int) -> LevelStats:
     """Drive a live interpreter structure over the compressed miss stream.
 
-    Calls ``lookup_on_miss`` then ``on_l1_fill`` per miss, in the exact
-    order :meth:`~repro.hierarchy.level.CacheLevel.access_line` would,
-    with ``now`` set to the original trace position so availability
+    *stream* is a :class:`MissStream` or :class:`LevelProducts`.  Calls
+    ``lookup_on_miss`` then ``on_l1_fill`` per miss, in the exact order
+    :meth:`~repro.hierarchy.level.CacheLevel.access_line` would, with
+    ``now`` set to the original trace position so availability
     modelling (``ready_time`` arithmetic) is preserved.  Counters only
     accumulate at positions inside the measurement window.  Returns the
     structure-attributable stats fields.
@@ -323,9 +337,9 @@ def _replay_structure(structure, miss_stream: MissStream, start: int) -> LevelSt
     stream_hit = AccessOutcome.STREAM_HIT
     stats = LevelStats()
     for now, line, victim in zip(
-        miss_stream.positions.tolist(),
-        miss_stream.miss_lines.tolist(),
-        miss_stream.victims.tolist(),
+        stream.positions.tolist(),
+        stream.miss_lines.tolist(),
+        stream.victims.tolist(),
     ):
         result = lookup(line, now)
         fill(line, victim if victim >= 0 else None, now)
@@ -344,7 +358,172 @@ def _replay_structure(structure, miss_stream: MissStream, start: int) -> LevelSt
     return stats
 
 
+# -- the products every point over one stream and geometry shares -------------
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _hits_at(hit: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(at, values[at])`` for the miss indices *at* where *hit* holds."""
+    at = np.nonzero(hit)[0]
+    return _read_only(at, values[at])
+
+
+class LevelProducts:
+    """What every point over one stream and direct-mapped geometry shares.
+
+    The miss stream does not depend on the structure behind L1, and a
+    miss or victim cache's hit test is an LRU stack depth that prices
+    every capacity at once, so a point needs only its own capacity and
+    warm-up window applied to products computed once per stream and
+    geometry:
+
+    * the pass-1 miss stream — ``positions``, ``miss_lines`` and
+      ``victims`` (see :class:`MissStream`) and the stream ``length`` —
+      built with the object;
+    * the capacity-free pass-2 products, each built on first use:
+      :meth:`lru_depths`, :meth:`victim_depths`, :meth:`stream_hits` per
+      ``(ways, max_run)`` and :meth:`classification` per warm-up window.
+      Each hit product is ``(at, values)``: the ascending miss indices
+      at which the unbounded structure hits, and its depth or run
+      offset there.
+
+    Every array held is miss-length and read-only.  The byte-address
+    stream the object was built from is kept by reference, never
+    copied, for classification to re-derive its lines from.  When two
+    threads build the same product, the first one stored wins.
+    """
+
+    def __init__(self, byte_addresses, config: CacheConfig) -> None:
+        self._addresses = np.asarray(byte_addresses, dtype=_INT64)
+        self._offset_bits = config.offset_bits
+        self.num_lines = config.num_lines
+        self.length = len(self._addresses)
+        ms = extract_miss_stream(self._addresses >> config.offset_bits, config.num_lines)
+        self.positions, self.miss_lines, self.victims = _read_only(
+            ms.positions, ms.miss_lines, ms.victims
+        )
+        self._derived: Dict[Hashable, object] = {}
+
+    def _product(self, key: Hashable, build: Callable[[], object]):
+        product = self._derived.get(key)
+        if product is None:
+            product = self._derived.setdefault(key, build())
+        return product
+
+    def lru_depths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(at, depth)`` of the miss stream's revisits (:func:`_lru_depths`)."""
+        return self._product("lru", lambda: _hits_at(*_lru_depths(self.miss_lines)))
+
+    def victim_depths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(at, depth)`` of the unbounded victim cache's hits (:func:`_victim_depths`)."""
+        return self._product(
+            "victim", lambda: _hits_at(*_victim_depths(self.miss_lines, self.victims))
+        )
+
+    def stream_hits(self, ways: int, max_run: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(at, offset)`` of a head-only stream buffer's hits.
+
+        One way is the chain scan (:func:`_stream_buffer_hits`), several
+        the way-head compare (:func:`_multi_way_stream_hits`).
+        """
+
+        def build():
+            if ways == 1:
+                return _hits_at(*_stream_buffer_hits(self.miss_lines, max_run))
+            return _hits_at(*_multi_way_stream_hits(self.miss_lines, ways, max_run))
+
+        return self._product(("stream", ways, max_run), build)
+
+    def classification(self, warmup: int) -> Dict[str, float]:
+        """A fresh copy of :func:`classify_misses` over the stream."""
+        start = _effective_warmup(warmup, self.length)
+
+        def build():
+            hits = np.ones(self.length, dtype=bool)
+            hits[self.positions] = False
+            lines = self._addresses >> self._offset_bits
+            return classify_misses(lines, hits, self.num_lines, start)
+
+        return dict(self._product(("classify", start), build))
+
+
+def level_products(trace, side: str, config: CacheConfig) -> LevelProducts:
+    """The products of one side of a materialized *trace* at one geometry.
+
+    Cached on the trace under ``(side, offset_bits, num_lines)``
+    (:meth:`~repro.traces.trace.MaterializedTrace.cached_product`), so
+    they live and die with it.
+    """
+    return trace.cached_product(
+        (side, config.offset_bits, config.num_lines),
+        lambda: LevelProducts(trace.stream_array(side), config),
+    )
+
+
+def _spec_products(system) -> LevelProducts:
+    return level_products(system.trace.trace(), system.side, system.cache_config)
+
+
+def _hits_from(product: Tuple[np.ndarray, np.ndarray], first: int, capacity=None) -> int:
+    """Hits at miss index *first* or later, those below *capacity* deep if given."""
+    at, values = product
+    k = int(np.searchsorted(at, first))
+    if capacity is None:
+        return len(at) - k
+    return int(np.count_nonzero(values[k:] < capacity))
+
+
 # -- whole-run kernels --------------------------------------------------------
+
+
+def _level_run(
+    products: LevelProducts, structure_spec, classify: bool, warmup: int
+) -> KernelLevelResult:
+    """One level point: the shared products under its capacity and window.
+
+    ``structure_spec`` is None for the bare level, or a spec with a
+    kernel mode (:func:`repro.kernels.structure_mode` not None);
+    dispatch through :func:`repro.kernels.select_backend` guarantees it.
+    """
+    from ..specs.structures import build
+
+    start = _effective_warmup(warmup, products.length)
+    first = int(np.searchsorted(products.positions, start))  # first counted miss
+    stats = LevelStats()
+    mode = None if structure_spec is None else structure_mode(structure_spec)
+    if mode == VECTOR:
+        kind = structure_spec.kind
+        if kind == "miss_cache":
+            stats.miss_cache_hits = _hits_from(
+                products.lru_depths(), first, structure_spec.entries
+            )
+        elif kind == "victim_cache":
+            stats.victim_hits = _hits_from(
+                products.victim_depths(), first, structure_spec.entries
+            )
+        else:  # single- or multi-way stream buffer
+            ways = structure_spec.ways if kind == "multi_way_stream_buffer" else 1
+            stats.stream_hits = _hits_from(
+                products.stream_hits(ways, structure_spec.max_run), first
+            )
+    elif mode == MISS_REPLAY:
+        stats = _replay_structure(build(structure_spec), products, start)
+    elif structure_spec is not None:
+        raise ValueError(
+            f"structure spec has no kernel mode: {structure_spec!r}"
+        )
+
+    demand = len(products.positions) - first
+    stats.accesses = products.length - start
+    stats.hits = stats.accesses - demand
+    stats.misses_to_next_level = demand - stats.removed_misses
+    classification = products.classification(warmup) if classify else None
+    return KernelLevelResult(stats, classification)
 
 
 def simulate_assist_level(
@@ -356,75 +535,27 @@ def simulate_assist_level(
 ) -> KernelLevelResult:
     """Vectorized ``run_level`` for a level with a helper structure.
 
-    ``structure_spec`` must have a kernel mode
-    (:func:`repro.kernels.structure_mode` not None); dispatch through
-    :func:`repro.kernels.select_backend` guarantees this.
+    Computes everything from *byte_addresses* (a fresh
+    :class:`LevelProducts`, shared with nothing); ``structure_spec``
+    must have a kernel mode (:func:`repro.kernels.structure_mode` not
+    None), which dispatch through :func:`repro.kernels.select_backend`
+    guarantees.
     """
-    from ..specs.structures import build
-
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    ms = extract_miss_stream(lines, config.num_lines)
-    n = len(lines)
-    start = _effective_warmup(warmup, n)
-
-    mode = structure_mode(structure_spec)
-    if mode == VECTOR:
-        kind = structure_spec.kind
-        counted = ms.positions >= start
-        stats = LevelStats()
-        if kind == "miss_cache":
-            seen, depth = _lru_depths(ms.miss_lines)
-            removed = seen & (depth < structure_spec.entries)
-            stats.miss_cache_hits = int(np.count_nonzero(removed & counted))
-        elif kind == "victim_cache":
-            vc_hit, depth = _victim_depths(ms.miss_lines, ms.victims)
-            removed = vc_hit & (depth < structure_spec.entries)
-            stats.victim_hits = int(np.count_nonzero(removed & counted))
-        elif kind == "stream_buffer":
-            sb_hit, _ = _stream_buffer_hits(ms.miss_lines, structure_spec.max_run)
-            stats.stream_hits = int(np.count_nonzero(sb_hit & counted))
-        else:  # multi_way_stream_buffer
-            sb_hit, _ = _multi_way_stream_hits(
-                ms.miss_lines, structure_spec.ways, structure_spec.max_run
-            )
-            stats.stream_hits = int(np.count_nonzero(sb_hit & counted))
-    elif mode == MISS_REPLAY:
-        stats = _replay_structure(build(structure_spec), ms, start)
-    else:
-        raise ValueError(
-            f"structure spec has no kernel mode: {structure_spec!r}"
-        )
-
-    stats.accesses = n - start
-    stats.hits = int(np.count_nonzero(ms.hits[start:]))
-    demand = stats.accesses - stats.hits
-    stats.misses_to_next_level = demand - stats.removed_misses
-    classification = (
-        classify_misses(lines, ms.hits, config.num_lines, warmup) if classify else None
-    )
-    return KernelLevelResult(stats, classification)
+    return _level_run(LevelProducts(byte_addresses, config), structure_spec, classify, warmup)
 
 
-def simulate_assist_summary(system):
-    """Execute one structure-carrying :class:`LevelJob` spec point vectorized.
+def _level_summary(system):
+    """Execute one :class:`LevelJob` spec point from its trace's products.
 
-    Mirrors :func:`repro.kernels.numpy_backend.simulate_level_summary`:
-    same :class:`~repro.experiments.engine.LevelSummary` counters, same
-    telemetry observation.
+    Returns the :class:`~repro.experiments.engine.LevelSummary` and makes
+    one telemetry observation (``observe_level_run``) per point, as the
+    interpreter path does, whether the products were built or read.
     """
     from ..experiments.engine import LevelSummary
 
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
-    addresses = system.trace.trace().stream_array(system.side)
-    run = simulate_assist_level(
-        addresses,
-        system.cache_config,
-        system.structure,
-        classify=system.classify,
-        warmup=system.warmup,
-    )
+    run = _level_run(_spec_products(system), system.structure, system.classify, system.warmup)
     if scope is not None:
         scope.observe_level_run(run.stats, perf_counter() - started)
     return LevelSummary(
@@ -435,6 +566,11 @@ def simulate_assist_summary(system):
         stream_stall_cycles=run.stats.stream_stall_cycles,
         conflict_misses=run.conflicts if system.classify else None,
     )
+
+
+def simulate_assist_summary(system):
+    """Execute one structure-carrying :class:`LevelJob` spec point vectorized."""
+    return _level_summary(system)
 
 
 # -- one-pass sweeps ----------------------------------------------------------
@@ -452,42 +588,36 @@ def _count_at_most(depths: np.ndarray, limit: int) -> List[int]:
     return [0] + [int(cumulative[k - 1]) for k in range(1, limit + 1)]
 
 
-def _sweep_level_stats(ms: MissStream, stats: LevelStats) -> LevelStats:
+def _sweep_level_stats(products: LevelProducts, stats: LevelStats) -> LevelStats:
     """Complete a sweep's structure counters into whole-run level stats.
 
     The counters are those of the interpreter's single tracked run, so
     a sweep's telemetry observation matches the reference backend's.
     """
-    stats.accesses = len(ms.lines)
-    stats.hits = len(ms.lines) - len(ms.positions)
+    stats.accesses = products.length
+    stats.hits = products.length - len(products.positions)
     stats.misses_to_next_level = stats.demand_misses - stats.removed_misses
     return stats
 
 
-def _entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int):
+def _entry_sweep(products: LevelProducts, kind: str, max_entries: int):
     from ..experiments.sweeps import EntrySweep
 
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    ms = extract_miss_stream(lines, config.num_lines)
     # The stats are those of the interpreter's tracked structure, which
     # holds max_entries + 1 lines.
     stats = LevelStats()
     if kind == "miss":
-        seen, depth = _lru_depths(ms.miss_lines)
-        depths = depth[seen]
+        _, depths = products.lru_depths()
         stats.miss_cache_hits = int(np.count_nonzero(depths <= max_entries))
     else:  # victim
-        vc_hit, depth = _victim_depths(ms.miss_lines, ms.victims)
-        depths = depth[vc_hit]
+        _, depths = products.victim_depths()
         stats.victim_hits = int(np.count_nonzero(depths <= max_entries))
-    classification = classify_misses(lines, ms.hits, config.num_lines)
     sweep = EntrySweep(
-        total_misses=len(ms.positions),
-        conflict_misses=int(classification["conflict"]),
+        total_misses=len(products.positions),
+        conflict_misses=int(products.classification(0)["conflict"]),
         hits_by_entries=_count_at_most(depths, max_entries),
     )
-    return sweep, _sweep_level_stats(ms, stats)
+    return sweep, _sweep_level_stats(products, stats)
 
 
 def entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int):
@@ -496,17 +626,17 @@ def entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int
     Equivalent to ``max_entries`` independent capacity runs — or the
     interpreter's tracked-depth single run — but the reuse-distance rank
     pass prices every capacity at once: ``hits_by_entries[k]`` is the
-    number of lookups whose unbounded LRU depth is below ``k``.
+    number of lookups whose unbounded LRU depth is below ``k``.  Computes
+    everything from *byte_addresses*, sharing nothing.
     """
-    return _entry_sweep(byte_addresses, config, kind, max_entries)[0]
+    return _entry_sweep(LevelProducts(byte_addresses, config), kind, max_entries)[0]
 
 
 def _observed(system, sweep_fn, *args):
-    """Run one sweep body over a spec point, observed like a level run."""
+    """Run one sweep body over a spec point's products, observed like a level run."""
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
-    addresses = system.trace.trace().stream_array(system.side)
-    sweep, stats = sweep_fn(addresses, system.cache_config, *args)
+    sweep, stats = sweep_fn(_spec_products(system), *args)
     if scope is not None:
         scope.observe_level_run(stats, perf_counter() - started)
     return sweep
@@ -517,24 +647,16 @@ def entry_sweep_summary(system, kind: str, max_entries: int):
     return _observed(system, _entry_sweep, kind, max_entries)
 
 
-def _run_length_sweep(
-    byte_addresses, config: CacheConfig, ways: int, entries: int, max_run: int
-):
+def _run_length_sweep(products: LevelProducts, ways: int, max_run: int):
     from ..experiments.sweeps import RunLengthSweep
 
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    ms = extract_miss_stream(lines, config.num_lines)
     # The interpreter histograms one unbounded-run simulation.
-    if ways == 1:
-        hit, offset = _stream_buffer_hits(ms.miss_lines, None)
-    else:
-        hit, offset = _multi_way_stream_hits(ms.miss_lines, ways, None)
+    _, offsets = products.stream_hits(ways, None)
     stats = LevelStats()
-    stats.stream_hits = int(np.count_nonzero(hit))
-    removed = _count_at_most(offset[hit] - 1, max_run)
-    sweep = RunLengthSweep(total_misses=len(ms.positions), removed_by_run=removed)
-    return sweep, _sweep_level_stats(ms, stats)
+    stats.stream_hits = len(offsets)
+    removed = _count_at_most(offsets - 1, max_run)
+    sweep = RunLengthSweep(total_misses=len(products.positions), removed_by_run=removed)
+    return sweep, _sweep_level_stats(products, stats)
 
 
 def run_length_sweep(
@@ -545,11 +667,12 @@ def run_length_sweep(
     Single-way buffers vectorize (run offsets are chain positions);
     multi-way buffers resolve heads way by way over the miss stream
     (:func:`_multi_way_stream_hits`).  Head-only matching makes the
-    result independent of *entries*.
+    result independent of *entries*.  Computes everything from
+    *byte_addresses*, sharing nothing.
     """
-    return _run_length_sweep(byte_addresses, config, ways, entries, max_run)[0]
+    return _run_length_sweep(LevelProducts(byte_addresses, config), ways, max_run)[0]
 
 
 def run_length_sweep_summary(system, ways: int, entries: int, max_run: int):
     """Vectorized :class:`~repro.experiments.engine.RunSweepJob` body."""
-    return _observed(system, _run_length_sweep, ways, entries, max_run)
+    return _observed(system, _run_length_sweep, ways, max_run)

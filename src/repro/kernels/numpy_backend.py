@@ -335,50 +335,27 @@ def simulate_level(
 ) -> KernelLevelResult:
     """Vectorized :func:`~repro.experiments.runner.run_level` for the bare level.
 
-    Only the augmentation-free configuration is expressible — helper
-    structures are stateful per-reference machines; dispatch through
-    :func:`repro.kernels.select_backend` keeps them on the interpreter.
+    The bare level is the structure-free case of the assist kernels'
+    level pass (:func:`repro.kernels.assist.simulate_assist_level`),
+    over a fresh product set computed from *byte_addresses*.
     """
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    hits = direct_mapped_hit_mask(lines, config.num_lines)
-    start = _effective_warmup(warmup, len(lines))
-    stats = LevelStats()
-    stats.accesses = len(lines) - start
-    stats.hits = int(np.count_nonzero(hits[start:]))
-    # Bare level: every demand miss goes to the next level, none removed.
-    stats.misses_to_next_level = stats.accesses - stats.hits
-    classification = (
-        classify_misses(lines, hits, config.num_lines, warmup) if classify else None
-    )
-    return KernelLevelResult(stats, classification)
+    from .assist import simulate_assist_level
+
+    return simulate_assist_level(byte_addresses, config, None, classify, warmup)
 
 
 def simulate_level_summary(system):
-    """Execute one qualifying :class:`LevelJob` spec point vectorized.
+    """Execute one structure-free :class:`LevelJob` spec point vectorized.
 
-    Mirrors the interpreter path end to end: same
+    Reads the products its trace caches per side and geometry
+    (:func:`repro.kernels.assist.level_products`) and mirrors the
+    interpreter path end to end: same
     :class:`~repro.experiments.engine.LevelSummary` counters and the same
-    telemetry observation (one ``observe_level_run`` per replay).
+    telemetry observation (one ``observe_level_run`` per point).
     """
-    from ..experiments.engine import LevelSummary
+    from .assist import _level_summary
 
-    scope = _telemetry_scope()
-    started = perf_counter() if scope is not None else 0.0
-    addresses = system.trace.trace().stream_array(system.side)
-    run = simulate_level(
-        addresses, system.cache_config, classify=system.classify, warmup=system.warmup
-    )
-    if scope is not None:
-        scope.observe_level_run(run.stats, perf_counter() - started)
-    return LevelSummary(
-        accesses=run.stats.accesses,
-        demand_misses=run.stats.demand_misses,
-        removed_misses=run.stats.removed_misses,
-        misses_to_next_level=run.stats.misses_to_next_level,
-        stream_stall_cycles=run.stats.stream_stall_cycles,
-        conflict_misses=run.conflicts if system.classify else None,
-    )
+    return _level_summary(system)
 
 
 def simulate_system(

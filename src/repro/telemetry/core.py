@@ -32,7 +32,10 @@ other start method starts with none.  Every experiment module therefore
 runs under a scope of its own, inline or in a worker; the whole scope
 travels back on its outcome, and the caller folds it into its own with
 :meth:`MetricsScope.merge`
-(:func:`repro.experiments.engine.run_experiments`).
+(:func:`repro.experiments.engine.run_experiments`).  While a scope is
+active, every other job a pool runs does the same: the worker runs it
+under a scope of its own and the parent merges that scope as the job
+completes (:func:`repro.experiments.engine.run_jobs`).
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ exactly and anything outside raises
 It serves the interpreter's split instruction/data lists (the paper's L1
 caches are split, and its figures treat the two sides independently),
 the numpy kernels' zero-copy int64 views (addresses below 2**63 only),
-the content fingerprint that keys the result store, and the pickled
-payload, which carries the two buffers alone.
+the content fingerprint that keys the result store, the kernels'
+per-geometry products (:meth:`MaterializedTrace.cached_product`), and
+the pickled payload, which carries the two buffers alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from ..common.errors import AddressRangeError, ConfigurationError, TraceFormatError
 from ..common.types import Access, AccessKind
@@ -143,6 +144,7 @@ class MaterializedTrace:
         self._fingerprint: Optional[str] = None
         self._array_views = None
         self._stream_arrays: Dict[str, object] = {}
+        self._products: Dict[Hashable, object] = {}
 
     @classmethod
     def from_pairs(cls, meta: TraceMeta, pairs: Iterable[Pair]) -> "MaterializedTrace":
@@ -223,6 +225,22 @@ class MaterializedTrace:
             self._stream_arrays[side] = cached
         return cached
 
+    def cached_product(self, key: Hashable, build: Callable[[], object]):
+        """The product derived from this trace under *key*, built once.
+
+        The numpy kernels keep each stream's structure-independent
+        products here (:func:`repro.kernels.assist.level_products`), so
+        every design point over one stream and geometry reads them
+        instead of recomputing them.  *build* runs on the first request
+        only; when two threads build the same key at once, the first
+        value stored wins and both callers get it.  Products live as
+        long as the trace and are never pickled.
+        """
+        cached = self._products.get(key)
+        if cached is None:
+            cached = self._products.setdefault(key, build())
+        return cached
+
     @property
     def instruction_addresses(self) -> List[int]:
         """Byte addresses of the instruction-fetch stream, in order."""
@@ -287,9 +305,10 @@ class MaterializedTrace:
         """Pickle only the packed buffers, never the derived caches.
 
         A warmed trace accumulates rebuildable views — per-side address
-        lists, and the numpy arrays cached by
+        lists, the numpy arrays cached by
         :meth:`as_arrays`/:meth:`stream_array` (which pickle as *full
-        int64 copies*, not views) — that can dwarf the buffers
+        int64 copies*, not views), and the kernels' cached products —
+        that can dwarf the buffers
         themselves.  Shipping them to workers or between a daemon and
         its clients would inflate exactly the payloads the packed
         buffers keep small, so pickling drops every cache; the receiver
@@ -301,6 +320,7 @@ class MaterializedTrace:
         state["_stream_lists"] = {}
         state["_array_views"] = None
         state["_stream_arrays"] = {}
+        state["_products"] = {}
         return state
 
 

@@ -79,7 +79,7 @@ def no_store(monkeypatch):
 @pytest.fixture
 def sim_counter(monkeypatch):
     """Count simulations: every interpreter replay builds a CacheLevel, and
-    every vectorized replay calls the kernel's simulate_level."""
+    every vectorized bare-level point runs simulate_level_summary."""
     counts = {"levels": 0}
     original = CacheLevel.__init__
 
@@ -93,13 +93,13 @@ def sim_counter(monkeypatch):
     except ImportError:
         pass
     else:
-        kernel_original = numpy_backend.simulate_level
+        kernel_original = numpy_backend.simulate_level_summary
 
         def kernel_counting(*args, **kwargs):
             counts["levels"] += 1
             return kernel_original(*args, **kwargs)
 
-        monkeypatch.setattr(numpy_backend, "simulate_level", kernel_counting)
+        monkeypatch.setattr(numpy_backend, "simulate_level_summary", kernel_counting)
     return counts
 
 

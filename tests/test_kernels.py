@@ -53,7 +53,7 @@ from repro.specs.structures import (
     MultiWayStrideBufferSpec,
     StrideBufferSpec,
 )
-from repro.specs.workloads import HotspotSpec, PointerChaseSpec, ZipfianSpec
+from repro.specs.workloads import HotspotSpec, PointerChaseSpec, SequentialSpec, ZipfianSpec
 from repro.telemetry import core as telemetry
 from repro.traces.registry import BENCHMARK_NAMES, EXTENSION_NAMES, build_trace
 
@@ -171,6 +171,7 @@ ASSIST_SPECS = [
     StreamBufferSpec(entries=4, allocation_filter=True),
     StreamBufferSpec(entries=4, head_only=False),
     MultiWayStreamBufferSpec(ways=1, entries=4),
+    MultiWayStreamBufferSpec(ways=1, entries=2, max_run=2),
     MultiWayStreamBufferSpec(ways=2, entries=1, max_run=3),
     MultiWayStreamBufferSpec(ways=3, entries=2, max_run=0),
     MultiWayStreamBufferSpec(ways=4, entries=4),
@@ -496,6 +497,228 @@ def test_run_jobs_identical_across_backends(monkeypatch):
     monkeypatch.setenv(ENV_BACKEND, "numpy")
     numpy_results = run_jobs(jobs)
     assert numpy_results == python_results
+
+
+# -- products shared across points --------------------------------------------
+
+#: Traces the drawn points share: a registry trace, a pattern that
+#: revisits lines and one of long sequential runs.  The patterns have no
+#: instruction fetches, so their "i" side is empty.
+SHARED_TRACES = (
+    NamedWorkloadSpec("linpack", 1500, 0),
+    ZipfianSpec(length=2000, keys=300, seed=5),
+    SequentialSpec(length=2000, extent=16384, seed=5),
+)
+
+_FRESH_STREAMS = {}
+
+
+def _fresh_stream(spec, side):
+    """One side of *spec*'s trace, built outside the trace memo."""
+    key = (spec, side)
+    if key not in _FRESH_STREAMS:
+        _FRESH_STREAMS[key] = spec.build().materialize().stream_array(side)
+    return _FRESH_STREAMS[key]
+
+
+@st.composite
+def shared_points(draw):
+    """One level, entry-sweep or run-sweep point over a shared trace."""
+    from repro.experiments.engine import EntrySweepJob, LevelJob, RunSweepJob
+
+    trace = draw(st.sampled_from(SHARED_TRACES))
+    # Few geometries, so that points often share a trace's products.
+    # (64, 256 and 256 lines): keys that dropped either field would collide.
+    config = draw(
+        st.sampled_from([CacheConfig(1024, 16), CacheConfig(4096, 16), CacheConfig(8192, 32)])
+    )
+    side = draw(st.sampled_from(["d", "i"]))
+    bare = SystemSpec.for_level(trace, config, side=side)
+    job_kind = draw(st.sampled_from(["level", "entry", "run"]))
+    if job_kind == "entry":
+        kind = draw(st.sampled_from(["miss", "victim"]))
+        return EntrySweepJob(bare, kind=kind, max_entries=draw(st.integers(0, 8)))
+    if job_kind == "run":
+        ways = draw(st.integers(1, 4))
+        return RunSweepJob(bare, ways=ways, entries=4, max_run=draw(st.integers(0, 8)))
+    entries = draw(st.integers(1, 8))
+    ways = draw(st.integers(1, 4))
+    max_run = draw(st.one_of(st.none(), st.integers(0, 6)))
+    structure = draw(
+        st.sampled_from(
+            [
+                None,
+                MissCacheSpec(entries=entries),
+                VictimCacheSpec(entries=entries),
+                StreamBufferSpec(entries=4, max_run=max_run),
+                MultiWayStreamBufferSpec(ways=ways, entries=4, max_run=max_run),
+                StreamBufferSpec(entries=4, model_availability=True),  # miss-replay
+            ]
+        )
+    )
+    return LevelJob(
+        SystemSpec.for_level(
+            trace,
+            config,
+            side=side,
+            structure=structure,
+            warmup=draw(st.sampled_from([0, 100, 700, 5000])),
+            classify=draw(st.booleans()),
+        )
+    )
+
+
+def _computed_alone(job):
+    """*job* computed from a freshly built trace by the raw-array kernels."""
+    from repro.experiments.engine import EntrySweepJob, LevelSummary, RunSweepJob
+    from repro.kernels.assist import entry_sweep, run_length_sweep, simulate_assist_level
+
+    system = job.system
+    stream = _fresh_stream(system.trace, system.side)
+    config = system.cache_config
+    if isinstance(job, EntrySweepJob):
+        return entry_sweep(stream, config, job.kind, job.max_entries)
+    if isinstance(job, RunSweepJob):
+        return run_length_sweep(stream, config, job.ways, job.entries, job.max_run)
+    run = simulate_assist_level(
+        stream, config, system.structure, classify=system.classify, warmup=system.warmup
+    )
+    return LevelSummary(
+        accesses=run.stats.accesses,
+        demand_misses=run.stats.demand_misses,
+        removed_misses=run.stats.removed_misses,
+        misses_to_next_level=run.stats.misses_to_next_level,
+        stream_stall_cycles=run.stats.stream_stall_cycles,
+        conflict_misses=run.conflicts if system.classify else None,
+    )
+
+
+def _level(trace, config, **fields):
+    from repro.experiments.engine import LevelJob
+
+    return LevelJob(SystemSpec.for_level(trace, config, **fields))
+
+
+def _run_sweep(trace, config, max_run):
+    from repro.experiments.engine import RunSweepJob
+
+    return RunSweepJob(SystemSpec.for_level(trace, config), ways=1, entries=4, max_run=max_run)
+
+
+_LINPACK, _ZIPF, _SEQ = SHARED_TRACES
+_SMALL, _WIDE, _LONG = CacheConfig(1024, 16), CacheConfig(4096, 16), CacheConfig(8192, 32)
+
+
+@settings(deadline=None, max_examples=40)
+@given(points=st.lists(shared_points(), min_size=1, max_size=10))
+# Each explicit example makes later points read products stored under a
+# key that differs in one field: geometry, warm-up window, max_run, ways.
+@example(points=[_level(_LINPACK, config) for config in (_SMALL, _WIDE, _LONG)])
+@example(points=[_level(_ZIPF, _SMALL, classify=True, warmup=w) for w in (0, 700)])
+@example(points=[_run_sweep(_SEQ, _SMALL, 8), _level(_SEQ, _SMALL, structure=StreamBufferSpec(max_run=2))])
+@example(
+    points=[
+        _level(_SEQ, _WIDE, structure=MultiWayStreamBufferSpec(ways=ways)) for ways in (2, 4)
+    ]
+)
+def test_points_sharing_traces_match_points_alone(points):
+    """Points that share traces read shared products and answer as if alone.
+
+    The points run in order through the engine's job body, so later
+    points read products earlier ones (and earlier examples) stored on
+    the memoized traces.  The first point is also pinned to the
+    reference interpreter.
+    """
+    from repro.experiments.engine import execute_job
+
+    for job in points:
+        assert execute_job(job).__dict__ == _computed_alone(job).__dict__, job
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_BACKEND, PYTHON)
+        reference = execute_job(points[0])
+    assert reference.__dict__ == execute_job(points[0]).__dict__, points[0]
+
+
+#: Structures per trace of the benchmark's design-sweep grid.
+GRID_STRUCTURES = (
+    "none", "vc1", "vc2", "vc4", "mc1", "mc2", "mc4", "sb1", "sb4", "sb2x4", "sb4x4",
+)
+
+
+def test_cold_grid_extracts_each_miss_stream_once(monkeypatch):
+    """A cold design-sweep grid (the benchmark's `distinct` shape: nine
+    traces, eleven structures and two entry sweeps each) runs pass 1
+    once per trace, not once per point."""
+    from repro.experiments import workloads
+    from repro.experiments.engine import EntrySweepJob, LevelJob, run_jobs
+    from repro.kernels import assist
+    from repro.specs.structures import parse_structure_code
+    from repro.specs.workloads import WORKLOAD_PRESETS
+
+    monkeypatch.setenv(ENV_BACKEND, NUMPY)
+    monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+    monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
+    calls = []
+    original = assist.extract_miss_stream
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(assist, "extract_miss_stream", counted)
+    specs = [dataclasses.replace(preset, length=3000) for preset in WORKLOAD_PRESETS.values()]
+    specs += [NamedWorkloadSpec("ccom", 1000, 0), NamedWorkloadSpec("linpack", 1000, 0)]
+    cache = baseline_system().dcache
+    jobs = []
+    for spec in specs:
+        for code in GRID_STRUCTURES:
+            structure = parse_structure_code(code)
+            jobs.append(LevelJob(SystemSpec.for_level(spec, cache, side="d", structure=structure)))
+        for kind in ("miss", "victim"):
+            jobs.append(EntrySweepJob(SystemSpec.for_level(spec, cache, side="d"), kind=kind))
+    assert len(jobs) == 117
+    run_jobs(jobs, jobs=1)
+    assert len(calls) == 9
+
+
+def test_point_from_cached_products_is_observed_once():
+    """A point answered from products an earlier point built still makes
+    exactly one level observation, with the interpreter's stats."""
+    from repro.experiments.engine import LevelJob, execute_job
+
+    job = LevelJob(qualifying_spec(structure=VictimCacheSpec(entries=2), warmup=100))
+    observed = []
+    for backend in (PYTHON, NUMPY, NUMPY):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(ENV_BACKEND, backend)
+            with telemetry.scoped() as scope:
+                execute_job(job)
+        observed.append((scope.level_runs, scope.references, scope.sections))
+    assert observed[0][0] == 1
+    assert observed[1] == observed[0] and observed[2] == observed[0]
+
+
+def test_cached_products_are_read_only():
+    from repro.kernels.assist import level_products
+
+    trace = build_trace("ccom", 1500).materialize()
+    products = level_products(trace, "d", CacheConfig(1024, 16))
+    assert level_products(trace, "d", CacheConfig(1024, 16)) is products
+    arrays = [products.positions, products.miss_lines, products.victims]
+    for product in (
+        products.lru_depths(),
+        products.victim_depths(),
+        products.stream_hits(1, None),
+        products.stream_hits(4, 3),
+    ):
+        arrays.extend(product)
+    for array in arrays:
+        assert len(array)
+        with pytest.raises(ValueError):
+            array[0] = 1
+    summary = products.classification(0)
+    summary["conflict"] = -1
+    assert products.classification(0)["conflict"] >= 0
 
 
 # -- packed-trace views -------------------------------------------------------

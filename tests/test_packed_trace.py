@@ -159,6 +159,32 @@ class TestAddressDomain:
             simulate_level_summary(system)
 
 
+class TestProductLifetime:
+    def test_evicted_trace_frees_its_products(self, monkeypatch):
+        """Products live and die with their trace: once the memo evicts
+        it, nothing else holds them."""
+        import gc
+        import weakref
+
+        from repro.experiments import workloads
+        from repro.kernels.assist import level_products
+        from repro.specs import SequentialSpec
+
+        monkeypatch.setattr(workloads, "DEFAULT_TRACE_CACHE_CAP", 1)
+        monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
+        config = CacheConfig(1024, 16)
+        products = level_products(SequentialSpec(length=500, seed=1).trace(), "d", config)
+        products.lru_depths()
+        products.classification(0)
+        freed = weakref.ref(products)
+        del products
+        gc.collect()
+        assert freed() is not None  # the memo still holds the trace
+        SequentialSpec(length=500, seed=2).trace()  # evicts the first
+        gc.collect()
+        assert freed() is None
+
+
 class TestTraceStatsOther:
     """Satellite: stats() must reconcile with len() for foreign kinds."""
 
@@ -212,6 +238,16 @@ class TestPicklePayload:
         trace.as_arrays()
         trace.stream_array("i")
         trace.stream_array("d")
+        # The kernels' cached products, every kind of them.
+        from repro.kernels.assist import level_products
+
+        for side in ("i", "d"):
+            products = level_products(trace, side, CacheConfig(1024, 16))
+            products.lru_depths()
+            products.victim_depths()
+            products.stream_hits(1, None)
+            products.stream_hits(4, None)
+            products.classification(0)
         return trace
 
     def test_warmed_trace_pickles_no_bigger_than_cold(self):

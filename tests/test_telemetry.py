@@ -392,6 +392,31 @@ class TestCliEmitMetrics:
         assert [sum(r.backends.values()) for r in alone] == [6, 12]
         assert [observed(r) for r in together] == [observed(r) for r in alone]
 
+    def test_workload_pool_records_count_worker_simulations(self, tmp_path, capsys, monkeypatch):
+        """A ``--workload`` run fans its level jobs over ``run_jobs``'s pool:
+        each worker's observations reach the record, as at ``--jobs 1``."""
+        from repro.experiments.cli import main
+
+        # No result store; and the CLI exports --jobs for a --workload
+        # run, so the patch restores REPRO_JOBS afterwards.
+        monkeypatch.setenv("REPRO_RESULT_STORE", "")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+
+        def run(jobs):
+            path = str(tmp_path / f"jobs{jobs}.jsonl")
+            argv = ["--workload", "zipfian", "--workload", "tenant_mix", "--scale", "1500",
+                    "--jobs", str(jobs), "--emit-metrics", path]
+            assert main(argv) == 0
+            (record,) = read_records(path)
+            return record
+
+        serial, pooled = run(1), run(2)
+        capsys.readouterr()
+        assert serial.level_runs > 0 and serial.references > 0
+        assert (pooled.references, pooled.level_runs, pooled.level) == (
+            serial.references, serial.level_runs, serial.level
+        )
+
     def test_no_metrics_file_without_flag(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
