@@ -11,9 +11,9 @@ both sides, on the same benchmark trace the PR 6 kernel pairs use.
 
 The next pair is figure-level: a Figure 3-5 style entry sweep priced as
 ``MAX_ENTRIES`` independent interpreter runs versus the kernel's single
-reuse-distance rank pass, which yields every capacity at once.  The raw
-kernel entry points compute everything from the addresses they are
-given on every call, so these pairs time cold computation.
+reuse-distance rank pass, which yields every capacity at once.  Each
+kernel call builds its ``LevelProducts`` inside the timed call, so these
+pairs time cold computation.
 
 The last benchmark is the shape that shares work: one trace's design
 sweep (eleven structures and both entry sweeps) through ``execute_job``,
@@ -46,7 +46,7 @@ from repro.specs.structures import (
 )
 pytest.importorskip("numpy")
 
-from repro.kernels.assist import entry_sweep, simulate_assist_level  # noqa: E402
+from repro.kernels.assist import LevelProducts, entry_sweep, level_point  # noqa: E402
 
 CONFIG = CacheConfig(4096, 16)
 MAX_ENTRIES = 15
@@ -78,12 +78,12 @@ def _python(spec, dstream):
 
 def _pair(benchmark, spec, dstream, dstream_array):
     reference = _python(spec, dstream).stats
-    run = benchmark.pedantic(
-        lambda: simulate_assist_level(dstream_array, CONFIG, spec),
+    _, stats = benchmark.pedantic(
+        lambda: level_point(LevelProducts(dstream_array, CONFIG), spec),
         rounds=3,
         iterations=1,
     )
-    assert run.stats.as_dict() == reference.as_dict()
+    assert stats.as_dict() == reference.as_dict()
 
 
 def test_victim_cache_level_python(benchmark, dstream):
@@ -142,8 +142,8 @@ def test_victim_entry_sweep_per_capacity_python(benchmark, dstream):
 
 def test_victim_entry_sweep_one_pass_kernel(benchmark, dstream, dstream_array):
     reference = victim_cache_sweep(dstream, CONFIG, max_entries=MAX_ENTRIES)
-    sweep = benchmark.pedantic(
-        lambda: entry_sweep(dstream_array, CONFIG, "victim", MAX_ENTRIES),
+    sweep, _ = benchmark.pedantic(
+        lambda: entry_sweep(LevelProducts(dstream_array, CONFIG), "victim", MAX_ENTRIES),
         rounds=3,
         iterations=1,
     )

@@ -32,6 +32,7 @@ from ..common.config import CacheConfig
 from ..common.stats import percent
 from ..specs import MissCacheSpec, StreamBufferSpec, VictimCacheSpec
 from .base import TableResult, run_point_columns
+from .runner import count_misses
 from .workloads import suite
 
 __all__ = ["run"]
@@ -51,11 +52,7 @@ _STRUCTURES = (
 
 def _two_way_miss_reduction(addresses, direct_misses: int) -> float:
     """Percent of direct-mapped misses avoided by a 2-way cache."""
-    two_way = SetAssociativeCache(CONFIG, ways=2)
-    misses = 0
-    for address in addresses:
-        if not two_way.access_and_fill(address >> CONFIG.offset_bits):
-            misses += 1
+    misses = count_misses(SetAssociativeCache(CONFIG, ways=2), addresses, CONFIG.offset_bits)
     return percent(direct_misses - misses, direct_misses)
 
 

@@ -193,6 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the CLI; the settings it exports last only as long as the call.
+
+    Flags reach engine workers through the environment, so the call
+    sets them there and puts ``os.environ`` back as it found it on
+    return.
+    """
+    saved = dict(os.environ)
+    try:
+        return _run(argv)
+    finally:
+        for key in os.environ.keys() - saved.keys():
+            del os.environ[key]
+        os.environ.update(saved)
+
+
+def _run(argv: Optional[List[str]]) -> int:
     args = build_parser().parse_args(argv)
     if args.experiments and args.experiments[0] == "store":
         # Maintenance subcommand: repro-experiments store {stats|gc|clear}.

@@ -164,6 +164,18 @@ class LevelSummary:
     #: Only populated when the job ran with ``classify=True``.
     conflict_misses: Optional[int] = None
 
+    @classmethod
+    def of(cls, stats, conflict_misses: Optional[int] = None) -> "LevelSummary":
+        """The summary of a run's :class:`~repro.hierarchy.level.LevelStats`."""
+        return cls(
+            accesses=stats.accesses,
+            demand_misses=stats.demand_misses,
+            removed_misses=stats.removed_misses,
+            misses_to_next_level=stats.misses_to_next_level,
+            stream_stall_cycles=stats.stream_stall_cycles,
+            conflict_misses=conflict_misses,
+        )
+
     @property
     def miss_rate(self) -> float:
         return safe_div(self.demand_misses, self.accesses)
@@ -287,81 +299,70 @@ Job = Union[LevelJob, EntrySweepJob, RunSweepJob, SystemJob, ExperimentJob]
 def execute_job(job: Job):
     """Run one job in the current process and return its picklable result.
 
-    ``LevelJob``s are backend-dispatched: when
-    :func:`repro.kernels.select_backend` picks numpy (the spec has a
-    kernel mode, ``REPRO_BACKEND`` not forcing ``python``),
-    structure-free specs run the vectorized direct-mapped kernel and
-    structure-carrying specs run the assist kernel (vector or
-    miss-replay mode per :func:`repro.kernels.kernel_mode`).  Sweep jobs
-    dispatch on the request alone: their depth- and offset-tracking
-    structures always resolve in vector mode.  ``SystemJob``s run the
-    bare-system kernel on numpy when neither side has a structure, and
-    :class:`MemorySystem` otherwise.  All backends return
-    identical results, so dispatch is invisible to callers and to the
-    result store.
+    The route is :func:`_job_backend`'s label, the one heartbeats and
+    run records report.  On ``python`` every job runs the interpreter
+    (:func:`run_level`, the tracked-structure sweeps, or
+    :class:`MemorySystem`).  Otherwise a ``LevelJob`` runs the
+    vectorized direct-mapped body when structure-free and the assist
+    body (vector or miss-replay mode per
+    :func:`repro.kernels.kernel_mode`) otherwise, sweep jobs run their
+    vector-mode bodies, and a structure-free ``SystemJob`` runs the
+    bare-system kernel.  All routes return identical results, so
+    dispatch is invisible to callers and to the result store.
     """
+    backend = _job_backend(job)
     if isinstance(job, LevelJob):
         system = job.system
-        if select_backend(system) == NUMPY:
-            if system.structure is not None:
-                from ..kernels.assist import simulate_assist_summary
-
-                return simulate_assist_summary(system)
+        if backend == PYTHON:
+            addresses = system.trace.trace().stream(system.side)
+            run = run_level(
+                addresses,
+                system.cache_config,
+                system.build_structure(),
+                classify=system.classify,
+                warmup=system.warmup,
+            )
+            return LevelSummary.of(run.stats, run.conflicts if system.classify else None)
+        if system.structure is None:
             from ..kernels.numpy_backend import simulate_level_summary
 
             return simulate_level_summary(system)
-        addresses = system.trace.trace().stream(system.side)
-        run = run_level(
-            addresses,
-            system.cache_config,
-            system.build_structure(),
-            classify=system.classify,
-            warmup=system.warmup,
-        )
-        stats = run.stats
-        return LevelSummary(
-            accesses=stats.accesses,
-            demand_misses=stats.demand_misses,
-            removed_misses=stats.removed_misses,
-            misses_to_next_level=stats.misses_to_next_level,
-            stream_stall_cycles=stats.stream_stall_cycles,
-            conflict_misses=run.conflicts if system.classify else None,
-        )
+        from ..kernels.assist import simulate_assist_summary
+
+        return simulate_assist_summary(system)
     if isinstance(job, EntrySweepJob):
         system = job.system
-        if default_backend() == NUMPY:
-            from ..kernels.assist import entry_sweep_summary
+        if backend == PYTHON:
+            addresses = system.trace.trace().stream(system.side)
+            sweep_fn = {"miss": miss_cache_sweep, "victim": victim_cache_sweep}[job.kind]
+            return sweep_fn(addresses, system.cache_config, job.max_entries)
+        from ..kernels.assist import entry_sweep_summary
 
-            return entry_sweep_summary(system, job.kind, job.max_entries)
-        addresses = system.trace.trace().stream(system.side)
-        sweep_fn = {"miss": miss_cache_sweep, "victim": victim_cache_sweep}[job.kind]
-        return sweep_fn(addresses, system.cache_config, job.max_entries)
+        return entry_sweep_summary(system, job.kind, job.max_entries)
     if isinstance(job, RunSweepJob):
         system = job.system
-        if default_backend() == NUMPY:
-            from ..kernels.assist import run_length_sweep_summary
-
-            return run_length_sweep_summary(
-                system, job.ways, job.entries, job.max_run
+        if backend == PYTHON:
+            addresses = system.trace.trace().stream(system.side)
+            return stream_buffer_run_sweep(
+                addresses,
+                system.cache_config,
+                ways=job.ways,
+                entries=job.entries,
+                max_run=job.max_run,
             )
-        addresses = system.trace.trace().stream(system.side)
-        return stream_buffer_run_sweep(
-            addresses,
-            system.cache_config,
-            ways=job.ways,
-            entries=job.entries,
-            max_run=job.max_run,
-        )
+        from ..kernels.assist import run_length_sweep_summary
+
+        return run_length_sweep_summary(system, job.ways, job.entries, job.max_run)
     if isinstance(job, SystemJob):
         trace = job.system.trace.trace()
-        if default_backend() == NUMPY and job.istructure is None and job.dstructure is None:
-            from ..kernels.numpy_backend import simulate_system
+        if backend == PYTHON:
+            memory = MemorySystem(job.system.config, build(job.istructure), build(job.dstructure))
+            if job.prewarm_l2:
+                memory.prewarm_l2(trace)
+            return memory.run(trace)
+        from ..kernels.numpy_backend import simulate_system
 
-            return simulate_system(trace, job.system.config, prewarm_l2=job.prewarm_l2)
-        memory = MemorySystem(job.system.config, build(job.istructure), build(job.dstructure))
-        if job.prewarm_l2:
-            memory.prewarm_l2(trace)
-        return memory.run(trace)
+        return simulate_system(trace, job.system.config, prewarm_l2=job.prewarm_l2)
     if isinstance(job, ExperimentJob):
         # Local import: the experiment registry lives in the package
         # __init__, which itself imports this module.
@@ -596,13 +597,14 @@ def _batch_kind(job_list: Sequence[Job]) -> str:
 def _job_backend(job: Job) -> Optional[str]:
     """The backend label one job will execute on, or None when opaque.
 
-    ``python`` and ``numpy`` as before; assist jobs that run the
-    interpreter structure over the compressed miss stream are labelled
-    ``miss-replay`` so heartbeats and run records show the split.
-    Sweep jobs always run vector mode on numpy; system jobs run numpy
-    only structure-free (see :func:`execute_job`).  Experiment jobs are
-    opaque here — their inner batches dispatch (and count) per job
-    themselves.
+    The one decision of which route a job takes: :func:`execute_job`
+    dispatches on it, and heartbeats, run records and the serving
+    daemon read it.  The label is ``python`` or ``numpy``, and
+    ``miss-replay`` for assist jobs that run the interpreter structure
+    over the compressed miss stream, so heartbeats and run records show
+    the split.  Sweep jobs always run vector mode on numpy; system jobs
+    run numpy only structure-free.  Experiment jobs are opaque here —
+    their inner batches dispatch (and count) per job themselves.
     """
     if isinstance(job, (EntrySweepJob, RunSweepJob)):
         return default_backend()

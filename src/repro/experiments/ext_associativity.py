@@ -22,13 +22,14 @@ it lends its entries to whichever sets are conflicting right now.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..caches.fully_associative import FullyAssociativeCache
 from ..caches.set_associative import SetAssociativeCache
 from ..common.config import CacheConfig
 from ..common.stats import safe_div
 from .base import TableResult
+from .runner import count_misses
 from .sweeps import batch_entry_sweeps
 from .workloads import suite
 
@@ -37,27 +38,19 @@ __all__ = ["run"]
 CONFIG = CacheConfig(4096, 16)
 
 
-def _misses(cache, addresses: List[int]) -> int:
-    shift = CONFIG.offset_bits
-    misses = 0
-    for address in addresses:
-        if not cache.access_and_fill(address >> shift):
-            misses += 1
-    return misses
-
-
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
     traces = list(traces) if traces is not None else suite(scale, seed)
     # One victim-cache entry sweep per trace yields the direct-mapped
     # misses and the VC1/VC2/VC4 columns together.
     sweeps = batch_entry_sweeps(traces, CONFIG, kind="victim", sides=("d",), max_entries=4)
+    shift = CONFIG.offset_bits
     rows = []
     for trace, sweep in zip(traces, sweeps):
         addresses = trace.data_addresses
         dm_misses = sweep.total_misses
-        two_way = _misses(SetAssociativeCache(CONFIG, 2), addresses)
-        four_way = _misses(SetAssociativeCache(CONFIG, 4), addresses)
-        fully = _misses(FullyAssociativeCache(CONFIG.num_lines), addresses)
+        two_way = count_misses(SetAssociativeCache(CONFIG, 2), addresses, shift)
+        four_way = count_misses(SetAssociativeCache(CONFIG, 4), addresses, shift)
+        fully = count_misses(FullyAssociativeCache(CONFIG.num_lines), addresses, shift)
         vc_removed = sweep.hits_by_entries
         two_way_gain = dm_misses - two_way
         recovery = safe_div(vc_removed[4], two_way_gain) if two_way_gain > 0 else float("inf")

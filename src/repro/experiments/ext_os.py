@@ -86,10 +86,10 @@ def inject_interrupts(
     return out
 
 
-def _run_split(pairs) -> Tuple[CacheLevel, CacheLevel]:
-    """Replay through split I/D levels with the SS5 structures on each."""
-    ilevel = CacheLevel(CONFIG, build(IMPROVED_ISTRUCTURE))
-    dlevel = CacheLevel(CONFIG, build(IMPROVED_DSTRUCTURE))
+def _run_split(pairs, istructure=None, dstructure=None) -> Tuple[CacheLevel, CacheLevel]:
+    """Replay through split I/D levels, each with its structure (None: bare)."""
+    ilevel = CacheLevel(CONFIG, build(istructure))
+    dlevel = CacheLevel(CONFIG, build(dstructure))
     shift = CONFIG.offset_bits
     ifetch = int(AccessKind.IFETCH)
     for kind, address in pairs:
@@ -99,13 +99,7 @@ def _run_split(pairs) -> Tuple[CacheLevel, CacheLevel]:
 
 
 def _rates(pairs) -> Tuple[float, float]:
-    ilevel = CacheLevel(CONFIG)
-    dlevel = CacheLevel(CONFIG)
-    shift = CONFIG.offset_bits
-    ifetch = int(AccessKind.IFETCH)
-    for kind, address in pairs:
-        level = ilevel if kind == ifetch else dlevel
-        level.access_line(address >> shift)
+    ilevel, dlevel = _run_split(pairs)
     return ilevel.stats.miss_rate, dlevel.stats.miss_rate
 
 
@@ -117,7 +111,7 @@ def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
     for interval in INTERVALS:
         mixed = inject_interrupts(user, interval, seed)
         i_rate, d_rate = _rates(mixed)
-        ilevel, dlevel = _run_split(mixed)
+        ilevel, dlevel = _run_split(mixed, IMPROVED_ISTRUCTURE, IMPROVED_DSTRUCTURE)
         removed = ilevel.stats.removed_misses + dlevel.stats.removed_misses
         misses = ilevel.stats.demand_misses + dlevel.stats.demand_misses
         rows.append(

@@ -14,11 +14,12 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 from ..buffers.base import L1Augmentation
+from ..caches.base import Cache
 from ..common.config import CacheConfig
 from ..hierarchy.level import CacheLevel
 from ..telemetry.core import current as _telemetry_scope
 
-__all__ = ["LevelRun", "run_level"]
+__all__ = ["LevelRun", "run_level", "count_misses"]
 
 
 @dataclass
@@ -91,3 +92,18 @@ def run_level(
     if scope is not None:
         scope.observe_level_run(level.stats, perf_counter() - started)
     return LevelRun(level)
+
+
+def count_misses(cache: Cache, byte_addresses: Sequence[int], offset_bits: int) -> int:
+    """Misses of a bare tag store over one byte-address stream.
+
+    Each reference looks up its line and fills it on a miss; the
+    comparison organisations the kernels do not cover (set- and
+    fully-associative arrays) replay this way.
+    """
+    access = cache.access_and_fill
+    misses = 0
+    for address in byte_addresses:
+        if not access(address >> offset_bits):
+            misses += 1
+    return misses

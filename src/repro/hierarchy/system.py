@@ -112,7 +112,6 @@ class MemorySystem:
         iaugmentation: Optional[L1Augmentation] = None,
         daugmentation: Optional[L1Augmentation] = None,
         classify: bool = False,
-        route_prefetches_through_l2: bool = True,
     ):
         self.config = config if config is not None else baseline_system()
         self.ilevel = CacheLevel(self.config.icache, iaugmentation, classify, name="L1I")
@@ -132,9 +131,8 @@ class MemorySystem:
         # lets the per-reference loop skip the pending-queue check for
         # the (common) augmentation-free and non-prefetching systems.
         self._has_prefetch_sinks = False
-        if route_prefetches_through_l2:
-            self._wire_prefetch_sinks(iaugmentation, self._ishift)
-            self._wire_prefetch_sinks(daugmentation, self._dshift)
+        self._wire_prefetch_sinks(iaugmentation, self._ishift)
+        self._wire_prefetch_sinks(daugmentation, self._dshift)
 
     # -- construction helpers ---------------------------------------------------
 

@@ -26,9 +26,11 @@ modes (:func:`kernel_mode`):
   buffers, composites).
 
 Neither pass depends on a point's capacity or warm-up window, so the
-engine's job bodies read both from products cached on the materialized
-trace per side and geometry (:func:`repro.kernels.assist.level_products`)
-and compute them once per trace, not once per point.
+kernels take one input: the products cached on the materialized trace
+per side and geometry (:class:`repro.kernels.assist.LevelProducts`, via
+:func:`~repro.kernels.assist.level_products`), computed once per trace,
+not once per point.  Every job body reads them, the bare split-L1/L2
+system's two L1 sides included.
 
 Both backends produce **identical statistics**, pinned by the
 equivalence suite in ``tests/test_kernels.py``; which one runs is a pure
@@ -47,6 +49,10 @@ inputs:
   :class:`~repro.specs.SystemSpec` whose structure is ``None`` or a
   registered spec kind has one; non-spec inputs and unregistered
   structure types have none and run on python.
+
+The engine turns this into one route label per job
+(``repro.experiments.engine._job_backend``): ``execute_job`` dispatches
+on it, and heartbeats, run records and the serving daemon report it.
 
 numpy is a required dependency, imported lazily by the kernel modules
 on first use so that importing the package stays cheap.

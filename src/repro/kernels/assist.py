@@ -43,13 +43,14 @@ relies on).  That splits any structure run into two passes:
 Neither pass depends on a point's capacity or warm-up window: the miss
 stream is the same for every structure, and the vector-mode hit tests
 are unbounded stack depths and run offsets that price every capacity at
-once.  :class:`LevelProducts` holds both for one stream and geometry,
-and :func:`level_products` caches it on the materialized trace, so the
-engine's job bodies (``*_summary``) compute them once per trace, side
-and geometry and apply only each point's own capacity and window.  The
-raw-array entry points (:func:`simulate_assist_level`,
-:func:`entry_sweep`, :func:`run_length_sweep`) run the same code over a
-fresh product set of their own.
+once.  :class:`LevelProducts` holds both for one stream and geometry
+and is the only input the kernels take: one function per operation
+(:func:`level_point`, :func:`entry_sweep`, :func:`run_length_sweep`)
+applies a point's own capacity and window to it.
+:func:`level_products` caches the products on the materialized trace,
+so each engine job body (``*_summary``) is cached products → that
+function → one telemetry observation, and pass 1 runs once per trace,
+side and geometry.
 
 Warm-up follows the interpreter exactly: structure and cache state are
 warmed over the full stream; counters only accumulate inside the
@@ -61,7 +62,6 @@ named traces, and the pattern workload specs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
@@ -76,18 +76,16 @@ from .numpy_backend import (
     _INT64,
     _effective_warmup,
     _rank_left_leq,
+    _slot_pass,
     classify_misses,
-    direct_mapped_occupants,
     prev_occurrence,
-    KernelLevelResult,
 )
 
 __all__ = [
-    "MissStream",
     "extract_miss_stream",
     "LevelProducts",
     "level_products",
-    "simulate_assist_level",
+    "level_point",
     "simulate_assist_summary",
     "entry_sweep",
     "entry_sweep_summary",
@@ -99,42 +97,27 @@ __all__ = [
 # -- pass 1: the ordered miss stream ------------------------------------------
 
 
-@dataclass
-class MissStream:
-    """Everything pass 2 needs about one direct-mapped replay."""
-
-    #: Full-stream line addresses (len == trace length).
-    lines: np.ndarray
-    #: Full-stream direct-mapped hit mask.
-    hits: np.ndarray
-    #: Trace positions of the misses, ascending.
-    positions: np.ndarray
-    #: Requested line per miss.
-    miss_lines: np.ndarray
-    #: Line evicted by each refill; ``-1`` when the slot was cold.
-    victims: np.ndarray
-
-
-def extract_miss_stream(lines: np.ndarray, num_lines: int) -> MissStream:
+def extract_miss_stream(
+    lines: np.ndarray, num_lines: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve a direct-mapped level and emit its ordered miss stream.
+
+    Returns ``(positions, miss_lines, victims)``: the ascending stream
+    positions of the misses, the requested line per miss, and the line
+    each refill evicted (``-1`` when the slot was cold).
 
     The victim of a refill is the previous reference to the same slot
     (hit or miss — the slot always holds the last line referenced
     through it), which falls out of the same stable argsort-by-slot the
-    hit mask uses: :func:`~repro.kernels.numpy_backend.direct_mapped_occupants`
-    returns both from one sort.  On a miss the previous occupant
-    necessarily differs from the requested line, so it is always a
-    genuine eviction.
+    hit mask uses: in sorted order it is the predecessor within the
+    slot.  On a miss the previous occupant necessarily differs from the
+    requested line, so it is always a genuine eviction.
     """
-    hits, resident_before = direct_mapped_occupants(lines, num_lines)
+    hits, order, sorted_lines, same_slot = _slot_pass(lines, num_lines)
+    resident_before = np.full(len(lines), -1, dtype=_INT64)
+    resident_before[order[1:][same_slot]] = sorted_lines[:-1][same_slot]
     positions = np.nonzero(~hits)[0].astype(_INT64, copy=False)
-    return MissStream(
-        lines=lines,
-        hits=hits,
-        positions=positions,
-        miss_lines=lines[positions],
-        victims=resident_before[positions],
-    )
+    return positions, lines[positions], resident_before[positions]
 
 
 # -- pass 2, vector mode ------------------------------------------------------
@@ -258,8 +241,8 @@ def _stream_buffer_hits(
 
 
 #: Head of a way with nothing left to supply.  Lines are never negative
-#: (the same convention as :attr:`MissStream.victims`), so it matches no
-#: miss.
+#: (a cold refill's victim is ``-1`` for the same reason), so it matches
+#: no miss.
 _DEAD = -1
 
 
@@ -323,7 +306,8 @@ def _multi_way_stream_hits(
 def _replay_structure(structure, stream, start: int) -> LevelStats:
     """Drive a live interpreter structure over the compressed miss stream.
 
-    *stream* is a :class:`MissStream` or :class:`LevelProducts`.  Calls
+    *stream* holds the miss stream's ``positions``, ``miss_lines`` and
+    ``victims`` (a :class:`LevelProducts`, in the kernels).  Calls
     ``lookup_on_miss`` then ``on_l1_fill`` per miss, in the exact order
     :meth:`~repro.hierarchy.level.CacheLevel.access_line` would, with
     ``now`` set to the original trace position so availability
@@ -383,8 +367,8 @@ class LevelProducts:
     geometry:
 
     * the pass-1 miss stream — ``positions``, ``miss_lines`` and
-      ``victims`` (see :class:`MissStream`) and the stream ``length`` —
-      built with the object;
+      ``victims`` (see :func:`extract_miss_stream`) and the stream
+      ``length`` — built with the object;
     * the capacity-free pass-2 products, each built on first use:
       :meth:`lru_depths`, :meth:`victim_depths`, :meth:`stream_hits` per
       ``(ways, max_run)`` and :meth:`classification` per warm-up window.
@@ -403,9 +387,8 @@ class LevelProducts:
         self._offset_bits = config.offset_bits
         self.num_lines = config.num_lines
         self.length = len(self._addresses)
-        ms = extract_miss_stream(self._addresses >> config.offset_bits, config.num_lines)
         self.positions, self.miss_lines, self.victims = _read_only(
-            ms.positions, ms.miss_lines, ms.victims
+            *extract_miss_stream(self._addresses >> config.offset_bits, config.num_lines)
         )
         self._derived: Dict[Hashable, object] = {}
 
@@ -465,10 +448,6 @@ def level_products(trace, side: str, config: CacheConfig) -> LevelProducts:
     )
 
 
-def _spec_products(system) -> LevelProducts:
-    return level_products(system.trace.trace(), system.side, system.cache_config)
-
-
 def _hits_from(product: Tuple[np.ndarray, np.ndarray], first: int, capacity=None) -> int:
     """Hits at miss index *first* or later, those below *capacity* deep if given."""
     at, values = product
@@ -478,18 +457,36 @@ def _hits_from(product: Tuple[np.ndarray, np.ndarray], first: int, capacity=None
     return int(np.count_nonzero(values[k:] < capacity))
 
 
-# -- whole-run kernels --------------------------------------------------------
+# -- one function per operation ----------------------------------------------
+#
+# Each takes the products and returns ``(answer, stats)``: the job's
+# picklable answer and the whole-run LevelStats its one telemetry
+# observation reports.
 
 
-def _level_run(
-    products: LevelProducts, structure_spec, classify: bool, warmup: int
-) -> KernelLevelResult:
-    """One level point: the shared products under its capacity and window.
+def _whole_run(stats: LevelStats, products: LevelProducts, start: int = 0, first: int = 0):
+    """Complete structure counters into level stats over a window.
+
+    The window starts at stream position *start*, whose first miss is
+    miss index *first*.
+    """
+    stats.accesses = products.length - start
+    stats.hits = stats.accesses - (len(products.positions) - first)
+    stats.misses_to_next_level = stats.demand_misses - stats.removed_misses
+    return stats
+
+
+def level_point(
+    products: LevelProducts, structure_spec=None, classify: bool = False, warmup: int = 0
+):
+    """One level point → ``(LevelSummary, LevelStats)``: vectorized ``run_level``.
 
     ``structure_spec`` is None for the bare level, or a spec with a
     kernel mode (:func:`repro.kernels.structure_mode` not None);
     dispatch through :func:`repro.kernels.select_backend` guarantees it.
+    Only the point's own capacity and warm-up window are applied here.
     """
+    from ..experiments.engine import LevelSummary
     from ..specs.structures import build
 
     start = _effective_warmup(warmup, products.length)
@@ -517,63 +514,9 @@ def _level_run(
         raise ValueError(
             f"structure spec has no kernel mode: {structure_spec!r}"
         )
-
-    demand = len(products.positions) - first
-    stats.accesses = products.length - start
-    stats.hits = stats.accesses - demand
-    stats.misses_to_next_level = demand - stats.removed_misses
-    classification = products.classification(warmup) if classify else None
-    return KernelLevelResult(stats, classification)
-
-
-def simulate_assist_level(
-    byte_addresses,
-    config: CacheConfig,
-    structure_spec,
-    classify: bool = False,
-    warmup: int = 0,
-) -> KernelLevelResult:
-    """Vectorized ``run_level`` for a level with a helper structure.
-
-    Computes everything from *byte_addresses* (a fresh
-    :class:`LevelProducts`, shared with nothing); ``structure_spec``
-    must have a kernel mode (:func:`repro.kernels.structure_mode` not
-    None), which dispatch through :func:`repro.kernels.select_backend`
-    guarantees.
-    """
-    return _level_run(LevelProducts(byte_addresses, config), structure_spec, classify, warmup)
-
-
-def _level_summary(system):
-    """Execute one :class:`LevelJob` spec point from its trace's products.
-
-    Returns the :class:`~repro.experiments.engine.LevelSummary` and makes
-    one telemetry observation (``observe_level_run``) per point, as the
-    interpreter path does, whether the products were built or read.
-    """
-    from ..experiments.engine import LevelSummary
-
-    scope = _telemetry_scope()
-    started = perf_counter() if scope is not None else 0.0
-    run = _level_run(_spec_products(system), system.structure, system.classify, system.warmup)
-    if scope is not None:
-        scope.observe_level_run(run.stats, perf_counter() - started)
-    return LevelSummary(
-        accesses=run.stats.accesses,
-        demand_misses=run.stats.demand_misses,
-        removed_misses=run.stats.removed_misses,
-        misses_to_next_level=run.stats.misses_to_next_level,
-        stream_stall_cycles=run.stats.stream_stall_cycles,
-        conflict_misses=run.conflicts if system.classify else None,
-    )
-
-
-def simulate_assist_summary(system):
-    """Execute one structure-carrying :class:`LevelJob` spec point vectorized."""
-    return _level_summary(system)
-
-
-# -- one-pass sweeps ----------------------------------------------------------
+    _whole_run(stats, products, start, first)
+    conflicts = int(products.classification(warmup)["conflict"]) if classify else None
+    return LevelSummary.of(stats, conflicts), stats
 
 
 def _count_at_most(depths: np.ndarray, limit: int) -> List[int]:
@@ -588,23 +531,18 @@ def _count_at_most(depths: np.ndarray, limit: int) -> List[int]:
     return [0] + [int(cumulative[k - 1]) for k in range(1, limit + 1)]
 
 
-def _sweep_level_stats(products: LevelProducts, stats: LevelStats) -> LevelStats:
-    """Complete a sweep's structure counters into whole-run level stats.
+def entry_sweep(products: LevelProducts, kind: str, max_entries: int):
+    """One-pass miss/victim-cache entry sweep (Figures 3-3/3-5) → ``(EntrySweep, LevelStats)``.
 
-    The counters are those of the interpreter's single tracked run, so
-    a sweep's telemetry observation matches the reference backend's.
+    Equivalent to ``max_entries`` independent capacity runs — or the
+    interpreter's tracked-depth single run — but the reuse-distance rank
+    pass prices every capacity at once: ``hits_by_entries[k]`` is the
+    number of lookups whose unbounded LRU depth is below ``k``.  The
+    stats are those of the interpreter's tracked structure, which holds
+    ``max_entries + 1`` lines.
     """
-    stats.accesses = products.length
-    stats.hits = products.length - len(products.positions)
-    stats.misses_to_next_level = stats.demand_misses - stats.removed_misses
-    return stats
-
-
-def _entry_sweep(products: LevelProducts, kind: str, max_entries: int):
     from ..experiments.sweeps import EntrySweep
 
-    # The stats are those of the interpreter's tracked structure, which
-    # holds max_entries + 1 lines.
     stats = LevelStats()
     if kind == "miss":
         _, depths = products.lru_depths()
@@ -617,62 +555,55 @@ def _entry_sweep(products: LevelProducts, kind: str, max_entries: int):
         conflict_misses=int(products.classification(0)["conflict"]),
         hits_by_entries=_count_at_most(depths, max_entries),
     )
-    return sweep, _sweep_level_stats(products, stats)
+    return sweep, _whole_run(stats, products)
 
 
-def entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int):
-    """One-pass miss/victim-cache entry sweep (Figures 3-3/3-5).
+def run_length_sweep(products: LevelProducts, ways: int, max_run: int):
+    """Stream-buffer run-length sweep (Figure 4-4 style) → ``(RunLengthSweep, LevelStats)``.
 
-    Equivalent to ``max_entries`` independent capacity runs — or the
-    interpreter's tracked-depth single run — but the reuse-distance rank
-    pass prices every capacity at once: ``hits_by_entries[k]`` is the
-    number of lookups whose unbounded LRU depth is below ``k``.  Computes
-    everything from *byte_addresses*, sharing nothing.
+    The interpreter histograms one unbounded-run simulation: single-way
+    buffers read run offsets off the chain scan, multi-way buffers off
+    the way-head compare (:meth:`LevelProducts.stream_hits`).  Head-only
+    matching makes the result independent of the buffer's entries.
     """
-    return _entry_sweep(LevelProducts(byte_addresses, config), kind, max_entries)[0]
-
-
-def _observed(system, sweep_fn, *args):
-    """Run one sweep body over a spec point's products, observed like a level run."""
-    scope = _telemetry_scope()
-    started = perf_counter() if scope is not None else 0.0
-    sweep, stats = sweep_fn(_spec_products(system), *args)
-    if scope is not None:
-        scope.observe_level_run(stats, perf_counter() - started)
-    return sweep
-
-
-def entry_sweep_summary(system, kind: str, max_entries: int):
-    """Vectorized :class:`~repro.experiments.engine.EntrySweepJob` body."""
-    return _observed(system, _entry_sweep, kind, max_entries)
-
-
-def _run_length_sweep(products: LevelProducts, ways: int, max_run: int):
     from ..experiments.sweeps import RunLengthSweep
 
-    # The interpreter histograms one unbounded-run simulation.
     _, offsets = products.stream_hits(ways, None)
     stats = LevelStats()
     stats.stream_hits = len(offsets)
     removed = _count_at_most(offsets - 1, max_run)
     sweep = RunLengthSweep(total_misses=len(products.positions), removed_by_run=removed)
-    return sweep, _sweep_level_stats(products, stats)
+    return sweep, _whole_run(stats, products)
 
 
-def run_length_sweep(
-    byte_addresses, config: CacheConfig, ways: int, entries: int, max_run: int
-):
-    """Stream-buffer run-length sweep (Figure 4-4 style).
+# -- engine job bodies ----------------------------------------------------------
 
-    Single-way buffers vectorize (run offsets are chain positions);
-    multi-way buffers resolve heads way by way over the miss stream
-    (:func:`_multi_way_stream_hits`).  Head-only matching makes the
-    result independent of *entries*.  Computes everything from
-    *byte_addresses*, sharing nothing.
+
+def _observed(system, operation, *args):
+    """A spec point's cached products → *operation* → one level observation.
+
+    The observation matches the interpreter path's (``observe_level_run``
+    per point), whether the products were built or read.
     """
-    return _run_length_sweep(LevelProducts(byte_addresses, config), ways, max_run)[0]
+    scope = _telemetry_scope()
+    started = perf_counter() if scope is not None else 0.0
+    products = level_products(system.trace.trace(), system.side, system.cache_config)
+    answer, stats = operation(products, *args)
+    if scope is not None:
+        scope.observe_level_run(stats, perf_counter() - started)
+    return answer
+
+
+def simulate_assist_summary(system):
+    """Vectorized structure-carrying :class:`~repro.experiments.engine.LevelJob` body."""
+    return _observed(system, level_point, system.structure, system.classify, system.warmup)
+
+
+def entry_sweep_summary(system, kind: str, max_entries: int):
+    """Vectorized :class:`~repro.experiments.engine.EntrySweepJob` body."""
+    return _observed(system, entry_sweep, kind, max_entries)
 
 
 def run_length_sweep_summary(system, ways: int, entries: int, max_run: int):
     """Vectorized :class:`~repro.experiments.engine.RunSweepJob` body."""
-    return _observed(system, _run_length_sweep, ways, max_run)
+    return _observed(system, run_length_sweep, ways, max_run)

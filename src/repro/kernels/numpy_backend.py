@@ -19,6 +19,12 @@ in a handful of whole-trace array passes instead:
   rank-counting problem solved level-by-level over a merge tree with
   ``np.searchsorted`` (:func:`_rank_left_leq`) in O(n log n).
 
+The two job bodies here, the bare level point and the bare split-L1/L2
+system, read each L1 side's direct-mapped pass from the products the
+trace caches per side and geometry
+(:func:`repro.kernels.assist.level_products`); only the system's L2
+pass is computed here.
+
 Kernels read a materialized trace through its cached zero-copy views
 (:meth:`~repro.traces.trace.MaterializedTrace.stream_array` and
 :meth:`~repro.traces.trace.MaterializedTrace.as_arrays`), which are int64:
@@ -35,13 +41,12 @@ than importing this module (which requires numpy) directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..common.config import CacheConfig, SystemConfig, baseline_system
+from ..common.config import SystemConfig, baseline_system
 from ..common.stats import percent
 from ..common.types import AccessKind
 from ..hierarchy.level import LevelStats
@@ -50,12 +55,9 @@ from ..telemetry.core import current as _telemetry_scope
 
 __all__ = [
     "direct_mapped_hit_mask",
-    "direct_mapped_occupants",
     "prev_occurrence",
     "lru_shadow_hit_mask",
     "classify_misses",
-    "KernelLevelResult",
-    "simulate_level",
     "simulate_level_summary",
     "simulate_system",
 ]
@@ -100,18 +102,6 @@ def direct_mapped_hit_mask(
         prefix = 0
     hits = _slot_pass(full, num_lines)[0]
     return hits[prefix:] if prefix else hits
-
-
-def direct_mapped_occupants(lines: np.ndarray, num_lines: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(hits, resident_before)`` of one direct-mapped pass, from one sort.
-
-    ``resident_before[i]`` is the line in reference *i*'s slot just
-    before it (``-1`` when cold): the previous reference to that slot.
-    """
-    hits, order, sorted_lines, same_slot = _slot_pass(lines, num_lines)
-    resident_before = np.full(len(lines), -1, dtype=_INT64)
-    resident_before[order[1:][same_slot]] = sorted_lines[:-1][same_slot]
-    return hits, resident_before
 
 
 def _slot_pass(lines: np.ndarray, num_lines: int):
@@ -308,54 +298,15 @@ def classify_misses(
 # -- whole-run kernels --------------------------------------------------------
 
 
-@dataclass
-class KernelLevelResult:
-    """Statistics of one vectorized single-level replay."""
-
-    stats: LevelStats
-    #: :meth:`MissClassifier.summary`-shaped dict; None unless classified.
-    classification: Optional[Dict[str, float]] = None
-
-    @property
-    def misses(self) -> int:
-        return self.stats.demand_misses
-
-    @property
-    def conflicts(self) -> int:
-        if self.classification is None:
-            raise ValueError("simulate_level(..., classify=True) required for conflicts")
-        return int(self.classification["conflict"])
-
-
-def simulate_level(
-    byte_addresses,
-    config: CacheConfig,
-    classify: bool = False,
-    warmup: int = 0,
-) -> KernelLevelResult:
-    """Vectorized :func:`~repro.experiments.runner.run_level` for the bare level.
-
-    The bare level is the structure-free case of the assist kernels'
-    level pass (:func:`repro.kernels.assist.simulate_assist_level`),
-    over a fresh product set computed from *byte_addresses*.
-    """
-    from .assist import simulate_assist_level
-
-    return simulate_assist_level(byte_addresses, config, None, classify, warmup)
-
-
 def simulate_level_summary(system):
     """Execute one structure-free :class:`LevelJob` spec point vectorized.
 
-    Reads the products its trace caches per side and geometry
-    (:func:`repro.kernels.assist.level_products`) and mirrors the
-    interpreter path end to end: same
-    :class:`~repro.experiments.engine.LevelSummary` counters and the same
-    telemetry observation (one ``observe_level_run`` per point).
+    Cached products → :func:`repro.kernels.assist.level_point` (the bare
+    level) → one telemetry observation, exactly like the assist body.
     """
-    from .assist import _level_summary
+    from .assist import _observed, level_point
 
-    return _level_summary(system)
+    return _observed(system, level_point, None, system.classify, system.warmup)
 
 
 def simulate_system(
@@ -365,31 +316,31 @@ def simulate_system(
 ) -> SystemResult:
     """Vectorized :meth:`MemorySystem.run` for the augmentation-free system.
 
-    Splits the trace into instruction/data streams with one mask, runs
-    the direct-mapped pass per L1 side, scatters the two miss masks back
-    into trace order to form the L2 demand stream, and runs the same pass
-    at L2 geometry.  ``prewarm_l2`` starts the L2 with the trace's
-    footprint resident (the interpreter's
+    Each L1 side's misses come from the products its trace caches per
+    side and geometry (:func:`repro.kernels.assist.level_products`, the
+    same pass 1 the level jobs read).  They are scattered back into trace
+    order to form the L2 demand stream, and the L2 pass runs the
+    direct-mapped resolution at L2 geometry.  ``prewarm_l2`` starts the
+    L2 with the trace's footprint resident (the interpreter's
     :meth:`~repro.hierarchy.system.MemorySystem.prewarm_l2` steady-state
     model), expressed as warm pseudo-references.  *trace* must be
     materialized (sized, repeatable).
     """
+    from .assist import level_products
+
     config = config if config is not None else baseline_system()
     scope = _telemetry_scope()
     started = perf_counter() if scope is not None else 0.0
     kinds, addresses = trace.as_arrays()
     is_ifetch = kinds == int(AccessKind.IFETCH)
+    iproducts = level_products(trace, "i", config.icache)
+    dproducts = level_products(trace, "d", config.dcache)
 
-    ilines = addresses[is_ifetch] >> config.icache.offset_bits
-    dlines = addresses[~is_ifetch] >> config.dcache.offset_bits
-    ihits = direct_mapped_hit_mask(ilines, config.icache.num_lines)
-    dhits = direct_mapped_hit_mask(dlines, config.dcache.num_lines)
-
-    # L2 sees every L1 demand miss, in trace order: scatter the per-side
-    # miss masks back to trace positions and select.
-    missed = np.empty(len(addresses), dtype=bool)
-    missed[is_ifetch] = ~ihits
-    missed[~is_ifetch] = ~dhits
+    # L2 sees every L1 demand miss, in trace order: map each side's miss
+    # positions back to trace positions and select.
+    missed = np.zeros(len(addresses), dtype=bool)
+    missed[np.flatnonzero(is_ifetch)[iproducts.positions]] = True
+    missed[np.flatnonzero(~is_ifetch)[dproducts.positions]] = True
     l2_all = addresses >> config.l2.offset_bits
     warm = (
         _final_residents(l2_all, config.l2.num_lines) if prewarm_l2 else None
@@ -397,21 +348,21 @@ def simulate_system(
     l2_demand = l2_all[missed]
     l2_hits = direct_mapped_hit_mask(l2_demand, config.l2.num_lines, warm=warm)
 
-    istats = LevelStats()
-    istats.accesses = len(ilines)
-    istats.hits = int(np.count_nonzero(ihits))
-    istats.misses_to_next_level = istats.accesses - istats.hits
-    dstats = LevelStats()
-    dstats.accesses = len(dlines)
-    dstats.hits = int(np.count_nonzero(dhits))
-    dstats.misses_to_next_level = dstats.accesses - dstats.hits
+    side_stats = []
+    for products in (iproducts, dproducts):
+        stats = LevelStats()
+        stats.accesses = products.length
+        stats.misses_to_next_level = len(products.positions)
+        stats.hits = stats.accesses - stats.misses_to_next_level
+        side_stats.append(stats)
+    istats, dstats = side_stats
     l2stats = L2Stats()
     l2stats.demand_accesses = len(l2_demand)
     l2stats.demand_misses = len(l2_demand) - int(np.count_nonzero(l2_hits))
 
     result = SystemResult(
-        instructions=len(ilines),
-        data_references=len(dlines),
+        instructions=istats.accesses,
+        data_references=dstats.accesses,
         istats=istats,
         dstats=dstats,
         l2stats=l2stats,

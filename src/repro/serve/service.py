@@ -69,10 +69,10 @@ from ..specs.structures import structure_from_dict
 from ..store import ResultKey, ResultStore, current_store
 from ..store.codec import encode_result
 from ..traces.registry import get_workload
-from ..experiments.engine import LevelJob, _store_key, run_jobs
+from ..experiments.engine import LevelJob, _job_backend, _store_key, run_jobs
 from ..experiments.faults import InjectedFault, ServeFaults
 from ..experiments.workloads import known_fingerprint
-from ..kernels import NUMPY, select_backend
+from ..kernels import PYTHON
 from .breaker import CircuitBreaker
 
 __all__ = [
@@ -691,7 +691,7 @@ class AdvisorService:
         key = _store_key(job)
         assert key is not None  # LevelJob with a workload spec is always keyable
         cached, _nbytes = self.guarded_store.get(key)
-        if cached is None and select_backend(spec) == NUMPY:
+        if cached is None and _job_backend(job) != PYTHON:
             spec.trace.trace().as_arrays()
         return job, key, cached
 

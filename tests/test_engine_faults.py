@@ -493,13 +493,33 @@ class TestCLIValidation:
         assert self.run_main(["--resume", "--list"]) == 0
 
     def test_flags_exported_to_environment(self, monkeypatch, capsys):
-        # Empty reads as unset; setenv (not delenv) first, so the values
-        # the CLI exports are undone after the test instead of leaking.
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "")
+        """Workers read the flags from the environment while the run lasts."""
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "")  # empty reads as unset
         monkeypatch.setenv("REPRO_RETRIES", "")
-        assert self.run_main(["--job-timeout", "9.5", "--retries", "3", "--list"]) == 0
-        assert os.environ["REPRO_JOB_TIMEOUT"] == "9.5"
-        assert os.environ["REPRO_RETRIES"] == "3"
+        seen = {}
+
+        def recording_run(names, **kwargs):
+            seen.update(
+                (key, os.environ[key]) for key in ("REPRO_JOB_TIMEOUT", "REPRO_RETRIES")
+            )
+            return []
+
+        monkeypatch.setattr(engine, "run_experiments", recording_run)
+        assert self.run_main(["--job-timeout", "9.5", "--retries", "3", "table_1_1"]) == 0
+        assert seen == {"REPRO_JOB_TIMEOUT": "9.5", "REPRO_RETRIES": "3"}
+
+    def test_main_leaves_the_environment_as_it_found_it(self, tmp_path, monkeypatch, capsys):
+        for key in ("REPRO_JOBS", "REPRO_RESULT_STORE", "REPRO_JOB_TIMEOUT", "REPRO_RETRIES"):
+            monkeypatch.delenv(key, raising=False)
+        before = dict(os.environ)
+        argv = [
+            "--workload", "zipfian", "--jobs", "2", "--result-store", str(tmp_path / "store"),
+            "--retries", "1", "--job-timeout", "60", "--backend", "python",
+        ]
+        assert self.run_main(argv) == 0
+        assert "ext_modern_workloads" in capsys.readouterr().out
+        assert dict(os.environ) == before
+        assert current_store() is None
 
 
 class TestHeartbeatFields:

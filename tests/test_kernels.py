@@ -72,28 +72,34 @@ def qualifying_spec(**overrides) -> SystemSpec:
 # -- equivalence: single level ------------------------------------------------
 
 
+def _assert_level_equivalent(addresses, config, structure=None, warmup=0, context=()):
+    """A classified level point over fresh products equals ``run_level``:
+    every stats counter, the 3C summary and the job's summary."""
+    from repro.experiments.engine import LevelSummary
+    from repro.kernels.assist import LevelProducts, level_point
+    from repro.specs.structures import build
+
+    reference = run_level(
+        addresses, config, augmentation=build(structure), classify=True, warmup=warmup
+    )
+    products = LevelProducts(addresses, config)
+    summary, stats = level_point(products, structure, classify=True, warmup=warmup)
+    label = (*context, structure)
+    assert stats.as_dict() == reference.stats.as_dict(), label
+    assert products.classification(warmup) == reference.classifier.summary(), label
+    assert summary == LevelSummary.of(reference.stats, reference.conflicts), label
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 @pytest.mark.parametrize("side", ["i", "d"])
 def test_named_trace_level_equivalence(name, side):
     """Identical stats and 3C totals on every named workload, both sides."""
-    from repro.kernels.numpy_backend import simulate_level
-
     trace = build_trace(name, 3000).materialize()
-    config = CacheConfig(4096, 16)
-    addresses = trace.stream(side)
-    reference = run_level(addresses, config, classify=True, warmup=500)
-    kernel = simulate_level(
-        trace.stream_array(side), config, classify=True, warmup=500
-    )
-    assert kernel.stats.as_dict() == reference.stats.as_dict()
-    assert kernel.classification == reference.classifier.summary()
-    assert kernel.conflicts == reference.conflicts
+    _assert_level_equivalent(trace.stream_array(side), CacheConfig(4096, 16), warmup=500)
 
 
 def test_randomized_level_equivalence():
     """Property-style: random streams, geometries, and warm-up boundaries."""
-    from repro.kernels.numpy_backend import simulate_level
-
     rng = random.Random(1234)
     for case in range(25):
         n = rng.randrange(0, 700)
@@ -103,10 +109,7 @@ def test_randomized_level_equivalence():
             rng.choice([256, 1024, 4096]), rng.choice([16, 32])
         )
         warmup = rng.choice([0, 1, max(1, n // 2), n, n + 7])
-        reference = run_level(addresses, config, classify=True, warmup=warmup)
-        kernel = simulate_level(addresses, config, classify=True, warmup=warmup)
-        assert kernel.stats.as_dict() == reference.stats.as_dict(), (case, warmup)
-        assert kernel.classification == reference.classifier.summary(), (case, warmup)
+        _assert_level_equivalent(addresses, config, warmup=warmup, context=(case, warmup))
 
 
 def test_rank_left_leq_matches_brute_force():
@@ -190,21 +193,6 @@ ASSIST_SPECS = [
 ]
 
 
-def _assert_assist_equivalent(addresses, config, spec, warmup=0, context=()):
-    from repro.kernels.assist import simulate_assist_level
-    from repro.specs.structures import build
-
-    reference = run_level(
-        addresses, config, augmentation=build(spec), classify=True, warmup=warmup
-    )
-    kernel = simulate_assist_level(
-        addresses, config, spec, classify=True, warmup=warmup
-    )
-    label = (*context, spec)
-    assert kernel.stats.as_dict() == reference.stats.as_dict(), label
-    assert kernel.classification == reference.classifier.summary(), label
-
-
 @pytest.mark.parametrize("spec", ASSIST_SPECS, ids=lambda s: s.to_json())
 def test_randomized_assist_equivalence(spec):
     """Every LevelStats counter identical on randomized streams.
@@ -225,7 +213,7 @@ def test_randomized_assist_equivalence(spec):
             cursor += 1
         config = CacheConfig(rng.choice([512, 4096]), 16)
         warmup = rng.choice([0, 13, n, n + 5])
-        _assert_assist_equivalent(
+        _assert_level_equivalent(
             addresses, config, spec, warmup, context=(case, n, span, warmup)
         )
 
@@ -242,7 +230,7 @@ def test_named_trace_assist_equivalence(name):
         StreamBufferSpec(entries=4),
         MultiWayStreamBufferSpec(ways=4, entries=4),
     ):
-        _assert_assist_equivalent(addresses, config, spec, 500, context=(name,))
+        _assert_level_equivalent(addresses, config, spec, 500, context=(name,))
 
 
 @pytest.mark.parametrize(
@@ -260,38 +248,39 @@ def test_pattern_workload_assist_equivalence(workload):
     config = CacheConfig(4096, 16)
     addresses = trace.stream("d")
     for entries in (1, 2, 8):
-        _assert_assist_equivalent(
+        _assert_level_equivalent(
             addresses, config, VictimCacheSpec(entries=entries), 200
         )
-        _assert_assist_equivalent(
+        _assert_level_equivalent(
             addresses, config, MissCacheSpec(entries=entries), 200
         )
-    _assert_assist_equivalent(addresses, config, StreamBufferSpec(entries=4), 200)
+    _assert_level_equivalent(addresses, config, StreamBufferSpec(entries=4), 200)
 
 
 def test_one_pass_entry_sweep_matches_per_capacity_runs():
     """The single rank pass equals one full simulation per capacity."""
     from repro.experiments.sweeps import miss_cache_sweep, victim_cache_sweep
-    from repro.kernels.assist import entry_sweep, simulate_assist_level
+    from repro.kernels.assist import LevelProducts, entry_sweep, level_point
     from repro.specs.structures import MissCacheSpec as MC
     from repro.specs.structures import VictimCacheSpec as VC
 
     trace = build_trace("ccom", 2500).materialize()
     config = CacheConfig(2048, 16)
     addresses = trace.stream("d")
+    products = LevelProducts(addresses, config)
     for kind, sweep_fn, spec_cls in (
         ("miss", miss_cache_sweep, MC),
         ("victim", victim_cache_sweep, VC),
     ):
         reference = sweep_fn(addresses, config, max_entries=10)
-        kernel = entry_sweep(addresses, config, kind, 10)
+        kernel, _ = entry_sweep(products, kind, 10)
         assert kernel.total_misses == reference.total_misses
         assert kernel.conflict_misses == reference.conflict_misses
         assert kernel.hits_by_entries == reference.hits_by_entries
         # ...and each sweep bucket equals an independent capacity-k run.
         for k in (1, 5, 10):
-            run = simulate_assist_level(addresses, config, spec_cls(entries=k))
-            assert kernel.hits_by_entries[k] == run.stats.removed_misses, (kind, k)
+            _, stats = level_point(products, spec_cls(entries=k))
+            assert kernel.hits_by_entries[k] == stats.removed_misses, (kind, k)
 
 
 @settings(deadline=None, max_examples=60)
@@ -317,13 +306,10 @@ def test_multi_way_resolver_matches_live_buffer(draws, ways, max_run, entries, s
     is consumed.
     """
     from collections import Counter
+    from types import SimpleNamespace
 
     from repro.buffers.stream_buffer import MultiWayStreamBuffer
-    from repro.kernels.assist import (
-        MissStream,
-        _multi_way_stream_hits,
-        _replay_structure,
-    )
+    from repro.kernels.assist import _multi_way_stream_hits, _replay_structure
 
     miss_lines = []
     for draw in draws:
@@ -332,12 +318,8 @@ def test_multi_way_resolver_matches_live_buffer(draws, ways, max_run, entries, s
     lines = np.asarray(miss_lines, dtype=np.int64)
     m = len(lines)
     positions = np.arange(m, dtype=np.int64)
-    stream = MissStream(
-        lines=lines,
-        hits=np.zeros(m, dtype=bool),
-        positions=positions,
-        miss_lines=lines,
-        victims=np.full(m, -1, dtype=np.int64),
+    stream = SimpleNamespace(
+        positions=positions, miss_lines=lines, victims=np.full(m, -1, dtype=np.int64)
     )
     buffer = MultiWayStreamBuffer(
         ways=ways, entries=entries, max_run=max_run, track_run_offsets=True
@@ -358,7 +340,7 @@ def test_multi_way_resolver_matches_live_buffer(draws, ways, max_run, entries, s
 @pytest.mark.parametrize("ways", [1, 2, 4, 8])
 def test_run_length_sweep_equivalence(ways):
     from repro.experiments.sweeps import stream_buffer_run_sweep
-    from repro.kernels.assist import run_length_sweep
+    from repro.kernels.assist import LevelProducts, run_length_sweep
 
     trace = build_trace("linpack", 2500).materialize()
     config = CacheConfig(2048, 16)
@@ -366,7 +348,7 @@ def test_run_length_sweep_equivalence(ways):
     reference = stream_buffer_run_sweep(
         addresses, config, ways=ways, entries=4, max_run=12
     )
-    kernel = run_length_sweep(addresses, config, ways=ways, entries=4, max_run=12)
+    kernel, _ = run_length_sweep(LevelProducts(addresses, config), ways=ways, max_run=12)
     assert kernel.total_misses == reference.total_misses
     assert kernel.removed_by_run == reference.removed_by_run
 
@@ -569,28 +551,19 @@ def shared_points(draw):
 
 
 def _computed_alone(job):
-    """*job* computed from a freshly built trace by the raw-array kernels."""
-    from repro.experiments.engine import EntrySweepJob, LevelSummary, RunSweepJob
-    from repro.kernels.assist import entry_sweep, run_length_sweep, simulate_assist_level
+    """*job* computed by the kernels from a freshly built trace's products."""
+    from repro.experiments.engine import EntrySweepJob, RunSweepJob
+    from repro.kernels.assist import LevelProducts, entry_sweep, level_point, run_length_sweep
 
     system = job.system
-    stream = _fresh_stream(system.trace, system.side)
-    config = system.cache_config
+    products = LevelProducts(_fresh_stream(system.trace, system.side), system.cache_config)
     if isinstance(job, EntrySweepJob):
-        return entry_sweep(stream, config, job.kind, job.max_entries)
-    if isinstance(job, RunSweepJob):
-        return run_length_sweep(stream, config, job.ways, job.entries, job.max_run)
-    run = simulate_assist_level(
-        stream, config, system.structure, classify=system.classify, warmup=system.warmup
-    )
-    return LevelSummary(
-        accesses=run.stats.accesses,
-        demand_misses=run.stats.demand_misses,
-        removed_misses=run.stats.removed_misses,
-        misses_to_next_level=run.stats.misses_to_next_level,
-        stream_stall_cycles=run.stats.stream_stall_cycles,
-        conflict_misses=run.conflicts if system.classify else None,
-    )
+        answer, _ = entry_sweep(products, job.kind, job.max_entries)
+    elif isinstance(job, RunSweepJob):
+        answer, _ = run_length_sweep(products, job.ways, job.max_run)
+    else:
+        answer, _ = level_point(products, system.structure, system.classify, system.warmup)
+    return answer
 
 
 def _level(trace, config, **fields):
@@ -798,6 +771,70 @@ def test_every_registered_structure_has_a_mode(structure, mode):
     assert select_backend(spec, requested=NUMPY) == NUMPY
 
 
+@pytest.mark.parametrize("backend", [NUMPY, PYTHON])
+def test_execute_job_takes_the_route_its_label_names(backend, monkeypatch):
+    """The route each job runs is the one `_job_backend` reports to
+    heartbeats and run records: kernel bodies on `numpy`, kernel bodies
+    that replay a live structure on `miss-replay`, the interpreter on
+    `python`."""
+    from repro.experiments import engine
+    from repro.experiments.engine import (
+        EntrySweepJob,
+        LevelJob,
+        RunSweepJob,
+        SystemJob,
+        _job_backend,
+        execute_job,
+    )
+    from repro.experiments.figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
+    from repro.hierarchy.system import MemorySystem
+    from repro.kernels import assist, numpy_backend
+
+    monkeypatch.setenv(ENV_BACKEND, backend)
+    routes = []
+
+    def record(owner, name, label):
+        original = getattr(owner, name)
+
+        def body(*args, **kwargs):
+            routes.append(label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, body)
+
+    for owner, name in (
+        (numpy_backend, "simulate_level_summary"),
+        (numpy_backend, "simulate_system"),
+        (assist, "simulate_assist_summary"),
+        (assist, "entry_sweep_summary"),
+        (assist, "run_length_sweep_summary"),
+    ):
+        record(owner, name, NUMPY)
+    record(assist, "_replay_structure", MISS_REPLAY)
+    for name in ("run_level", "miss_cache_sweep", "victim_cache_sweep", "stream_buffer_run_sweep"):
+        record(engine, name, PYTHON)
+    record(MemorySystem, "run", PYTHON)
+
+    system = SystemSpec.for_system(NamedWorkloadSpec("linpack", 1500, 0))
+    jobs = [LevelJob(qualifying_spec(structure=spec)) for spec in [None] + ASSIST_SPECS]
+    jobs += [
+        EntrySweepJob(qualifying_spec(), kind="miss", max_entries=4),
+        EntrySweepJob(qualifying_spec(), kind="victim", max_entries=4),
+        RunSweepJob(qualifying_spec(), ways=2, max_run=4),
+        SystemJob(system),
+        SystemJob(system, IMPROVED_ISTRUCTURE, IMPROVED_DSTRUCTURE),
+    ]
+    expected = {NUMPY: [NUMPY], MISS_REPLAY: [NUMPY, MISS_REPLAY], PYTHON: [PYTHON]}
+    labels = set()
+    for job in jobs:
+        routes.clear()
+        execute_job(job)
+        label = _job_backend(job)
+        labels.add(label)
+        assert routes == expected[label], job
+    assert labels == ({PYTHON} if backend == PYTHON else {NUMPY, MISS_REPLAY, PYTHON})
+
+
 def test_unregistered_structure_disqualifies():
     class Mystery:
         kind = "mystery"
@@ -862,6 +899,7 @@ def test_default_backend_env(monkeypatch):
 
 
 def test_cli_backend_validation(monkeypatch, capsys):
+    from repro.experiments import engine
     from repro.experiments.cli import main
 
     import os
@@ -869,9 +907,18 @@ def test_cli_backend_validation(monkeypatch, capsys):
     monkeypatch.setenv(ENV_BACKEND, "numpy")  # registers teardown restore
     assert main(["--backend", "bogus", "--list"]) == 2
     assert "backend" in capsys.readouterr().err
-    # A valid value propagates through the environment for workers.
-    assert main(["--backend", "python", "--list"]) == 0
-    assert os.environ.get(ENV_BACKEND) == "python"
+    # A valid value propagates through the environment for workers while
+    # the run lasts.
+    seen = []
+
+    def recording_run(names, **kwargs):
+        seen.append(os.environ[ENV_BACKEND])
+        return []
+
+    monkeypatch.setattr(engine, "run_experiments", recording_run)
+    assert main(["--backend", "python", "table_1_1"]) == 0
+    assert seen == ["python"]
+    assert os.environ.get(ENV_BACKEND) == "numpy"
 
 
 def test_kernels_package_imports_without_numpy():

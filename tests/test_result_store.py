@@ -449,14 +449,25 @@ class TestCliIntegration:
         assert "removed 1 entries" in capsys.readouterr().out
 
     def test_result_store_flag_sets_environment(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import engine
         from repro.experiments.cli import main
         import os
 
         monkeypatch.setenv("REPRO_RESULT_STORE", "")  # restore on teardown
         root = tmp_path / "flag-store"
+        seen = []
+        original = engine.run_experiments
+
+        def recording_run(*args, **kwargs):
+            seen.append(os.environ["REPRO_RESULT_STORE"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_experiments", recording_run)
         assert main(["figure_3_3", "--scale", "2000", "--result-store", str(root)]) == 0
         capsys.readouterr()
-        assert os.environ["REPRO_RESULT_STORE"] == str(root)
+        # Set for workers while the run lasts, put back on return.
+        assert seen == [str(root)]
+        assert os.environ["REPRO_RESULT_STORE"] == ""
         assert ResultStore(root).stats().entries > 0
 
 

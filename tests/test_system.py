@@ -89,13 +89,6 @@ class TestStreamBufferPrefetchRouting:
         system.access(LOAD, 0x4000)
         assert system.l2stats.prefetch_accesses == 4
 
-    def test_wiring_can_be_disabled(self):
-        system = MemorySystem(
-            daugmentation=StreamBuffer(entries=4), route_prefetches_through_l2=False
-        )
-        system.access(LOAD, 0x4000)
-        assert system.l2stats.prefetch_accesses == 0
-
     def test_prefetched_line_hits_l2_later(self):
         """A demand miss on a previously stream-prefetched line finds it
         resident in the L2 (prefetches keep L2 contents honest)."""
