@@ -544,14 +544,15 @@ class JobFailedError(RuntimeError):
         )
 
 
+def _job_trace(job: Job) -> Optional[WorkloadSpec]:
+    """The workload spec a job replays, or None (an experiment job)."""
+    system = getattr(job, "system", None)
+    trace = system.trace if isinstance(system, SystemSpec) else None
+    return trace if isinstance(trace, WorkloadSpec) else None
+
+
 def _distinct_trace_keys(jobs: Iterable[Job]) -> Tuple[WorkloadSpec, ...]:
-    seen = {}
-    for job in jobs:
-        system = getattr(job, "system", None)
-        key = system.trace if isinstance(system, SystemSpec) else None
-        if isinstance(key, WorkloadSpec):
-            seen[key] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(key for key in map(_job_trace, jobs) if key is not None))
 
 
 def _store_key(job: Job, fingerprint: Optional[str] = None) -> Optional[ResultKey]:
@@ -637,7 +638,7 @@ def _backend_note(counts: Dict[str, int]) -> str:
 
 
 class _Observed:
-    """A pool job's result together with the telemetry scope it ran under."""
+    """A pool task's outcomes together with the telemetry scope they ran under."""
 
     __slots__ = ("result", "metrics")
 
@@ -646,31 +647,69 @@ class _Observed:
         self.metrics = metrics
 
 
-def _guarded_execute(job: Job, index: int, attempt: int, observe: bool = False):
+def _guarded_execute(job: Job, index: int, attempt: int):
     """Run one job with the fault harness consulted first.
 
-    Module-level (hence picklable by reference) so it can be submitted
-    to pool workers; with no fault plan configured the guard is one
-    cached environment check per job.  With *observe* the job runs under
-    a scope of its own and comes back as an :class:`_Observed`, so a
-    pool worker's simulations reach the parent's scope.
+    With no fault plan configured the guard is one cached environment
+    check per job.
     """
     from . import faults
 
     injected = faults.maybe_inject(index, attempt)
     if injected is not None:
         return injected
+    return execute_job(job)
+
+
+@dataclass(frozen=True)
+class _MemberFailure:
+    """One failed attempt of a pool task's member, as its worker saw it."""
+
+    reason: str
+    permanent: bool = False
+    timed_out: bool = False
+
+
+def _execute_group(
+    members: Sequence[Tuple[Job, int, int]], observe: bool, seconds: Optional[float]
+):
+    """Pool task: run a trace group's ``(job, index, attempt)`` members in order.
+
+    Module-level (hence picklable by reference) so it can be submitted
+    to pool workers.  One worker runs every member, so the trace's
+    kernel products are built once and shared by all of them.  A worker
+    runs its task on its main thread, so each member runs under the
+    ``SIGALRM`` ceiling of an inline job: a hung member times out alone.
+    A member that raises or times out comes back as a
+    :class:`_MemberFailure` and its siblings still run.  Returns one
+    outcome per member; with *observe* the members run under one scope
+    and come back as an :class:`_Observed`, so a pool worker's
+    simulations reach the parent's scope.
+    """
+
+    def run_members() -> List:
+        outcomes: List = []
+        for job, index, attempt in members:
+            try:
+                outcomes.append(_execute_with_deadline(job, index, attempt, seconds))
+            except _JobTimeoutError:
+                outcomes.append(_MemberFailure(f"timed out after {seconds:g}s", timed_out=True))
+            except Exception as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                outcomes.append(_MemberFailure(reason, permanent=isinstance(exc, ReproError)))
+        return outcomes
+
     if not observe:
-        return execute_job(job)
+        return run_members()
     with scoped() as scope:
-        result = execute_job(job)
-    return _Observed(result, scope)
+        outcomes = run_members()
+    return _Observed(outcomes, scope)
 
 
 class _Pending:
     """Book-keeping for one not-yet-completed job of a batch."""
 
-    __slots__ = ("index", "job", "key", "attempts", "strikes", "started")
+    __slots__ = ("index", "job", "key", "attempts", "strikes", "solo")
 
     def __init__(self, index: int, job: Job, key: Optional[ResultKey]) -> None:
         self.index = index        # submission index: result slot and fault-plan identity
@@ -678,7 +717,34 @@ class _Pending:
         self.key = key
         self.attempts = 0         # failed attempts so far
         self.strikes = 0          # times seen breaking the pool single-handedly
-        self.started: Optional[float] = None  # first observed running (monotonic)
+        self.solo = False         # in a trace group that overran its pool ceiling
+
+
+def _trace_groups(entries: Sequence[_Pending]) -> List[List[_Pending]]:
+    """Pool tasks: *entries* grouped by trace, in order of first appearance.
+
+    Members keep submission order.  An entry with no trace (an
+    experiment job) or marked ``solo`` forms a group of its own.
+    """
+    groups: Dict[object, List[_Pending]] = {}
+    for entry in entries:
+        trace = None if entry.solo else _job_trace(entry.job)
+        groups.setdefault(entry if trace is None else trace, []).append(entry)
+    return list(groups.values())
+
+
+def _group_ceiling(group: Sequence[_Pending], job_timeout: float) -> float:
+    """Seconds a running pool task may take before its pool is forfeited.
+
+    Each engine job of a task is cut at *job_timeout* in its worker, so
+    the parent allows one ceiling per member plus one for the task's
+    overhead.  An experiment job runs without a ceiling of its own (its
+    batches use the worker's one ``SIGALRM`` timer), so the pool bounds
+    it whole.
+    """
+    if isinstance(group[0].job, ExperimentJob):
+        return job_timeout
+    return job_timeout * (len(group) + 1)
 
 
 #: Per-batch fault-recovery counters, under their run-record names.
@@ -925,7 +991,7 @@ def _abandon_pool(pool: ProcessPoolExecutor) -> None:
 
 def _drain_pool(
     pool: ProcessPoolExecutor,
-    batch: List[_Pending],
+    groups: List[List[_Pending]],
     remaining: List[_Pending],
     job_timeout: Optional[float],
     retries: int,
@@ -937,33 +1003,34 @@ def _drain_pool(
 ) -> Tuple[str, Optional[_Pending]]:
     """Drain one pool generation; returns ``(status, culprit)``.
 
-    Status is ``"done"`` (every batch entry completed, failed out, or —
-    sequentially — was processed), ``"broke"`` (a worker died and the
-    pool is unusable; *culprit* is the responsible entry when it can be
-    attributed, i.e. in sequential mode), or ``"abandoned"`` (a job
-    exceeded its timeout; the pool was torn down to reclaim the stuck
+    Each of *groups* is one pool task; sequentially they run one at a
+    time, and a retried job re-runs as a group of one.  Status is
+    ``"done"`` (every entry completed, failed out, or — sequentially —
+    was processed), ``"broke"`` (a worker died and the pool is unusable;
+    *culprit* is the responsible entry when it can be attributed, i.e.
+    in sequential mode), or ``"abandoned"`` (a task overran
+    :func:`_group_ceiling`; the pool was torn down to reclaim the stuck
     worker).  Transient job failures are retried *within* the pool;
     entries leave *remaining* only on completion or permanent failure.
     """
-    queue = list(batch) if sequential else []
-    active: Dict = {}
-    # With telemetry on, every job but an experiment job (which carries
+    queue = groups[1:] if sequential else []
+    active: Dict = {}    # future -> its group
+    started: Dict = {}   # future -> first observed running (monotonic)
+    # With telemetry on, every task but an experiment job (which carries
     # its own scope back) reports its worker's observations.
     scope = _telemetry_scope()
     tick = reporter.heartbeat
     if job_timeout is not None:
         tick = max(0.02, min(tick, job_timeout / 5.0))
 
-    def submit(entry: _Pending) -> bool:
-        entry.started = None
+    def submit(group: List[_Pending]) -> bool:
+        members = [(entry.job, entry.index, entry.attempts) for entry in group]
+        observe = scope is not None and not isinstance(group[0].job, ExperimentJob)
         try:
-            observe = scope is not None and not isinstance(entry.job, ExperimentJob)
-            future = pool.submit(
-                _guarded_execute, entry.job, entry.index, entry.attempts, observe
-            )
+            future = pool.submit(_execute_group, members, observe, job_timeout)
         except Exception:  # pool already broken or shut down
             return False
-        active[future] = entry
+        active[future] = group
         return True
 
     def fail_or_retry(entry: _Pending, reason: str, permanent: bool = False) -> None:
@@ -971,61 +1038,77 @@ def _drain_pool(
             remaining.remove(entry)
             return
         time.sleep(_backoff_delay(entry.attempts))
-        if not submit(entry):
+        if not submit([entry]):
             raise BrokenProcessPool("pool broke while re-submitting a retried job")
 
     try:
-        seeds = queue[:1] if sequential else batch
-        for entry in list(seeds):
-            if sequential:
-                queue.remove(entry)
-            if not submit(entry):
+        for group in groups[:1] if sequential else groups:
+            if not submit(group):
                 # Submission failure means the pool was already dead;
-                # the entry being submitted is not to blame.
+                # the entries being submitted are not to blame.
                 _abandon_pool(pool)
                 return "broke", None
         while active:
             done, _ = wait(set(active), timeout=tick, return_when=FIRST_COMPLETED)
             now = time.monotonic()
             for future in done:
-                entry = active.pop(future)
+                group = active.pop(future)
+                started.pop(future, None)
                 exc = future.exception()
                 if isinstance(exc, BrokenProcessPool):
                     _abandon_pool(pool)
-                    return "broke", entry if sequential else None
+                    return "broke", group[0] if sequential else None
                 if exc is not None:
-                    fail_or_retry(
-                        entry, f"{type(exc).__name__}: {exc}", isinstance(exc, ReproError)
-                    )
+                    # Members report their own exceptions, so this one
+                    # failed the whole task: each member re-runs alone.
+                    for entry in group:
+                        fail_or_retry(entry, f"{type(exc).__name__}: {exc}")
                     continue
-                outcome = future.result()
-                if _is_corrupt(outcome):
-                    fail_or_retry(entry, "corrupt result payload")
-                    continue
-                if isinstance(outcome, _Observed):
-                    scope.merge(outcome.metrics)
-                    outcome = outcome.result
-                remaining.remove(entry)
-                complete(entry, outcome)
-            # Start the per-job clock at first observed execution and
-            # enforce the wall-clock ceiling.  A timed-out job forfeits
-            # the whole pool: there is no way to cancel a running task,
-            # so the stuck worker is terminated and survivors re-run.
-            for future, entry in list(active.items()):
+                outcomes = future.result()
+                if isinstance(outcomes, _Observed):
+                    scope.merge(outcomes.metrics)
+                    outcomes = outcomes.result
+                # Flush every finished member before retrying the others.
+                failed = []
+                for entry, outcome in zip(group, outcomes):
+                    if isinstance(outcome, _MemberFailure):
+                        stats["timeouts"] += outcome.timed_out
+                        failed.append((entry, outcome.reason, outcome.permanent))
+                    elif _is_corrupt(outcome):
+                        failed.append((entry, "corrupt result payload", False))
+                    else:
+                        remaining.remove(entry)
+                        complete(entry, outcome)
+                for entry, reason, permanent in failed:
+                    fail_or_retry(entry, reason, permanent)
+            # Start each task's clock at first observed execution and
+            # enforce its ceiling.  An overrun forfeits the whole pool:
+            # there is no way to cancel a running task, so the stuck
+            # worker is terminated and survivors re-run.  A lone job is
+            # charged the timeout; a group's members cannot be told
+            # apart, so they re-run as groups of one instead.
+            for future, group in list(active.items()):
                 if not future.running():
                     continue
-                if entry.started is None:
-                    entry.started = now
-                elif job_timeout is not None and now - entry.started > job_timeout:
+                if future not in started:
+                    started[future] = now
+                elif job_timeout is not None and (
+                    now - started[future] > _group_ceiling(group, job_timeout)
+                ):
                     stats["timeouts"] += 1
-                    reason = f"timed out after {job_timeout:g}s"
-                    if not _count_failure(entry, reason, False, retries, stats, failures):
-                        remaining.remove(entry)
+                    if len(group) > 1:
+                        for entry in group:
+                            entry.solo = True
+                    else:
+                        (entry,) = group
+                        reason = f"timed out after {job_timeout:g}s"
+                        if not _count_failure(entry, reason, False, retries, stats, failures):
+                            remaining.remove(entry)
                     _abandon_pool(pool)
                     return "abandoned", None
             if sequential and not active and queue:
-                entry = queue.pop(0)
-                if entry in remaining and not submit(entry):
+                group = queue.pop(0)
+                if group[0] in remaining and not submit(group):
                     _abandon_pool(pool)
                     return "broke", None
             reporter.report()
@@ -1056,11 +1139,12 @@ def _execute_entries(
     """Execute pending entries with retries, timeouts, and pool recovery.
 
     ``workers > 1`` runs them on a process pool (rebuilt when it breaks),
-    and whatever the pool could not finish runs inline.  Returns
-    ``(results_by_index, permanent_failures)``.  Every completed
-    result is flushed to *store* (when active and the entry is cacheable)
-    *as it completes*, so a crash, hang, or interrupt later in the batch
-    never loses finished work.
+    one task per trace group, and whatever the pool could not finish
+    runs inline.  Returns ``(results_by_index, permanent_failures)``.
+    Every completed result is flushed to *store* (when active and the
+    entry is cacheable) as soon as the parent holds it — inline as it
+    completes, pooled when its task returns — so a crash, hang, or
+    interrupt later in the batch never loses finished work.
     """
     results: Dict[int, object] = {}
     failures: List[JobFailure] = []
@@ -1078,12 +1162,14 @@ def _execute_entries(
         pool_breaks = 0
         careful = False
         while remaining and pool_breaks <= MAX_POOL_REBUILDS:
-            batch = list(remaining)
-            pool = ProcessPoolExecutor(max_workers=1 if careful else min(workers, len(batch)))
+            # One task per trace, so one worker builds each trace's kernel
+            # products; careful probing runs one job at a time.
+            groups = [[entry] for entry in remaining] if careful else _trace_groups(remaining)
+            pool = ProcessPoolExecutor(max_workers=1 if careful else min(workers, len(groups)))
             status, culprit = "done", None
             try:
                 status, culprit = _drain_pool(
-                    pool, batch, remaining, job_timeout, retries, stats, failures,
+                    pool, groups, remaining, job_timeout, retries, stats, failures,
                     complete, reporter, sequential=careful,
                 )
             finally:
@@ -1159,30 +1245,37 @@ def run_jobs(
     """Execute jobs, returning results in submission order.
 
     ``jobs=1`` (or ``REPRO_JOBS`` unset) runs everything inline; with
-    more workers the jobs fan out over a process pool whose workers each
-    cache the traces they need.  *progress* receives a
-    :class:`~repro.telemetry.core.JobProgress` heartbeat on every
-    completion change and at least every *heartbeat* seconds.  When a
+    more workers the pending jobs fan out over a process pool, one task
+    per trace: a worker runs every pending job of one trace in
+    submission order, so it builds that trace's kernel products once for
+    the whole pool.  The pool has ``min(jobs, traces)`` workers, so a
+    batch whose pending jobs share one trace runs inline.  *progress*
+    receives a :class:`~repro.telemetry.core.JobProgress` heartbeat on
+    every completion change and at least every *heartbeat* seconds.  When a
     telemetry scope is active, the batch's job count, worker count, wall
     time, and resilience counters are recorded, and each pool worker
-    runs its job under a scope of its own that the active scope merges,
+    runs each task under a scope of its own that the active scope merges,
     so a pool batch observes what the same batch inline would.
 
     When a result store is active (``REPRO_RESULT_STORE`` or
     ``--result-store``), each cacheable job is looked up before dispatch
-    and its result flushed back **as it completes** — not at batch end —
-    so an interrupted or crashed batch keeps every finished point and a
-    rerun (or ``--resume``) continues where it stopped.  Inside a
+    and its result flushed back **as it completes** — not at batch end;
+    a pooled job when its trace's task returns — so an interrupted or
+    crashed batch loses at most the tasks in flight, and a rerun (or
+    ``--resume``) continues where it stopped.  Inside a
     :func:`result_memo` block the in-memory result map is consulted
     before the store.
 
     ``REPRO_JOB_TIMEOUT``/``REPRO_RETRIES``, read once per batch, govern
     per-job timeouts and bounded retry with exponential backoff; a job
     that raises a :class:`~repro.common.errors.ReproError` fails on its
-    first attempt.  A broken pool is rebuilt and a job that keeps
-    breaking it is excluded as poison.  Jobs that still fail raise
-    :class:`JobFailedError` *after* the rest of the batch has completed
-    and been flushed.
+    first attempt.  Resilience stays per job in a pool too: a job that
+    fails, returns a corrupt payload or hangs is cut in its worker and
+    retried alone while the rest of its trace's task completes; a task
+    that never returns forfeits its pool.  A broken pool is rebuilt and
+    a job that keeps breaking it is excluded as poison.  Jobs that still
+    fail raise :class:`JobFailedError` *after* the rest of the batch has
+    completed and been flushed.
     """
     job_list = list(job_list)
     job_timeout, retries = _env_job_timeout(), _env_retries()
@@ -1221,7 +1314,9 @@ def run_jobs(
         # Everything answered without simulating, map answers included.
         hits = len(job_list) - len(entries)
 
-        workers = min(resolve_jobs(jobs), len(entries)) if entries else 1
+        # One pool task per trace: a batch whose pending jobs share one
+        # trace runs inline.
+        workers = min(resolve_jobs(jobs), len(_trace_groups(entries))) if entries else 1
         stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
         failures: List[JobFailure] = []
         # Backend selection is decided up front from the pending specs (store

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -383,9 +384,85 @@ class TestBatchSweeps:
         assert serial == parallel
 
 
+def four_points(name):
+    """Four design points on one trace: bare, vc4, a victim sweep, a run sweep."""
+    workload = NamedWorkloadSpec(name, SCALE, 0)
+    system = SystemSpec.for_level(workload, CONFIG, side="d")
+    assisted = SystemSpec.for_level(workload, CONFIG, side="d", structure=VictimCacheSpec(4))
+    return [
+        LevelJob(system),
+        LevelJob(assisted),
+        EntrySweepJob(system, kind="victim"),
+        RunSweepJob(system, ways=4),
+    ]
+
+
+def interleaved_points(names):
+    """Every trace's four points, the traces interleaved in submission order."""
+    return [job for points in zip(*map(four_points, names)) for job in points]
+
+
+class TestTraceGroupedPool:
+    """A pool batch hands each trace's pending jobs to one worker as one
+    task, so one worker builds each trace's kernel products."""
+
+    NAMES = ("ccom", "grr", "yacc")
+
+    @pytest.fixture(autouse=True)
+    def no_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+
+    @staticmethod
+    def count_tasks(monkeypatch):
+        """Record each task the parent hands a process pool."""
+        tasks = []
+        original = ProcessPoolExecutor.submit
+
+        def counting(self, fn, *args, **kwargs):
+            tasks.append(args)
+            return original(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+        return tasks
+
+    def test_one_task_per_trace(self, monkeypatch):
+        tasks = self.count_tasks(monkeypatch)
+        run_jobs(interleaved_points(self.NAMES), jobs=2)
+        assert [len(members) for members, *_ in tasks] == [4, 4, 4]
+
+    def test_results_equal_inline_point_for_point(self):
+        jobs = interleaved_points(self.NAMES)
+        inline = run_jobs(jobs, jobs=1)
+        parallel = run_jobs(jobs, jobs=2)
+        assert len(parallel) == len(jobs) == 12
+        for index, (pooled, alone) in enumerate(zip(parallel, inline)):
+            assert pooled == alone, f"point {index} ({jobs[index]}) differs"
+
+    def test_store_filled_by_the_pool_equals_one_filled_inline(self, tmp_path, monkeypatch):
+        contents = {}
+        for workers in (1, 2):
+            root = tmp_path / f"store-{workers}"
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(root))
+            run_jobs(interleaved_points(self.NAMES), jobs=workers)
+            contents[workers] = {
+                path.relative_to(root): path.read_bytes() for path in root.rglob("*.json")
+            }
+        assert len(contents[1]) == 12
+        assert contents[2] == contents[1]
+
+    def test_single_trace_batch_runs_inline(self, monkeypatch):
+        tasks = self.count_tasks(monkeypatch)
+        jobs = four_points("ccom")
+        with telemetry.scoped() as scope:
+            results = run_jobs(jobs, jobs=2)
+        assert tasks == []
+        assert [batch.workers for batch in scope.job_batches] == [1]
+        assert results == run_jobs(jobs, jobs=1)
+
+
 class TestNonForkPool:
     """Under a start method other than fork, pool workers inherit no
-    trace memo: each builds the traces its jobs need on demand."""
+    trace memo: each builds the traces of the tasks it runs on demand."""
 
     SCRIPT = textwrap.dedent(
         """
@@ -399,7 +476,9 @@ class TestNonForkPool:
 
         config = CacheConfig(4096, 16)
         jobs = []
-        for name in ("ccom", "linpack"):
+        # Three traces of four points each: the pool runs one task per
+        # trace, so two workers share three multi-job tasks.
+        for name in ("ccom", "grr", "linpack"):
             workload = NamedWorkloadSpec(name, 1500, 0)
             system = SystemSpec.for_level(workload, config, side="d")
             assisted = SystemSpec.for_level(
@@ -433,7 +512,7 @@ class TestNonForkPool:
         return proc.stdout
 
     def test_spawn_pool_matches_inline(self):
-        assert "spawn pool matches inline: 8 jobs" in self.run_script(self.SCRIPT)
+        assert "spawn pool matches inline: 12 jobs" in self.run_script(self.SCRIPT)
 
     EXPERIMENTS = textwrap.dedent(
         """

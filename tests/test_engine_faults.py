@@ -14,8 +14,10 @@ every attempt, on any machine, every time.  Retry settings come from
 ``REPRO_RETRIES``/``REPRO_JOB_TIMEOUT`` and the engine's constants.
 """
 
+import contextlib
 import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -283,6 +285,105 @@ class TestPoolResilience:
         # with the fallback surfaced, not swallowed.
         with pytest.warns(ParallelFallbackWarning, match="pool broke"):
             assert run_jobs(jobs, jobs=2) == clean
+
+
+def grouped_jobs(names=("ccom", "grr", "yacc")):
+    """Four points per trace, trace after trace: a pool runs four-job tasks."""
+    return [
+        LevelJob(
+            SystemSpec.for_level(
+                NamedWorkloadSpec(name, SCALE, 0), CONFIG, side="d",
+                structure=parse_structure_code(code),
+            )
+        )
+        for name in names
+        for code in (None, "mc4", "vc4", "sb4")
+    ]
+
+
+@pytest.fixture
+def executions(tmp_path, monkeypatch):
+    """Count job executions in every process: fork workers inherit the
+    patch and append to one log that the parent reads back."""
+    log = tmp_path / "executions.log"
+    original = engine.execute_job
+
+    def logged(job):
+        with open(log, "a") as handle:
+            handle.write(repr(job) + "\n")
+        return original(job)
+
+    monkeypatch.setattr(engine, "execute_job", logged)
+    return lambda: Counter(log.read_text().splitlines() if log.exists() else [])
+
+
+class TestTraceGroupFaults:
+    """A pool task runs every job of one trace, but resilience stays per
+    job: a fault in one member costs that member alone."""
+
+    FAULTY = 5  # the second job of the second trace's task
+
+    @staticmethod
+    def resilience(**counts):
+        return dict(dict.fromkeys(engine._RESILIENCE_COUNTERS, 0), **counts)
+
+    @pytest.mark.parametrize("action", ["crash", "corrupt"])
+    def test_failed_member_alone_is_retried(self, no_store, executions, monkeypatch, action):
+        jobs = grouped_jobs()
+        clean = run_jobs(jobs)
+        monkeypatch.setenv(faults.ENV_FAULT_PLAN, f"{action}@{self.FAULTY}x1")
+        before = executions()
+        with telemetry.scoped() as scope:
+            assert run_jobs(jobs, jobs=2) == clean
+        assert scope.sections["resilience"] == self.resilience(retries=1)
+        # The fault fires before the job runs: every job ran exactly once.
+        assert executions() - before == Counter(map(repr, jobs))
+
+    def test_hung_member_times_out_alone(self, no_store, executions, monkeypatch):
+        jobs = grouped_jobs()
+        clean = run_jobs(jobs)
+        monkeypatch.setenv(faults.ENV_FAULT_PLAN, f"hang@{self.FAULTY}x1:30")
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "1")
+        before = executions()
+        with telemetry.scoped() as scope:
+            assert run_jobs(jobs, jobs=2) == clean
+        # Cut in its worker: no pool was forfeited, no sibling re-ran.
+        assert scope.sections["resilience"] == self.resilience(retries=1, timeouts=1)
+        assert executions() - before == Counter(map(repr, jobs))
+
+    def test_task_past_its_ceiling_reruns_job_by_job(self, no_store, monkeypatch):
+        """A hang the worker's ceiling cannot cut forfeits its task's pool;
+        the task's jobs then run one per task, so the hung one alone is
+        charged the timeout."""
+        jobs = grouped_jobs()
+        clean = run_jobs(jobs)
+        monkeypatch.setattr(engine, "_serial_deadline", lambda seconds: contextlib.nullcontext())
+        monkeypatch.setenv(faults.ENV_FAULT_PLAN, f"hang@{self.FAULTY}x1:30")
+        monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "0.3")
+        with telemetry.scoped() as scope:
+            assert run_jobs(jobs, jobs=2) == clean
+        assert scope.sections["resilience"] == self.resilience(retries=1, timeouts=2)
+
+    def test_dead_worker_in_a_group_recovers(self, no_store, monkeypatch):
+        jobs = grouped_jobs()
+        clean = run_jobs(jobs)
+        monkeypatch.setenv(faults.ENV_FAULT_PLAN, f"kill@{self.FAULTY}x1")
+        with telemetry.scoped() as scope:
+            assert run_jobs(jobs, jobs=2) == clean
+        assert scope.sections["resilience"]["pool_rebuilds"] >= 1
+
+    def test_poison_member_is_isolated(self, store, monkeypatch):
+        jobs = grouped_jobs()
+        monkeypatch.setenv(faults.ENV_FAULT_PLAN, f"kill@{self.FAULTY}x*")
+        with telemetry.scoped() as scope:
+            with pytest.raises(JobFailedError) as excinfo:
+                run_jobs(jobs, jobs=2)
+        (failure,) = excinfo.value.failures
+        assert failure.index == self.FAULTY
+        assert "poison" in failure.reason
+        assert scope.sections["resilience"]["poisoned_jobs"] == 1
+        # Every other point of every task completed and was checkpointed.
+        assert store.stats().entries == len(jobs) - 1
 
 
 def unknown_workload_job():
