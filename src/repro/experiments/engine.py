@@ -7,13 +7,13 @@ This module turns each point into a small picklable *job* — workload
 name, scale, seed, side, geometry, and a declarative structure spec —
 and fans jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
-* **One build per trace per process** — a batch pins its distinct
-  traces in the process memo (:func:`repro.experiments.workloads.pinned_workloads`)
-  for its whole length, so no job rebuilds a trace another job already
-  built, and store keys read each trace's remembered fingerprint instead
-  of rebuilding the trace to hash it.  Fork-based workers inherit the
-  pinned memo copy-on-write; under any other start method a worker
-  builds each trace it needs on demand, once, through the same memo.
+* **One build per trace, where it is simulated** — a pool task holds
+  every pending job of one trace, and its worker builds the trace,
+  fingerprints it to key the jobs' store lookups, and simulates them.
+  The parent keys only traces whose fingerprint it already knows, so a
+  warm batch builds nothing.  A batch pins its traces in the process
+  memo (:func:`repro.experiments.workloads.pinned_workloads`) for its
+  whole length, so no job rebuilds a trace another job already built.
 * **Deterministic ordering** — results always come back in job-submission
   order, so a parallel run is row-for-row identical to a serial one.
 * **One run per distinct job per call** — inside a :func:`result_memo`
@@ -83,6 +83,7 @@ from ..telemetry.core import (
     scoped,
 )
 from ..telemetry.core import current as _telemetry_scope
+from . import faults
 from .base import FigureResult, TableResult
 from .runner import run_level
 from .sweeps import (
@@ -90,7 +91,13 @@ from .sweeps import (
     stream_buffer_run_sweep,
     victim_cache_sweep,
 )
-from .workloads import BENCHMARK_NAMES, pinned_workloads, suite
+from .workloads import (
+    BENCHMARK_NAMES,
+    known_fingerprint,
+    pinned_workloads,
+    remember_fingerprint,
+    suite,
+)
 
 __all__ = [
     "LevelJob",
@@ -628,7 +635,7 @@ def _backend_counts(job_list: Sequence[Job]) -> Dict[str, int]:
     return counts
 
 
-def _backend_note(counts: Dict[str, int]) -> str:
+def _backend_note(counts: Optional[Dict[str, int]]) -> str:
     """Heartbeat label: one backend name, or a ``numpy:3 python:5`` split."""
     if not counts:
         return ""
@@ -637,24 +644,12 @@ def _backend_note(counts: Dict[str, int]) -> str:
     return " ".join(f"{name}:{counts[name]}" for name in sorted(counts))
 
 
-class _Observed:
-    """A pool task's outcomes together with the telemetry scope they ran under."""
-
-    __slots__ = ("result", "metrics")
-
-    def __init__(self, result, metrics: MetricsScope) -> None:
-        self.result = result
-        self.metrics = metrics
-
-
 def _guarded_execute(job: Job, index: int, attempt: int):
     """Run one job with the fault harness consulted first.
 
     With no fault plan configured the guard is one cached environment
     check per job.
     """
-    from . import faults
-
     injected = faults.maybe_inject(index, attempt)
     if injected is not None:
         return injected
@@ -670,54 +665,81 @@ class _MemberFailure:
     timed_out: bool = False
 
 
-def _execute_group(
-    members: Sequence[Tuple[Job, int, int]], observe: bool, seconds: Optional[float]
-):
-    """Pool task: run a trace group's ``(job, index, attempt)`` members in order.
+#: A group task's ``(job, index, attempt, lookup)`` per member, and what
+#: it returns per member: ``(key, outcome, hit, bytes_read)``.
+_Member = Tuple[Job, int, int, bool]
+_MemberOutcome = Tuple[Optional[ResultKey], object, bool, int]
+
+
+def _member_outcomes(
+    members: Sequence[_Member], seconds: Optional[float]
+) -> Iterator[_MemberOutcome]:
+    """The one member loop: run a trace group's members in order.
+
+    A member marked *lookup* is first keyed from its trace's fingerprint,
+    building the trace here if this process has not, and looked up in
+    the active result store, which this process resolves itself.  Each
+    executed member runs under the ``SIGALRM`` ceiling of an inline job,
+    so a hung member times out alone.  Yields one ``(key, outcome, hit,
+    bytes_read)`` per member: *key* is the key it computed (None when it
+    computed none), and *outcome* its stored or computed result, or a
+    :class:`_MemberFailure` when keying or the job raised, timed out or
+    returned a corrupt payload.  Siblings of a failed member still run.
+    """
+    store = current_store() if any(member[3] for member in members) else None
+    for job, index, attempt, lookup in members:
+        key, cached, nbytes = None, None, 0
+        try:
+            if store is not None and lookup:
+                key = _store_key(job)
+                cached, nbytes = store.get(key)
+            outcome = cached
+            if cached is None:
+                outcome = _execute_with_deadline(job, index, attempt, seconds)
+                if isinstance(outcome, faults.CorruptPayload):
+                    outcome = _MemberFailure("corrupt result payload")
+        except _JobTimeoutError:
+            outcome = _MemberFailure(f"timed out after {seconds:g}s", timed_out=True)
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            outcome = _MemberFailure(reason, permanent=isinstance(exc, ReproError))
+        yield key, outcome, cached is not None, nbytes
+
+
+def _execute_group(members: Sequence[_Member], observe: bool, seconds: Optional[float]):
+    """Pool task: ``(outcomes, scope)`` of one trace group's members.
 
     Module-level (hence picklable by reference) so it can be submitted
-    to pool workers.  One worker runs every member, so the trace's
-    kernel products are built once and shared by all of them.  A worker
-    runs its task on its main thread, so each member runs under the
-    ``SIGALRM`` ceiling of an inline job: a hung member times out alone.
-    A member that raises or times out comes back as a
-    :class:`_MemberFailure` and its siblings still run.  Returns one
-    outcome per member; with *observe* the members run under one scope
-    and come back as an :class:`_Observed`, so a pool worker's
-    simulations reach the parent's scope.
+    to pool workers.  One worker runs every member, so the trace is
+    built, fingerprinted and turned into kernel products once, in the
+    worker, for all of them.  With *observe* the members run under one
+    scope that comes back with their outcomes, so a pool worker's
+    simulations reach the parent's scope; otherwise *scope* is None.
     """
-
-    def run_members() -> List:
-        outcomes: List = []
-        for job, index, attempt in members:
-            try:
-                outcomes.append(_execute_with_deadline(job, index, attempt, seconds))
-            except _JobTimeoutError:
-                outcomes.append(_MemberFailure(f"timed out after {seconds:g}s", timed_out=True))
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                outcomes.append(_MemberFailure(reason, permanent=isinstance(exc, ReproError)))
-        return outcomes
-
     if not observe:
-        return run_members()
+        return list(_member_outcomes(members, seconds)), None
     with scoped() as scope:
-        outcomes = run_members()
-    return _Observed(outcomes, scope)
+        return list(_member_outcomes(members, seconds)), scope
 
 
 class _Pending:
     """Book-keeping for one not-yet-completed job of a batch."""
 
-    __slots__ = ("index", "job", "key", "attempts", "strikes", "solo")
+    __slots__ = ("index", "job", "key", "lookup", "attempts", "strikes", "solo")
 
-    def __init__(self, index: int, job: Job, key: Optional[ResultKey]) -> None:
+    def __init__(
+        self, index: int, job: Job, key: Optional[ResultKey], lookup: bool = False
+    ) -> None:
         self.index = index        # submission index: result slot and fault-plan identity
         self.job = job
         self.key = key
+        self.lookup = lookup      # still to be keyed and looked up, where it runs
         self.attempts = 0         # failed attempts so far
         self.strikes = 0          # times seen breaking the pool single-handedly
         self.solo = False         # in a trace group that overran its pool ceiling
+
+    def member(self) -> _Member:
+        return (self.job, self.index, self.attempts, self.lookup)
 
 
 def _trace_groups(entries: Sequence[_Pending]) -> List[List[_Pending]]:
@@ -802,28 +824,6 @@ def _backoff_delay(failed_attempts: int) -> float:
         return 0.0
     delay = BACKOFF_BASE * (2.0 ** max(0, failed_attempts - 1))
     return min(BACKOFF_CAP, delay) * (0.5 + random.random() / 2.0)
-
-
-def _count_failure(
-    entry: _Pending,
-    reason: str,
-    permanent: bool,
-    retries: int,
-    stats: Dict[str, int],
-    failures: List[JobFailure],
-) -> bool:
-    """Count one failed attempt of *entry*; True when it should run again.
-
-    A *permanent* failure — the job raised a :class:`ReproError`, a
-    deterministic input error another attempt would only repeat — and a
-    job out of retries become a :class:`JobFailure` instead.
-    """
-    entry.attempts += 1
-    if permanent or entry.attempts > retries:
-        failures.append(JobFailure(entry.index, reason))
-        return False
-    stats["retries"] += 1
-    return True
 
 
 class _JobTimeoutError(Exception):
@@ -928,51 +928,6 @@ def _execute_with_deadline(job: Job, index: int, attempt: int, seconds: Optional
     return _watchdog_execute(job, index, attempt, seconds)
 
 
-def _is_corrupt(outcome) -> bool:
-    from .faults import CorruptPayload
-
-    return isinstance(outcome, CorruptPayload)
-
-
-def _run_serial(
-    entries: List[_Pending],
-    job_timeout: Optional[float],
-    retries: int,
-    stats: Dict[str, int],
-    failures: List[JobFailure],
-    complete,
-) -> None:
-    """Inline execution with retries and (best-effort) timeouts.
-
-    A ``KeyboardInterrupt`` propagates immediately — results completed
-    so far were already flushed through *complete*, so an interrupted
-    run resumes from the store.
-    """
-    for entry in entries:
-        while True:
-            reason, permanent = None, False
-            try:
-                outcome = _execute_with_deadline(
-                    entry.job, entry.index, entry.attempts, job_timeout
-                )
-                if _is_corrupt(outcome):
-                    reason = "corrupt result payload"
-            except _JobTimeoutError:
-                stats["timeouts"] += 1
-                reason = f"timed out after {job_timeout:g}s"
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                permanent = isinstance(exc, ReproError)
-            if reason is None:
-                complete(entry, outcome)
-                break
-            if not _count_failure(entry, reason, permanent, retries, stats, failures):
-                break
-            time.sleep(_backoff_delay(entry.attempts))
-
-
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting for stuck or dead workers."""
     try:
@@ -994,17 +949,16 @@ def _drain_pool(
     groups: List[List[_Pending]],
     remaining: List[_Pending],
     job_timeout: Optional[float],
-    retries: int,
     stats: Dict[str, int],
-    failures: List[JobFailure],
-    complete,
+    settle,
     reporter: _Reporter,
     sequential: bool,
 ) -> Tuple[str, Optional[_Pending]]:
     """Drain one pool generation; returns ``(status, culprit)``.
 
     Each of *groups* is one pool task; sequentially they run one at a
-    time, and a retried job re-runs as a group of one.  Status is
+    time, and a retried job re-runs as a group of one.  *settle* takes
+    each member's outcome when its task returns.  Status is
     ``"done"`` (every entry completed, failed out, or — sequentially —
     was processed), ``"broke"`` (a worker died and the pool is unusable;
     *culprit* is the responsible entry when it can be attributed, i.e.
@@ -1024,7 +978,7 @@ def _drain_pool(
         tick = max(0.02, min(tick, job_timeout / 5.0))
 
     def submit(group: List[_Pending]) -> bool:
-        members = [(entry.job, entry.index, entry.attempts) for entry in group]
+        members = [entry.member() for entry in group]
         observe = scope is not None and not isinstance(group[0].job, ExperimentJob)
         try:
             future = pool.submit(_execute_group, members, observe, job_timeout)
@@ -1033,13 +987,18 @@ def _drain_pool(
         active[future] = group
         return True
 
-    def fail_or_retry(entry: _Pending, reason: str, permanent: bool = False) -> None:
-        if not _count_failure(entry, reason, permanent, retries, stats, failures):
-            remaining.remove(entry)
-            return
-        time.sleep(_backoff_delay(entry.attempts))
-        if not submit([entry]):
-            raise BrokenProcessPool("pool broke while re-submitting a retried job")
+    def settle_all(group: List[_Pending], outcomes: Sequence[_MemberOutcome]) -> None:
+        # Flush every finished member before retrying the others.
+        again = []
+        for entry, outcome in zip(group, outcomes):
+            if settle(entry, *outcome):
+                again.append(entry)
+            else:
+                remaining.remove(entry)
+        for entry in again:
+            time.sleep(_backoff_delay(entry.attempts))
+            if not submit([entry]):
+                raise BrokenProcessPool("pool broke while re-submitting a retried job")
 
     try:
         for group in groups[:1] if sequential else groups:
@@ -1061,26 +1020,13 @@ def _drain_pool(
                 if exc is not None:
                     # Members report their own exceptions, so this one
                     # failed the whole task: each member re-runs alone.
-                    for entry in group:
-                        fail_or_retry(entry, f"{type(exc).__name__}: {exc}")
+                    failure = _MemberFailure(f"{type(exc).__name__}: {exc}")
+                    settle_all(group, [(None, failure, False, 0)] * len(group))
                     continue
-                outcomes = future.result()
-                if isinstance(outcomes, _Observed):
-                    scope.merge(outcomes.metrics)
-                    outcomes = outcomes.result
-                # Flush every finished member before retrying the others.
-                failed = []
-                for entry, outcome in zip(group, outcomes):
-                    if isinstance(outcome, _MemberFailure):
-                        stats["timeouts"] += outcome.timed_out
-                        failed.append((entry, outcome.reason, outcome.permanent))
-                    elif _is_corrupt(outcome):
-                        failed.append((entry, "corrupt result payload", False))
-                    else:
-                        remaining.remove(entry)
-                        complete(entry, outcome)
-                for entry, reason, permanent in failed:
-                    fail_or_retry(entry, reason, permanent)
+                outcomes, metrics = future.result()
+                if metrics is not None:
+                    scope.merge(metrics)
+                settle_all(group, outcomes)
             # Start each task's clock at first observed execution and
             # enforce its ceiling.  An overrun forfeits the whole pool:
             # there is no way to cancel a running task, so the stuck
@@ -1100,10 +1046,9 @@ def _drain_pool(
                         for entry in group:
                             entry.solo = True
                     else:
-                        (entry,) = group
-                        reason = f"timed out after {job_timeout:g}s"
-                        if not _count_failure(entry, reason, False, retries, stats, failures):
-                            remaining.remove(entry)
+                        overran = _MemberFailure(f"timed out after {job_timeout:g}s")
+                        if not settle(group[0], None, overran, False, 0):
+                            remaining.remove(group[0])
                     _abandon_pool(pool)
                     return "abandoned", None
             if sequential and not active and queue:
@@ -1134,7 +1079,8 @@ def _execute_entries(
     heartbeat: float,
     total: int,
     store_hits: int,
-    backend: str = "",
+    traffic: Optional[Dict[str, int]] = None,
+    backends: Optional[Dict[str, int]] = None,
 ) -> Tuple[Dict[int, object], List[JobFailure]]:
     """Execute pending entries with retries, timeouts, and pool recovery.
 
@@ -1144,18 +1090,40 @@ def _execute_entries(
     Every completed result is flushed to *store* (when active and the
     entry is cacheable) as soon as the parent holds it — inline as it
     completes, pooled when its task returns — so a crash, hang, or
-    interrupt later in the batch never loses finished work.
+    interrupt later in the batch never loses finished work.  A lookup
+    made where an entry ran counts into *traffic*, and a store hit found
+    there leaves *backends*, the counts of jobs to simulate.
     """
     results: Dict[int, object] = {}
     failures: List[JobFailure] = []
-    reporter = _Reporter(progress, heartbeat, total, store_hits, stats, backend)
+    reporter = _Reporter(progress, heartbeat, total, store_hits, stats, _backend_note(backends))
 
-    def complete(entry: _Pending, outcome) -> None:
+    def settle(entry: _Pending, key, outcome, hit: bool, nbytes: int) -> bool:
+        """Take one member's outcome; True when *entry* must run again."""
+        if key is not None:
+            entry.key, entry.lookup = key, False
+            remember_fingerprint(_job_trace(entry.job), key.trace_fingerprint)
+            traffic["hits" if hit else "misses"] += 1
+            traffic["bytes_read"] += nbytes
+        if isinstance(outcome, _MemberFailure):
+            # A permanent failure (a ReproError: a deterministic input
+            # error another attempt would only repeat) fails at once.
+            stats["timeouts"] += outcome.timed_out
+            entry.attempts += 1
+            if outcome.permanent or entry.attempts > retries:
+                failures.append(JobFailure(entry.index, outcome.reason))
+                return False
+            stats["retries"] += 1
+            return True
         results[entry.index] = outcome
-        if store is not None and entry.key is not None:
+        if hit:
+            reporter.store_hits += 1
+            backends[_job_backend(entry.job)] -= 1
+        elif store is not None and entry.key is not None:
             store.put(entry.key, outcome)
         reporter.completed += 1
         reporter.report()
+        return False
 
     remaining = list(entries)
     if workers > 1:
@@ -1169,8 +1137,8 @@ def _execute_entries(
             status, culprit = "done", None
             try:
                 status, culprit = _drain_pool(
-                    pool, groups, remaining, job_timeout, retries, stats, failures,
-                    complete, reporter, sequential=careful,
+                    pool, groups, remaining, job_timeout, stats, settle, reporter,
+                    sequential=careful,
                 )
             finally:
                 if status == "done":
@@ -1184,13 +1152,9 @@ def _execute_entries(
                     culprit.strikes += 1
                     culprit.attempts += 1
                     if culprit.strikes >= POISON_STRIKES:
-                        failures.append(
-                            JobFailure(
-                                culprit.index,
-                                f"excluded as poison: worker process died "
-                                f"{culprit.strikes} times running this job",
-                            )
-                        )
+                        reason = (f"excluded as poison: worker process died "
+                                  f"{culprit.strikes} times running this job")
+                        failures.append(JobFailure(culprit.index, reason))
                         stats["poisoned_jobs"] += 1
                         remaining.remove(culprit)
                         careful = False
@@ -1206,7 +1170,15 @@ def _execute_entries(
                 f"finishing {len(remaining)} job(s) serially",
                 stacklevel=4,
             )
-    _run_serial(remaining, job_timeout, retries, stats, failures, complete)
+    # Inline, each entry is a task of one, run in submission order and
+    # settled at once.  A KeyboardInterrupt propagates immediately: what
+    # completed was already flushed, so an interrupted run resumes.
+    for entry in remaining:
+        while True:
+            (outcome,) = _member_outcomes([entry.member()], job_timeout)
+            if not settle(entry, *outcome):
+                break
+            time.sleep(_backoff_delay(entry.attempts))
     return results, failures
 
 
@@ -1247,9 +1219,11 @@ def run_jobs(
     ``jobs=1`` (or ``REPRO_JOBS`` unset) runs everything inline; with
     more workers the pending jobs fan out over a process pool, one task
     per trace: a worker runs every pending job of one trace in
-    submission order, so it builds that trace's kernel products once for
-    the whole pool.  The pool has ``min(jobs, traces)`` workers, so a
-    batch whose pending jobs share one trace runs inline.  *progress*
+    submission order, so it builds that trace, and its kernel products,
+    once for the whole pool.  The pool has ``min(jobs, traces)``
+    workers, so a batch whose pending jobs share one trace runs inline.
+    Inline, each job runs through the same task body, as a task of its
+    own.  *progress*
     receives a :class:`~repro.telemetry.core.JobProgress` heartbeat on
     every completion change and at least every *heartbeat* seconds.  When a
     telemetry scope is active, the batch's job count, worker count, wall
@@ -1258,13 +1232,20 @@ def run_jobs(
     so a pool batch observes what the same batch inline would.
 
     When a result store is active (``REPRO_RESULT_STORE`` or
-    ``--result-store``), each cacheable job is looked up before dispatch
+    ``--result-store``), each cacheable job is looked up before it runs
     and its result flushed back **as it completes** — not at batch end;
     a pooled job when its trace's task returns — so an interrupted or
     crashed batch loses at most the tasks in flight, and a rerun (or
-    ``--resume``) continues where it stopped.  Inside a
-    :func:`result_memo` block the in-memory result map is consulted
-    before the store.
+    ``--resume``) continues where it stopped.  A store key needs the
+    trace's fingerprint.  A job whose fingerprint this process already
+    knows (:func:`~repro.experiments.workloads.known_fingerprint`) is
+    keyed and looked up here, before dispatch, so a warm batch builds
+    nothing and starts no pool.  Any other job is keyed and looked up
+    by the task that runs it, which builds the trace where it is then
+    simulated; the parent records each fingerprint a task computed, and
+    counts the task's store hits, misses and bytes read as its own.
+    Inside a :func:`result_memo` block the in-memory result map is
+    consulted before the store.
 
     ``REPRO_JOB_TIMEOUT``/``REPRO_RETRIES``, read once per batch, govern
     per-job timeouts and bounded retry with exponential backoff; a job
@@ -1288,10 +1269,10 @@ def run_jobs(
     # then build each trace at most once in this process, however many
     # distinct traces the batch has.
     with pinned_workloads(_distinct_trace_keys(job_list)):
-        # Consult the result map, then the store: answers fill their
-        # result slots directly, misses become pending entries whose
-        # computed results are flushed back — and merged — in
-        # submission order.
+        # Consult the result map, then the store for every job whose
+        # trace fingerprint is known: answers fill their result slots
+        # directly, the rest become pending entries, which the tasks
+        # running them key and look up when the fingerprint is unknown.
         results: List = [None] * len(job_list)
         entries: List[_Pending] = []
         traffic = {"hits": 0, "misses": 0, "bytes_read": 0}
@@ -1301,7 +1282,9 @@ def run_jobs(
                 if known is not None:
                     results[index] = known
                     continue
-            key = _store_key(job) if store is not None else None
+            trace = _job_trace(job) if store is not None else None
+            fingerprint = None if trace is None else known_fingerprint(trace)
+            key = None if fingerprint is None else _store_key(job, fingerprint)
             if key is not None:
                 cached, nbytes = store.get(key)
                 if cached is not None:
@@ -1310,8 +1293,8 @@ def run_jobs(
                     traffic["bytes_read"] += nbytes
                     continue
                 traffic["misses"] += 1
-            entries.append(_Pending(index, job, key))
-        # Everything answered without simulating, map answers included.
+            entries.append(_Pending(index, job, key, lookup=trace is not None and key is None))
+        # Everything answered so far without simulating, map answers included.
         hits = len(job_list) - len(entries)
 
         # One pool task per trace: a batch whose pending jobs share one
@@ -1320,8 +1303,9 @@ def run_jobs(
         stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
         failures: List[JobFailure] = []
         # Backend selection is decided up front from the pending specs (store
-        # hits never re-simulate, so they are not counted), surfaced in every
-        # heartbeat and folded into the run record.
+        # hits never re-simulate, so they are not counted; one a task finds
+        # leaves the counts), surfaced in every heartbeat and folded into
+        # the run record.
         backends = _backend_counts([entry.job for entry in entries])
         if not entries:
             if progress is not None and hits:
@@ -1335,7 +1319,7 @@ def run_jobs(
                 from ..kernels import assist  # noqa: F401
             computed, failures = _execute_entries(
                 entries, workers, job_timeout, retries, store, stats, progress,
-                heartbeat, len(job_list), hits, backend=_backend_note(backends),
+                heartbeat, len(job_list), hits, traffic, backends,
             )
 
     for index, outcome in computed.items():
@@ -1348,7 +1332,7 @@ def run_jobs(
     if scope is not None and job_list:
         _record_batch(
             scope, _batch_kind(job_list), len(job_list), workers, started, stats,
-            traffic=traffic, backends=backends,
+            traffic=traffic, backends={name: n for name, n in backends.items() if n},
         )
     if failures:
         raise JobFailedError(failures)

@@ -4,10 +4,10 @@ Building and materializing traces takes seconds, so all experiments
 share one process-level memoization keyed by *resolved workload spec*:
 running "all experiments" (or a grid of engine jobs) builds each trace
 exactly once per process, no matter how many experiments or jobs replay
-it.  The engine's worker processes use the same cache: a fork-based
-worker inherits the parent's memo, and a worker under any other start
-method builds each trace it needs on demand, at most once, and reuses
-it across every job it executes.  Any
+it.  The engine's worker processes use the same cache: a pool worker
+builds each trace its tasks need on demand, at most once, and reuses it
+across every job it executes (a fork worker starts from a copy of the
+parent's memo, so a trace the parent already built is not rebuilt).  Any
 :class:`~repro.specs.workloads.WorkloadSpec` — registry benchmarks,
 parameterized patterns, tenant mixes — memoizes the same way; the
 historical ``(name, scale, seed)`` entry points remain as thin wrappers
@@ -38,12 +38,13 @@ limit.  Two things keep that bound from costing rebuilds:
   in process memory only — never in the store or on disk — so a changed
   generator still changes every key.  :func:`known_fingerprint` reads
   the tier alone, for callers that must never build (the serve daemon's
-  event loop).
+  event loop, and the engine deciding whether to key a job before
+  dispatch), and :func:`remember_fingerprint` enters one a pool worker
+  computed.
 * **Batch pinning** — :func:`pinned_workloads` holds a batch's traces
   in the memo for the length of the batch, beyond the cap if it must, so
-  a batch with one trace more than the cap never thrashes it.  Fork
-  workers inherit the pinned memo.  When the last pin is released the
-  memo shrinks back to the cap.
+  a batch with one trace more than the cap never thrashes it.  When the
+  last pin is released the memo shrinks back to the cap.
 
 One lock guards both tiers, so the serve daemon's lookup and simulation
 threads share them safely; traces build outside the lock.
@@ -68,6 +69,7 @@ __all__ = [
     "materialized_workload",
     "workload_fingerprint",
     "known_fingerprint",
+    "remember_fingerprint",
     "pinned_workloads",
     "materialized_trace",
     "default_scale",
@@ -196,12 +198,22 @@ def workload_fingerprint(spec: WorkloadSpec) -> str:
         return fingerprint
     key = spec.resolve()
     fingerprint = materialized_workload(key).fingerprint()
+    remember_fingerprint(key, fingerprint)
+    return fingerprint
+
+
+def remember_fingerprint(spec: WorkloadSpec, fingerprint: str) -> None:
+    """Enter *spec*'s *fingerprint*, computed where its trace was built, in the tier.
+
+    The engine records what its pool workers computed, so the parent's
+    later batches key the trace without building it.
+    """
+    key = spec.resolve()
     with _LOCK:
         _FINGERPRINTS[key] = fingerprint
         _FINGERPRINTS.move_to_end(key)
         while len(_FINGERPRINTS) > FINGERPRINT_CACHE_CAP:
             _FINGERPRINTS.popitem(last=False)
-    return fingerprint
 
 
 @contextmanager

@@ -10,7 +10,7 @@ classification, and an assist-structure layer
 (:mod:`repro.kernels.assist`) that extends the same treatment to the
 paper's helper structures.  Because every structure is consulted only on
 an L1 miss and updated only on a refill, the direct-mapped pass first
-emits the *ordered miss stream* (positions, lines, victims) and the
+emits the *ordered miss stream* (positions, lines) and the
 structure is then resolved over that much shorter stream, in one of two
 modes (:func:`kernel_mode`):
 

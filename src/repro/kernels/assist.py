@@ -10,8 +10,9 @@ relies on).  That splits any structure run into two passes:
 
 * **Pass 1** (:func:`extract_miss_stream`) — the existing vectorized
   direct-mapped resolution, extended to emit the ordered miss stream:
-  trace positions, requested lines, and the line each refill evicted
-  (the previous reference to the same slot).
+  trace positions and requested lines.  The line each refill evicted
+  (:func:`refill_victims`) follows from the miss stream alone, for the
+  structures that need it.
 * **Pass 2** — resolve the structure over that much shorter stream, in
   one of two modes (:func:`repro.kernels.structure_mode`):
 
@@ -78,11 +79,13 @@ from .numpy_backend import (
     _rank_left_leq,
     _slot_pass,
     classify_misses,
+    direct_mapped_hit_mask,
     prev_occurrence,
 )
 
 __all__ = [
     "extract_miss_stream",
+    "refill_victims",
     "LevelProducts",
     "level_products",
     "level_point",
@@ -97,27 +100,32 @@ __all__ = [
 # -- pass 1: the ordered miss stream ------------------------------------------
 
 
-def extract_miss_stream(
-    lines: np.ndarray, num_lines: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def extract_miss_stream(lines: np.ndarray, num_lines: int) -> Tuple[np.ndarray, np.ndarray]:
     """Resolve a direct-mapped level and emit its ordered miss stream.
 
-    Returns ``(positions, miss_lines, victims)``: the ascending stream
-    positions of the misses, the requested line per miss, and the line
-    each refill evicted (``-1`` when the slot was cold).
+    Returns ``(positions, miss_lines)``: the ascending stream positions
+    of the misses and the requested line per miss.
+    """
+    hits = direct_mapped_hit_mask(lines, num_lines)
+    positions = np.nonzero(~hits)[0].astype(_INT64, copy=False)
+    return positions, lines[positions]
 
-    The victim of a refill is the previous reference to the same slot
-    (hit or miss — the slot always holds the last line referenced
-    through it), which falls out of the same stable argsort-by-slot the
-    hit mask uses: in sorted order it is the predecessor within the
-    slot.  On a miss the previous occupant necessarily differs from the
+
+def refill_victims(miss_lines: np.ndarray, num_lines: int) -> np.ndarray:
+    """The line each refill of a miss stream evicted (``-1``: the slot was cold).
+
+    A slot holds the line of the last reference through it, and every
+    hit there re-references the line the last miss to that slot filled,
+    so the victim of a refill is the previous *miss* to the same slot.
+    That falls out of the stable argsort-by-slot the hit mask uses, run
+    over the miss stream: in sorted order it is the predecessor within
+    the slot.  On a miss the occupant necessarily differs from the
     requested line, so it is always a genuine eviction.
     """
-    hits, order, sorted_lines, same_slot = _slot_pass(lines, num_lines)
-    resident_before = np.full(len(lines), -1, dtype=_INT64)
-    resident_before[order[1:][same_slot]] = sorted_lines[:-1][same_slot]
-    positions = np.nonzero(~hits)[0].astype(_INT64, copy=False)
-    return positions, lines[positions], resident_before[positions]
+    _, order, sorted_lines, same_slot = _slot_pass(miss_lines, num_lines)
+    victims = np.full(len(miss_lines), -1, dtype=_INT64)
+    victims[order[1:][same_slot]] = sorted_lines[:-1][same_slot]
+    return victims
 
 
 # -- pass 2, vector mode ------------------------------------------------------
@@ -366,13 +374,14 @@ class LevelProducts:
     warm-up window applied to products computed once per stream and
     geometry:
 
-    * the pass-1 miss stream — ``positions``, ``miss_lines`` and
-      ``victims`` (see :func:`extract_miss_stream`) and the stream
-      ``length`` — built with the object;
-    * the capacity-free pass-2 products, each built on first use:
-      :meth:`lru_depths`, :meth:`victim_depths`, :meth:`stream_hits` per
-      ``(ways, max_run)`` and :meth:`classification` per warm-up window.
-      Each hit product is ``(at, values)``: the ascending miss indices
+    * the pass-1 miss stream — ``positions`` and ``miss_lines`` (see
+      :func:`extract_miss_stream`) and the stream ``length`` — built
+      with the object;
+    * built on first use: ``victims`` (:func:`refill_victims`), which
+      only victim caches and miss-replay read, and the capacity-free
+      pass-2 products :meth:`lru_depths`, :meth:`victim_depths`,
+      :meth:`stream_hits` per ``(ways, max_run)`` and
+      :meth:`classification` per warm-up window.  Each hit product is ``(at, values)``: the ascending miss indices
       at which the unbounded structure hits, and its depth or run
       offset there.
 
@@ -387,10 +396,17 @@ class LevelProducts:
         self._offset_bits = config.offset_bits
         self.num_lines = config.num_lines
         self.length = len(self._addresses)
-        self.positions, self.miss_lines, self.victims = _read_only(
+        self.positions, self.miss_lines = _read_only(
             *extract_miss_stream(self._addresses >> config.offset_bits, config.num_lines)
         )
         self._derived: Dict[Hashable, object] = {}
+
+    @property
+    def victims(self) -> np.ndarray:
+        """The line each refill evicted, per miss (:func:`refill_victims`)."""
+        return self._product(
+            "victims", lambda: _read_only(refill_victims(self.miss_lines, self.num_lines))[0]
+        )
 
     def _product(self, key: Hashable, build: Callable[[], object]):
         product = self._derived.get(key)

@@ -514,6 +514,53 @@ class TestNonForkPool:
     def test_spawn_pool_matches_inline(self):
         assert "spawn pool matches inline: 12 jobs" in self.run_script(self.SCRIPT)
 
+    STORE_SCRIPT = textwrap.dedent(
+        """
+        import multiprocessing
+        import sys
+
+        multiprocessing.set_start_method("spawn")
+
+        from repro import telemetry
+        from repro.common.config import CacheConfig
+        from repro.experiments import workloads
+        from repro.experiments.engine import EntrySweepJob, LevelJob, run_jobs
+        from repro.specs import NamedWorkloadSpec, SystemSpec, VictimCacheSpec
+        from repro.store import set_store
+
+        config = CacheConfig(4096, 16)
+        jobs = []
+        for name in ("ccom", "grr", "linpack"):
+            workload = NamedWorkloadSpec(name, 1500, 0)
+            system = SystemSpec.for_level(workload, config, side="d")
+            assisted = SystemSpec.for_level(
+                workload, config, side="d", structure=VictimCacheSpec(4)
+            )
+            jobs += [LevelJob(system), LevelJob(assisted), EntrySweepJob(system, kind="victim")]
+        inline = run_jobs(jobs, jobs=1)
+        # The store is named in the environment only: spawned workers
+        # find it there, key each job from the trace they build, and
+        # read it.  The second pass keys from the fingerprints the
+        # workers sent back; the third forgets them, so workers key it.
+        store = set_store(sys.argv[1])
+        traffic = []
+        for forget in (False, False, True):
+            if forget:
+                workloads._FINGERPRINTS.clear()
+            with telemetry.scoped() as scope:
+                assert run_jobs(jobs, jobs=2) == inline, "spawn pool results differ"
+            traffic.append((scope.sections["store"]["hits"], scope.sections["store"]["misses"]))
+        n = len(jobs)
+        assert traffic == [(0, n), (n, 0), (n, 0)], traffic
+        assert store.stats().entries == n
+        print("spawn pool with a store matches inline:", n, "jobs")
+        """
+    )
+
+    def test_spawn_pool_keys_jobs_against_the_environment_store(self, tmp_path):
+        output = self.run_script(self.STORE_SCRIPT, str(tmp_path / "store"))
+        assert "spawn pool with a store matches inline: 9 jobs" in output
+
     EXPERIMENTS = textwrap.dedent(
         """
         import json

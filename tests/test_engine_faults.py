@@ -431,6 +431,22 @@ class TestDeterministicErrors:
             run_jobs(level_jobs(1))
         assert scope.sections["resilience"]["retries"] == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unbuildable_trace_under_a_store_fails_its_own_job(self, store, workers):
+        """A store key needs the trace's fingerprint, and the task that
+        runs a job builds the trace to take it: a trace that cannot be
+        built fails its own job, typed and unretried, and its sibling is
+        still run and checkpointed."""
+        jobs = [level_jobs(1)[0], unknown_workload_job()]
+        with telemetry.scoped() as scope:
+            with pytest.raises(JobFailedError) as excinfo:
+                run_jobs(jobs, jobs=workers)
+        (failure,) = excinfo.value.failures
+        assert failure.index == 1
+        assert UnknownWorkloadError.__name__ in failure.reason
+        assert "resilience" not in scope.sections  # no retry
+        assert store.stats().entries == 1
+
 
 class TestOffMainThreadTimeout:
     """Regression: ``--job-timeout`` off the main thread (the serve

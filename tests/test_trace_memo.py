@@ -8,6 +8,7 @@ workers inherit the counting wrapper.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import threading
 from collections import Counter
@@ -15,7 +16,8 @@ from collections import Counter
 import pytest
 
 from repro.common.config import CacheConfig
-from repro.experiments import workloads
+from repro import telemetry
+from repro.experiments import engine, workloads
 from repro.experiments.engine import EntrySweepJob, LevelJob, run_experiments, run_jobs
 from repro.specs import NamedWorkloadSpec, SystemSpec
 from repro.specs.workloads import SequentialSpec, UniformRandomSpec
@@ -99,6 +101,28 @@ class TestBatchBuilds:
         assert builds() == []
         assert warm == cold
 
+    def test_cold_pool_batch_builds_no_trace_in_the_parent(
+        self, memo, builds, store, monkeypatch
+    ):
+        """Each trace is built, fingerprinted and keyed in the worker that
+        simulates it; the parent records the fingerprints, so a warm rerun
+        keys every job before dispatch and starts no pool."""
+        specs = pattern_specs(CAP + 1)
+        grid = grouped_grid(specs)
+        cold = run_jobs(grid, jobs=2)
+        built = builds()
+        assert [pid for pid, _source in built if int(pid) == os.getpid()] == []
+        assert Counter(source for _pid, source in built) == Counter(
+            spec.to_json() for spec in specs
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm batch started a pool")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        assert run_jobs(grid, jobs=2) == cold
+        assert builds() == []
+
     def test_batch_without_a_store_builds_each_trace_once(self, memo, builds, monkeypatch):
         monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
         specs = pattern_specs(CAP + 1)
@@ -111,6 +135,39 @@ class TestBatchBuilds:
         run_jobs(grouped_grid(pattern_specs(CAP + 1)), jobs=1)
         assert len(memo._TRACE_CACHE) == CAP
         assert not memo._PINS
+
+
+class TestPartialWarmParity:
+    def test_inline_and_pool_agree_over_a_half_warm_store(self, memo, tmp_path, monkeypatch):
+        """With about half of each trace's points already stored and no
+        fingerprint known, the tasks key and look up every job: inline and
+        pooled runs give equal results, store trees and counters."""
+        specs = pattern_specs(CAP + 1)
+        grid = grouped_grid(specs)
+        seeded = tmp_path / "seeded"
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(seeded))
+        run_jobs(grid[::2], jobs=1)
+        runs = {}
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
+            shutil.copytree(seeded, root)
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(root))
+            memo._FINGERPRINTS.clear()
+            memo._TRACE_CACHE.clear()
+            beats = []
+            with telemetry.scoped() as scope:
+                results = run_jobs(grid, jobs=jobs, progress=beats.append, heartbeat=60.0)
+            tree = {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in root.rglob("*") if path.is_file()
+            }
+            runs[jobs] = (results, tree, scope.sections["store"], beats[-1].store_hits)
+        assert runs[1] == runs[2]
+        _results, tree, traffic, store_hits = runs[1]
+        assert len(tree) == len(grid)
+        assert (traffic["hits"], traffic["misses"]) == (len(grid[::2]), len(grid[1::2]))
+        assert traffic["bytes_read"] > 0
+        assert store_hits == len(grid[::2])
 
 
 class TestSuitePinnedForTheCall:
