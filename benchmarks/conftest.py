@@ -16,21 +16,33 @@ import os
 
 import pytest
 
-from repro.traces.registry import BENCHMARK_NAMES, build_trace
+from repro.experiments.workloads import pinned_workloads, suite as benchmark_suite
+from repro.specs import NamedWorkloadSpec
+from repro.traces.registry import BENCHMARK_NAMES
 
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "20000"))
 
 
 @pytest.fixture(scope="session")
 def suite():
-    """The six benchmark traces at benchmark scale, materialized once."""
-    return [build_trace(name, BENCH_SCALE).materialize() for name in BENCHMARK_NAMES]
+    """The six benchmark traces at benchmark scale, built once.
+
+    They stay pinned in the trace memo for the session, so an experiment
+    run at ``BENCH_SCALE`` finds them there and timed rounds exclude
+    trace builds.
+    """
+    with pinned_workloads(NamedWorkloadSpec(name, BENCH_SCALE) for name in BENCHMARK_NAMES):
+        yield benchmark_suite(BENCH_SCALE)
 
 
 def run_experiment(benchmark, experiment_run, suite, rounds: int = 1):
-    """Benchmark one experiment run and print its reproduction."""
+    """Benchmark one experiment run at ``BENCH_SCALE`` and print its reproduction.
+
+    *suite* is the session fixture: taking it builds the traces the run
+    replays before the first timed round.
+    """
     result = benchmark.pedantic(
-        experiment_run, kwargs={"traces": suite}, rounds=rounds, iterations=1
+        experiment_run, kwargs={"scale": BENCH_SCALE}, rounds=rounds, iterations=1
     )
     print()
     print(result.render())

@@ -1,10 +1,13 @@
 """One experiment module per table/figure of the paper.
 
-Each module exposes ``run(traces=None, scale=None, seed=0)`` returning a
+Each module exposes ``run(scale=None, seed=0)`` returning a
 :class:`~repro.experiments.base.TableResult` or
-:class:`~repro.experiments.base.FigureResult`.  :data:`ALL_EXPERIMENTS`
-maps experiment ids to those functions; the ``repro-experiments`` CLI
-(:mod:`repro.experiments.cli`) runs them by name.
+:class:`~repro.experiments.base.FigureResult`; it replays the memoized
+benchmark :func:`suite` at *scale* and *seed*, its only input
+(``ext_modern_workloads`` also takes ``workloads=``).
+:data:`ALL_EXPERIMENTS` maps experiment ids to those functions;
+:func:`run_experiments` runs them by name, and the ``repro-experiments``
+CLI (:mod:`repro.experiments.cli`) and its report go through it.
 """
 
 from typing import Callable, Dict
@@ -78,7 +81,7 @@ from .sweeps import (
     stream_buffer_run_sweep,
     victim_cache_sweep,
 )
-from .workloads import materialized_trace, suite
+from .workloads import suite
 
 #: Experiment id -> run function, in the paper's presentation order.
 ALL_EXPERIMENTS: Dict[str, Callable] = {
@@ -121,7 +124,6 @@ __all__ = [
     "FigureResult",
     "Series",
     "suite",
-    "materialized_trace",
     "run_level",
     "LevelJob",
     "LevelSummary",

@@ -56,8 +56,8 @@ def _two_way_miss_reduction(addresses, direct_misses: int) -> float:
     return percent(direct_misses - misses, direct_misses)
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     columns = run_point_columns(traces, CONFIG, _STRUCTURES)
     rows = []
     for trace, *results in zip(traces, *columns):

@@ -1,7 +1,8 @@
 """Shared result types and rendering for the experiment modules.
 
-Every experiment module exposes ``run(traces=None, scale=None, seed=0)``
-returning either a :class:`TableResult` (for the paper's tables) or a
+Every experiment module exposes ``run(scale=None, seed=0)``, which
+replays the benchmark suite at that scale and seed, returning either a
+:class:`TableResult` (for the paper's tables) or a
 :class:`FigureResult` (for its figures — rendered as the numeric series
 behind the plot, since this is a terminal harness).  Both render to
 fixed-width text in the shape of the paper's artifact so measured and

@@ -54,7 +54,6 @@ def _average(values: List[float]) -> float:
 
 def _measurements(traces) -> Dict:
     """One pass of everything the checks need."""
-    traces = list(traces)
     names = [trace.name for trace in traces]
     data: Dict = {
         "vc": dict(zip(names, batch_entry_sweeps(traces, CONFIG, kind="victim", sides=("d",)))),
@@ -177,10 +176,9 @@ _CHECKS: List[ShapeCheck] = [
 ]
 
 
-def run_checks(traces=None, scale: Optional[int] = None, seed: int = 0) -> List[CheckOutcome]:
-    """Evaluate every shape check against a live run."""
-    traces = traces if traces is not None else suite(scale, seed)
-    data = _measurements(traces)
+def run_checks(scale: Optional[int] = None, seed: int = 0) -> List[CheckOutcome]:
+    """Evaluate every shape check against a live run of the suite at *scale*."""
+    data = _measurements(suite(scale, seed))
     outcomes = []
     for check in _CHECKS:
         try:

@@ -10,6 +10,12 @@ Usage::
     repro-experiments --jobs 4 --progress --emit-metrics runs.jsonl
     repro-experiments --workload zipfian --workload tenant_mix
     repro-experiments --workload '{"kind": "zipfian", "alpha": 1.1}'
+    repro-experiments --report out.md    # the same run, as a Markdown file
+
+``--report FILE`` writes the selected experiments to FILE instead of the
+console.  It takes the console run's route, so ``--jobs``,
+``--workload``, ``--emit-metrics`` and the result store apply to it
+alike.
 
 ``--workload SPEC`` (repeatable) drives workload-aware experiments with
 declarative workload specs: inline kind-tagged JSON, a preset name
@@ -66,6 +72,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from ..common.config import baseline_system
@@ -75,7 +82,6 @@ from ..telemetry.record import append_record, build_run_record
 from . import ALL_EXPERIMENTS
 from .base import FigureResult
 from .plotting import plot_figure
-from .workloads import suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,19 +316,6 @@ def _run(argv: Optional[List[str]]) -> int:
     except ConfigurationError as exc:
         print(f"repro-experiments: {exc}", file=sys.stderr)
         return 2
-    if args.report:
-        # Reports render from one shared suite; keep them serial.
-        from .report import write_report
-
-        path = write_report(
-            args.report,
-            selected,
-            traces=suite(args.scale, args.seed),
-            scale=args.scale,
-            seed=args.seed,
-        )
-        print(f"wrote report to {path}")
-        return 0
     # Workload-driven experiments fan out *internally* (their jobs carry
     # full workload specs through run_jobs), so they run one module at a
     # time and hand the worker count to the engine through the
@@ -333,19 +326,30 @@ def _run(argv: Optional[List[str]]) -> int:
     # A pool returns every outcome at once; serially, each experiment is
     # its own call, so it prints as soon as it finishes.  One result map
     # covers the whole invocation: an engine job an earlier experiment
-    # already ran is answered from memory, not simulated again.
+    # already ran is answered from memory, not simulated again.  A
+    # report run takes the same route and renders the outcomes at the end.
     batches = [selected] if module_jobs > 1 else [[name] for name in selected]
     progress = _heartbeat_printer if args.progress and module_jobs > 1 else None
+    reported = []
     with result_memo():
         for names in batches:
             outcomes = run_experiments(
                 names, scale=args.scale, seed=args.seed, jobs=module_jobs,
                 progress=progress, workloads=workload_specs,
             )
+            reported.extend(outcomes)
             for outcome in outcomes:
-                _print_result(outcome.name, outcome.result, outcome.elapsed, args.plot)
+                if not args.report:
+                    _print_result(outcome.name, outcome.result, outcome.elapsed, args.plot)
                 if args.emit_metrics:
                     _emit_record(args.emit_metrics, outcome, jobs, args, workload_specs)
+    if args.report:
+        from .report import render_report
+
+        path = Path(args.report)
+        text = render_report(reported, args.scale, args.seed, workload_specs)
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote report to {path}")
     return 0
 
 

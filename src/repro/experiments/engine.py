@@ -71,7 +71,7 @@ from ..kernels import (
     kernel_mode,
     select_backend,
 )
-from ..specs import NamedWorkloadSpec, SpecError, StructureSpec, SystemSpec, WorkloadSpec
+from ..specs import SpecError, StructureSpec, SystemSpec, WorkloadSpec
 from ..specs import build, spec_hash
 from ..store import ResultKey, current_store
 from ..telemetry.core import (
@@ -92,11 +92,11 @@ from .sweeps import (
     victim_cache_sweep,
 )
 from .workloads import (
-    BENCHMARK_NAMES,
     known_fingerprint,
     pinned_workloads,
     remember_fingerprint,
     suite,
+    suite_specs,
 )
 
 __all__ = [
@@ -379,7 +379,7 @@ def execute_job(job: Job):
         kwargs = {} if job.workloads is None else {"workloads": list(job.workloads)}
         started = time.perf_counter()
         with result_memo(), scoped() as scope:
-            result = run(traces=None, scale=job.scale, seed=job.seed, **kwargs)
+            result = run(scale=job.scale, seed=job.seed, **kwargs)
         return ExperimentOutcome(job.name, result, time.perf_counter() - started, scope)
     raise TypeError(f"not an engine job: {job!r}")
 
@@ -1386,8 +1386,7 @@ def run_experiments(
     entries = [_Pending(index, job, None) for index, job in enumerate(job_list)]
     started = time.perf_counter()
     stats = dict.fromkeys(_RESILIENCE_COUNTERS, 0)
-    suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
-    with pinned_workloads(suite_keys), result_memo():
+    with pinned_workloads(suite_specs(scale, seed)), result_memo():
         if specs is None and (workers == 1 or _forks_workers()):
             suite(scale, seed)
         computed, failures = _execute_entries(

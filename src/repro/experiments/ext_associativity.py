@@ -38,8 +38,8 @@ __all__ = ["run"]
 CONFIG = CacheConfig(4096, 16)
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     # One victim-cache entry sweep per trace yields the direct-mapped
     # misses and the VC1/VC2/VC4 columns together.
     sweeps = batch_entry_sweeps(traces, CONFIG, kind="victim", sides=("d",), max_entries=4)

@@ -23,7 +23,7 @@ ISSUE_INTERVAL = 4
 INSTRUCTIONS_PER_LINE = 4
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     rows = []
     for point in bandwidth_sweep(
         LATENCIES,

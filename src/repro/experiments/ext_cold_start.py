@@ -27,8 +27,8 @@ __all__ = ["run"]
 CONFIG = CacheConfig(4096, 16)
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     specs = [
         SystemSpec.for_level(trace, CONFIG, classify=True, warmup=warmup)
         for trace in traces

@@ -40,8 +40,8 @@ _CONFIGS = [
 ]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     rows = []
     for label, l2_config, victim_entries in _CONFIGS:
         total_steps = 0

@@ -46,10 +46,9 @@ def _run_two_level(addresses: List[int], l1_victims: int, l2_victims: int):
     return l1, l2
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     rows = []
-    for trace in traces:
+    for trace in suite(scale, seed):
         addresses = trace.data_addresses
         _, l2_plain = _run_two_level(addresses, l1_victims=0, l2_victims=0)
         _, l2_vc = _run_two_level(addresses, l1_victims=0, l2_victims=4)

@@ -31,8 +31,8 @@ SMALL = CacheConfig(4096, 16)
 BIG = CacheConfig(8192, 16)
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     names = [trace.name for trace in traces]
     small = run_point_specs(level_point_specs(traces, SMALL, sides=("d",)))
     big = run_point_specs(level_point_specs(traces, BIG, sides=("d",)))

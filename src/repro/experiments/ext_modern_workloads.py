@@ -98,20 +98,16 @@ def _jobs_for(workloads: Sequence[WorkloadSpec]) -> List[LevelJob]:
 
 
 def run(
-    traces=None,
     scale: Optional[int] = None,
     seed: int = 0,
     workloads: Optional[Sequence[WorkloadSpec]] = None,
 ) -> TableResult:
     """Victim cache vs. stream buffer across the modern access classes.
 
-    *traces* (the shared benchmark suite) is accepted for CLI harness
-    compatibility and ignored — this experiment builds its own streams
-    from workload specs.  Pass *workloads* (e.g. via ``--workload``) to
-    replay the comparison on any spec list; default is one spec per
-    access class plus a four-tenant mix.
+    Pass *workloads* (e.g. via ``--workload``) to replay the comparison
+    on any spec list; default is one spec per access class plus a
+    four-tenant mix at *scale*.
     """
-    del traces  # spec-driven: the benchmark suite plays no part here
     specs = list(workloads) if workloads else default_workloads(scale=scale, seed=seed)
     summaries = run_jobs(_jobs_for(specs))
     per_point = 1 + len(STRUCTURES)

@@ -74,8 +74,8 @@ def _standalone_miss_rate(traces) -> float:
     return safe_div(misses, accesses)
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     # Three-way multiprogramming mix: compiler + CAD + numeric, the
     # classic timesharing blend.
     mix: List[MaterializedTrace] = [

@@ -103,9 +103,8 @@ def _rates(pairs) -> Tuple[float, float]:
     return ilevel.stats.miss_rate, dlevel.stats.miss_rate
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
-    user = next(t for t in traces if t.name == "ccom")
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    user = next(t for t in suite(scale, seed) if t.name == "ccom")
     pure_i, pure_d = _rates(user)
     rows = []
     for interval in INTERVALS:

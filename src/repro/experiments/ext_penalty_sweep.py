@@ -41,11 +41,10 @@ PENALTY_POINTS = [
 ]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     # Miss counts do not depend on the penalties, so simulate once per
     # benchmark and re-price the same results at every penalty point.
-    results = base_and_improved(traces)
+    results = base_and_improved(suite(scale, seed))
     rows = []
     for label, l1_penalty, l2_penalty in PENALTY_POINTS:
         timing = replace(

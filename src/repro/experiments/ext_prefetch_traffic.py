@@ -46,10 +46,9 @@ def _measure(addresses, allocation_filter: bool):
     )
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     rows = []
-    for trace in traces:
+    for trace in suite(scale, seed):
         addresses = trace.data_addresses
         base_removed, base_issued, base_ratio = _measure(addresses, False)
         filt_removed, filt_issued, filt_ratio = _measure(addresses, True)

@@ -38,10 +38,10 @@ _BUFFERS = [
 ]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     matcol_scale = scale if scale is not None else 60_000
-    workloads = [NamedWorkloadSpec("matcol", matcol_scale, seed)] + list(traces)
+    workloads = [NamedWorkloadSpec("matcol", matcol_scale, seed)] + traces
     names = ["matcol (non-unit)"] + [trace.name for trace in traces]
     columns = run_point_columns(workloads, CONFIG, [None] + [b for _, b in _BUFFERS])
     rows = [

@@ -32,8 +32,8 @@ from .workloads import suite
 __all__ = ["run"]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     timing = baseline_system().timing
     # The timeline half: the same structures with the stream buffers
     # modelling availability (the specs' default 12-cycle fills and

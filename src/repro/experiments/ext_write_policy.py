@@ -34,10 +34,9 @@ def _run_policy(trace, policy: WritePolicy):
     return cache.finish()
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     rows = []
-    for trace in traces:
+    for trace in suite(scale, seed):
         through = _run_policy(trace, WritePolicy.WRITE_THROUGH)
         back = _run_policy(trace, WritePolicy.WRITE_BACK)
         refs = max(1, through.accesses)

@@ -22,8 +22,8 @@ from .workloads import suite
 __all__ = ["run"]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
+    traces = suite(scale, seed)
     timing = baseline_system().timing
     names = []
     achieved = []

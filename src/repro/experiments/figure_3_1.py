@@ -22,8 +22,8 @@ PAPER_AVERAGE_I = 29.0
 PAPER_AVERAGE_D = 39.0
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
+    traces = suite(scale, seed)
     config = CacheConfig(4096, 16)
     names = [trace.name for trace in traces]
     summaries = run_point_specs(level_point_specs(traces, config, classify=True))

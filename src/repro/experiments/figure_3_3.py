@@ -81,13 +81,12 @@ def entry_sweep_figure(
     )
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     return entry_sweep_figure(
         "figure_3_3",
         "Conflict misses removed by miss caching (4KB caches, 16B lines)",
         "miss",
-        traces,
+        suite(scale, seed),
         notes=[
             "paper: 2-entry MC removes 25% of data conflicts on average, 4-entry 36%;",
             "little gain beyond 4 entries; instruction side far weaker",

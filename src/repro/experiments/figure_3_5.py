@@ -18,13 +18,12 @@ from .workloads import suite
 __all__ = ["run"]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     return entry_sweep_figure(
         "figure_3_5",
         "Conflict misses removed by victim caching (4KB caches, 16B lines)",
         "victim",
-        traces,
+        suite(scale, seed),
         notes=[
             "paper: one-line victim caches are useful, unlike one-line miss caches;",
             "victim caching beats miss caching at every size",

@@ -60,10 +60,9 @@ def victim_curves(traces, configs: Sequence[CacheConfig], x_values) -> List[Seri
     return series
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     configs = [CacheConfig(size_kb * 1024, 16) for size_kb in CACHE_SIZES_KB]
-    series = victim_curves(traces, configs, CACHE_SIZES_KB)
+    series = victim_curves(suite(scale, seed), configs, CACHE_SIZES_KB)
     return FigureResult(
         experiment_id="figure_3_6",
         title="Victim cache performance vs. direct-mapped data cache size",

@@ -23,10 +23,9 @@ LINE_SIZES = [8, 16, 32, 64, 128, 256]
 CACHE_BYTES = 4096
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     configs = [CacheConfig(CACHE_BYTES, line_size) for line_size in LINE_SIZES]
-    series = victim_curves(traces, configs, LINE_SIZES)
+    series = victim_curves(suite(scale, seed), configs, LINE_SIZES)
     return FigureResult(
         experiment_id="figure_3_7",
         title="Victim cache performance vs. data cache line size (4KB cache)",

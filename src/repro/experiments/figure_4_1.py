@@ -23,9 +23,8 @@ __all__ = ["run", "BUDGETS"]
 BUDGETS = list(range(0, 26, 2))
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
-    ccom = next(trace for trace in traces if trace.name == "ccom")
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
+    ccom = next(trace for trace in suite(scale, seed) if trace.name == "ccom")
     instruction_stream = ccom.instruction_addresses
     config = CacheConfig(4096, 16)
     shift = config.offset_bits

@@ -73,12 +73,11 @@ def run_length_figure(
     )
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     return run_length_figure(
         "figure_4_3",
         "Sequential stream buffer performance (4KB caches, 16B lines)",
-        traces,
+        suite(scale, seed),
         ways=1,
         notes=[
             "paper: single buffer removes 72% of I-misses but only 25% of D-misses;",

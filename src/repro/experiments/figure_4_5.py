@@ -18,12 +18,11 @@ from .workloads import suite
 __all__ = ["run"]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     return run_length_figure(
         "figure_4_5",
         "Four-way stream buffer performance (4KB caches, 16B lines)",
-        traces,
+        suite(scale, seed),
         ways=4,
         notes=[
             "paper: I-side unchanged vs. a single buffer; D-side removal nearly",

@@ -60,15 +60,14 @@ def removal_curves(traces, configs: Sequence[CacheConfig], x_values) -> List[Ser
     ]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     configs = [CacheConfig(size_kb * 1024, 16) for size_kb in CACHE_SIZES_KB]
     return FigureResult(
         experiment_id="figure_4_6",
         title="Stream buffer performance vs. cache size (16B lines)",
         xlabel="cache size (KB)",
         ylabel="percent of misses removed (avg over benchmarks)",
-        series=removal_curves(traces, configs, CACHE_SIZES_KB),
+        series=removal_curves(suite(scale, seed), configs, CACHE_SIZES_KB),
         notes=[
             "paper: I-side flat across sizes; single-buffer D-side improves with size",
             "(15% at 1KB to 35% at 128KB)",

@@ -24,15 +24,14 @@ LINE_SIZES = [4, 8, 16, 32, 64, 128, 256]
 CACHE_BYTES = 4096
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     configs = [CacheConfig(CACHE_BYTES, line_size) for line_size in LINE_SIZES]
     return FigureResult(
         experiment_id="figure_4_7",
         title="Stream buffer performance vs. line size (4KB caches)",
         xlabel="line size (bytes)",
         ylabel="percent of misses removed (avg over benchmarks)",
-        series=removal_curves(traces, configs, LINE_SIZES),
+        series=removal_curves(suite(scale, seed), configs, LINE_SIZES),
         notes=[
             "paper: D-side falls steeply with line size (6.8x single / 4.5x 4-way",
             "from 8B to 128B); I-side still removes 40%+ at 128B lines",

@@ -45,8 +45,8 @@ def base_and_improved(traces) -> List[Tuple[SystemResult, SystemResult]]:
     return list(zip(results[::2], results[1::2]))
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     timing = baseline_system().timing
     rows = []
     improvements = []

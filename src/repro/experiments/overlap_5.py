@@ -26,11 +26,10 @@ from .workloads import suite
 __all__ = ["run"]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     config = CacheConfig(4096, 16)
     rows = []
-    for trace in traces:
+    for trace in suite(scale, seed):
         composite = build(IMPROVED_DSTRUCTURE)
         victim, stream = composite.members
         run_result = run_level(trace.data_addresses, config, composite)

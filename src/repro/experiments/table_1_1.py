@@ -47,7 +47,7 @@ MACHINES: List[MachineGeneration] = [
 PAPER_MISS_COST_INSTR = {"VAX 11/780": 0.6, "WRL Titan": 8.6, "?": 140.0}
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     rows = []
     for machine in MACHINES:
         rows.append(

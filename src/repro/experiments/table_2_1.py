@@ -28,11 +28,10 @@ PAPER_COUNTS_M = {
 }
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
     rows = []
     total_instr = total_data = 0
-    for trace in traces:
+    for trace in suite(scale, seed):
         stats = trace.stats()
         spec = get_workload(trace.name)
         paper_instr, paper_data, _ = PAPER_COUNTS_M[trace.name]

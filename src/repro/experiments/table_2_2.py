@@ -29,8 +29,8 @@ PAPER_MISS_RATES = {
 }
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = list(traces) if traces is not None else suite(scale, seed)
+def run(scale: Optional[int] = None, seed: int = 0) -> TableResult:
+    traces = suite(scale, seed)
     results = run_jobs([SystemJob(SystemSpec.for_system(trace)) for trace in traces])
     rows = []
     for trace, result in zip(traces, results):

@@ -9,9 +9,9 @@ builds each trace its tasks need on demand, at most once, and reuses it
 across every job it executes (a fork worker starts from a copy of the
 parent's memo, so a trace the parent already built is not rebuilt).  Any
 :class:`~repro.specs.workloads.WorkloadSpec` — registry benchmarks,
-parameterized patterns, tenant mixes — memoizes the same way; the
-historical ``(name, scale, seed)`` entry points remain as thin wrappers
-over :class:`NamedWorkloadSpec`.
+parameterized patterns, tenant mixes — memoizes the same way;
+:func:`suite` is the six :class:`NamedWorkloadSpec` benchmarks at one
+scale and seed.
 
 The registry scale can be overridden globally with the ``REPRO_SCALE``
 environment variable (instructions per unit of Table 2-1 relative
@@ -66,12 +66,13 @@ from ..traces.trace import MaterializedTrace
 
 __all__ = [
     "suite",
+    "suite_specs",
     "materialized_workload",
+    "held_workload",
     "workload_fingerprint",
     "known_fingerprint",
     "remember_fingerprint",
     "pinned_workloads",
-    "materialized_trace",
     "default_scale",
     "validate_scale",
     "BENCHMARK_NAMES",
@@ -172,6 +173,12 @@ def materialized_workload(spec: WorkloadSpec) -> MaterializedTrace:
     return _remember(key, key.build().materialize())
 
 
+def held_workload(spec: WorkloadSpec) -> Optional[MaterializedTrace]:
+    """*spec*'s trace if the memo holds it, else None; it never builds."""
+    with _LOCK:
+        return _TRACE_CACHE.get(spec.resolve())
+
+
 def known_fingerprint(spec: WorkloadSpec) -> Optional[str]:
     """*spec*'s fingerprint if the fingerprint tier holds it, else None.
 
@@ -239,13 +246,11 @@ def pinned_workloads(specs: Iterable[WorkloadSpec]) -> Iterator[None]:
             _trim()
 
 
-def materialized_trace(
-    name: str, scale: Optional[int] = None, seed: int = 0
-) -> MaterializedTrace:
-    """One materialized benchmark trace by registry name (compat wrapper)."""
-    return materialized_workload(NamedWorkloadSpec(name=name, scale=scale, seed=seed))
+def suite_specs(scale: Optional[int] = None, seed: int = 0) -> List[NamedWorkloadSpec]:
+    """The six benchmark specs :func:`suite` materializes."""
+    return [NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES]
 
 
 def suite(scale: Optional[int] = None, seed: int = 0) -> List[MaterializedTrace]:
     """The six materialized benchmark traces, memoized per trace."""
-    return [materialized_trace(name, scale, seed) for name in BENCHMARK_NAMES]
+    return [materialized_workload(spec) for spec in suite_specs(scale, seed)]

@@ -3,7 +3,8 @@
 The suite fixture uses a reduced scale (a few thousand instructions per
 benchmark) so the whole test run stays fast; the paper-claim integration
 tests that need statistical stability request the larger session-scoped
-``claims_suite``.
+``claims_suite``.  Both are the memoized ``suite(scale)`` the experiment
+modules replay, so a test and a module share one memo entry per trace.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import CacheConfig
-from repro.traces.registry import BENCHMARK_NAMES, build_trace
+from repro.experiments.workloads import suite
 
 SMALL_SCALE = 4_000
 CLAIMS_SCALE = 30_000
@@ -20,13 +21,13 @@ CLAIMS_SCALE = 30_000
 @pytest.fixture(scope="session")
 def small_suite():
     """All six benchmarks at a fast test scale."""
-    return [build_trace(name, SMALL_SCALE).materialize() for name in BENCHMARK_NAMES]
+    return suite(SMALL_SCALE)
 
 
 @pytest.fixture(scope="session")
 def claims_suite():
     """Larger traces for the paper-claim shape assertions."""
-    return [build_trace(name, CLAIMS_SCALE).materialize() for name in BENCHMARK_NAMES]
+    return suite(CLAIMS_SCALE)
 
 
 @pytest.fixture(scope="session")

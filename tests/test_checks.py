@@ -8,11 +8,12 @@ from repro.experiments.checks import (
     render_outcomes,
     run_checks,
 )
+from tests.conftest import CLAIMS_SCALE
 
 
 @pytest.fixture(scope="module")
-def outcomes(claims_suite):
-    return run_checks(traces=claims_suite)
+def outcomes():
+    return run_checks(scale=CLAIMS_SCALE)
 
 
 class TestRunChecks:
@@ -53,7 +54,7 @@ class TestRender:
 
 
 class TestRobustness:
-    def test_broken_predicate_reports_not_crashes(self, claims_suite, monkeypatch):
+    def test_broken_predicate_reports_not_crashes(self, monkeypatch):
         import repro.experiments.checks as checks_module
 
         def boom(data):
@@ -61,7 +62,7 @@ class TestRobustness:
 
         broken = ShapeCheck("boom", "claim", boom, lambda d: "")
         monkeypatch.setattr(checks_module, "_CHECKS", [broken])
-        outcomes = run_checks(traces=claims_suite)
+        outcomes = run_checks(scale=CLAIMS_SCALE)
         assert len(outcomes) == 1
         assert not outcomes[0].passed
         assert "RuntimeError" in outcomes[0].detail

@@ -60,7 +60,7 @@ from repro.experiments.sweeps import (
     batch_run_sweeps,
     victim_cache_sweep,
 )
-from repro.experiments.workloads import materialized_trace, suite
+from repro.experiments.workloads import materialized_workload, suite
 from repro.traces.trace import trace_from_pairs
 
 SCALE = 1_500
@@ -87,7 +87,8 @@ class TestTraceKey:
         assert WorkloadSpec.of(trace) is None
 
     def test_memoized_per_process(self):
-        assert materialized_trace("ccom", SCALE, 0) is materialized_trace("ccom", SCALE, 0)
+        key = NamedWorkloadSpec("ccom", SCALE, 0)
+        assert materialized_workload(key) is materialized_workload(key)
 
 
 class TestStructureSpecs:

@@ -32,7 +32,7 @@ from repro.experiments.engine import (
     validate_retries,
 )
 from repro.experiments.grid import GridSpec, sweep_grid
-from repro.experiments.workloads import materialized_trace, suite
+from repro.experiments.workloads import materialized_workload, suite
 from repro.hierarchy.level import CacheLevel
 from repro.specs import NamedWorkloadSpec, SystemSpec, parse_structure_code
 from repro.store import current_store
@@ -108,7 +108,11 @@ def sim_counter(monkeypatch):
 def level_jobs(count=4, side="d"):
     names = ("ccom", "grr", "yacc", "met", "linpack", "liver")[:count]
     return [
-        LevelJob(SystemSpec.for_level(materialized_trace(name, SCALE), CONFIG, side=side))
+        LevelJob(
+            SystemSpec.for_level(
+                materialized_workload(NamedWorkloadSpec(name, SCALE)), CONFIG, side=side
+            )
+        )
         for name in names
     ]
 
@@ -216,9 +220,9 @@ class TestSerialResilience:
         module: a module slower than the ceiling still completes."""
         from repro.experiments import ALL_EXPERIMENTS, run_experiments
 
-        def slow(traces=None, scale=None, seed=0):
+        def slow(scale=None, seed=0):
             time.sleep(0.5)
-            return ALL_EXPERIMENTS["table_1_1"](traces, scale, seed)
+            return ALL_EXPERIMENTS["table_1_1"](scale, seed)
 
         monkeypatch.setitem(ALL_EXPERIMENTS, "slow", slow)
         monkeypatch.setenv(engine.ENV_JOB_TIMEOUT, "0.2")

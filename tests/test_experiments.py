@@ -8,13 +8,14 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.base import FigureResult, TableResult
+from tests.conftest import SMALL_SCALE
 
 BENCHES = ["ccom", "grr", "yacc", "met", "linpack", "liver"]
 
 
 @pytest.fixture(scope="module")
-def results(small_suite):
-    return {name: run(traces=small_suite) for name, run in ALL_EXPERIMENTS.items()}
+def results():
+    return {name: run(scale=SMALL_SCALE) for name, run in ALL_EXPERIMENTS.items()}
 
 
 class TestAllExperiments:

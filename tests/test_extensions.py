@@ -8,6 +8,7 @@ from repro.experiments.base import FigureResult, Series
 from repro.experiments.ext_multiprog import interleave_processes
 from repro.experiments.plotting import plot_figure, render_ascii_chart
 from repro.traces.registry import EXTENSION_NAMES, build_trace, get_workload
+from tests.conftest import SMALL_SCALE
 
 
 class TestMatcolWorkload:
@@ -38,8 +39,8 @@ class TestMatcolWorkload:
 
 class TestExtStride:
     @pytest.fixture(scope="class")
-    def result(self, small_suite):
-        return ext_stride.run(traces=small_suite, scale=4000)
+    def result(self):
+        return ext_stride.run(scale=SMALL_SCALE)
 
     def test_matcol_row_first(self, result):
         assert result.rows[0][0] == "matcol (non-unit)"
@@ -81,8 +82,8 @@ class TestInterleaveProcesses:
 
 class TestExtMultiprog:
     @pytest.fixture(scope="class")
-    def result(self, small_suite):
-        return ext_multiprog.run(traces=small_suite)
+    def result(self):
+        return ext_multiprog.run(scale=SMALL_SCALE)
 
     def test_alone_row_last(self, result):
         assert result.rows[-1][0] == "alone"
@@ -103,8 +104,8 @@ class TestExtMultiprog:
 
 class TestExtWritePolicy:
     @pytest.fixture(scope="class")
-    def result(self, small_suite):
-        return ext_write_policy.run(traces=small_suite)
+    def result(self):
+        return ext_write_policy.run(scale=SMALL_SCALE)
 
     def test_write_through_moves_more_bytes(self, result):
         for row in result.rows:
@@ -153,10 +154,10 @@ class TestPlotting:
         text = render_ascii_chart([Series("z", [1, 2], [0.0, 0.0])], width=10, height=4)
         assert "A = z" in text
 
-    def test_real_experiment_plots(self, small_suite):
+    def test_real_experiment_plots(self):
         from repro.experiments import figure_4_6
 
-        figure = figure_4_6.run(traces=small_suite)
+        figure = figure_4_6.run(scale=SMALL_SCALE)
         text = plot_figure(figure)
         assert "single, I-cache" in text
 
@@ -193,10 +194,10 @@ class TestInjectInterrupts:
 
 class TestExtOs:
     @pytest.fixture(scope="class")
-    def result(self, small_suite):
+    def result(self):
         from repro.experiments import ext_os
 
-        return ext_os.run(traces=small_suite)
+        return ext_os.run(scale=SMALL_SCALE)
 
     def test_inflation_monotone_in_interrupt_rate(self, result):
         d_inflations = [row[2] for row in result.rows[:-1]]
@@ -213,10 +214,10 @@ class TestExtOs:
 
 class TestExtPenaltySweep:
     @pytest.fixture(scope="class")
-    def result(self, small_suite):
+    def result(self):
         from repro.experiments import ext_penalty_sweep
 
-        return ext_penalty_sweep.run(traces=small_suite)
+        return ext_penalty_sweep.run(scale=SMALL_SCALE)
 
     def test_speedup_monotone_in_miss_cost(self, result):
         speedups = [row[4] for row in result.rows]

@@ -18,19 +18,20 @@ from repro.experiments import (
     figure_4_6,
     figure_4_7,
 )
+from tests.conftest import CLAIMS_SCALE
 
 
 @pytest.fixture(scope="module")
-def figures(claims_suite):
+def figures():
     return {
-        "3_3": figure_3_3.run(traces=claims_suite),
-        "3_5": figure_3_5.run(traces=claims_suite),
-        "3_6": figure_3_6.run(traces=claims_suite),
-        "3_7": figure_3_7.run(traces=claims_suite),
-        "4_3": figure_4_3.run(traces=claims_suite),
-        "4_5": figure_4_5.run(traces=claims_suite),
-        "4_6": figure_4_6.run(traces=claims_suite),
-        "4_7": figure_4_7.run(traces=claims_suite),
+        "3_3": figure_3_3.run(scale=CLAIMS_SCALE),
+        "3_5": figure_3_5.run(scale=CLAIMS_SCALE),
+        "3_6": figure_3_6.run(scale=CLAIMS_SCALE),
+        "3_7": figure_3_7.run(scale=CLAIMS_SCALE),
+        "4_3": figure_4_3.run(scale=CLAIMS_SCALE),
+        "4_5": figure_4_5.run(scale=CLAIMS_SCALE),
+        "4_6": figure_4_6.run(scale=CLAIMS_SCALE),
+        "4_7": figure_4_7.run(scale=CLAIMS_SCALE),
     }
 
 

@@ -481,6 +481,38 @@ def test_run_jobs_identical_across_backends(monkeypatch):
     assert numpy_results == python_results
 
 
+# -- the paper's conflict ping-pong (§3) ----------------------------------------
+
+#: Two lines 4 KB apart share one set of the 4 KB data cache, so every
+#: reference evicts the other line: the conflict ping-pong of §3.
+PING_PONG = SequentialSpec(length=1000, extent=8192, stride=4096)
+
+
+@pytest.mark.parametrize("backend", [NUMPY, PYTHON])
+def test_conflict_ping_pong_counts(backend, monkeypatch):
+    """A miss cache needs two entries to catch a ping-pong; a victim cache needs one.
+
+    Every reference misses the cache.  A one-entry miss cache holds the
+    line just loaded, which the cache holds too; two entries hold both
+    lines.  One victim-cache entry holds the line just evicted, the one
+    the next reference wants.  Only the first two references (cold)
+    are not removed.  A stream buffer prefetches the next sequential
+    line, which the pattern never touches.
+    """
+    from repro.experiments.engine import LevelJob, run_jobs
+
+    structures = [None, MissCacheSpec(1), MissCacheSpec(2), VictimCacheSpec(1), StreamBufferSpec(4)]
+    monkeypatch.setenv(ENV_BACKEND, backend)
+    summaries = run_jobs(
+        [
+            LevelJob(SystemSpec.for_level(PING_PONG, CacheConfig(4096, 16), side="d", structure=s))
+            for s in structures
+        ]
+    )
+    assert [s.demand_misses for s in summaries] == [1000] * len(structures)
+    assert [s.removed_misses for s in summaries] == [0, 0, 998, 998, 0]
+
+
 # -- products shared across points --------------------------------------------
 
 #: Traces the drawn points share: a registry trace, a pattern that

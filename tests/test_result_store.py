@@ -23,10 +23,10 @@ from repro.experiments.engine import (
 from repro.experiments.figure_5_1 import IMPROVED_DSTRUCTURE, IMPROVED_ISTRUCTURE
 from repro.experiments.grid import GridSpec, sweep_grid
 from repro.experiments.sweeps import EntrySweep, RunLengthSweep
-from repro.experiments.workloads import materialized_trace
+from repro.experiments.workloads import materialized_workload
 from repro.hierarchy.level import CacheLevel
 from repro.hierarchy.system import MemorySystem
-from repro.specs import StreamBufferSpec, SystemSpec
+from repro.specs import NamedWorkloadSpec, StreamBufferSpec, SystemSpec
 from repro.store import (
     RESULT_SCHEMA_VERSION,
     ResultKey,
@@ -75,7 +75,7 @@ def sim_counter(monkeypatch):
 
 
 def level_job(name="ccom", side="d"):
-    trace = materialized_trace(name, SCALE)
+    trace = materialized_workload(NamedWorkloadSpec(name, SCALE))
     return LevelJob(SystemSpec.for_level(trace, CacheConfig(4096, 16), side=side))
 
 
@@ -121,7 +121,7 @@ class TestResultKey:
         assert _store_key(level_job()).digest() == "96938cc83147aa1497c96edcae125984"
 
     def test_system_job_key_covers_every_parameter(self):
-        system = SystemSpec.for_system(materialized_trace("ccom", SCALE))
+        system = SystemSpec.for_system(materialized_workload(NamedWorkloadSpec("ccom", SCALE)))
         jobs = [
             SystemJob(system),
             SystemJob(system, istructure=IMPROVED_ISTRUCTURE),

@@ -372,12 +372,15 @@ class TestTraceCacheCap:
         return workloads
 
     def test_memo_evicts_least_recently_used(self, memo):
-        a = memo.materialized_trace("ccom", 1_000)
-        b = memo.materialized_trace("liver", 1_000)
-        assert memo.materialized_trace("ccom", 1_000) is a  # refreshes ccom
-        memo.materialized_trace("linpack", 1_000)  # evicts liver
-        assert memo.materialized_trace("ccom", 1_000) is a
-        assert memo.materialized_trace("liver", 1_000) is not b
+        def trace(name):
+            return memo.materialized_workload(NamedWorkloadSpec(name, 1_000))
+
+        a = trace("ccom")
+        b = trace("liver")
+        assert trace("ccom") is a  # refreshes ccom
+        trace("linpack")  # evicts liver
+        assert trace("ccom") is a
+        assert trace("liver") is not b
         assert len(memo._TRACE_CACHE) == 2
 
     def test_pinned_traces_outlive_the_cap(self, memo):
