@@ -77,7 +77,6 @@ from .specs import (
     SystemSpec,
     VictimCacheSpec,
     build,
-    describe,
     spec_hash,
 )
 from .traces import (
@@ -145,7 +144,6 @@ __all__ = [
     "CompositeSpec",
     "SystemSpec",
     "build",
-    "describe",
     "spec_hash",
     # telemetry
     "telemetry",

@@ -123,13 +123,3 @@ class CompositeAugmentation(L1Augmentation):
         self.total_misses = 0
         for member in self.members:
             member.reset()
-
-    def describe(self):
-        """Declarative spec: the member specs, in order.
-
-        Raises :class:`~repro.specs.SpecError` (via the member) when any
-        member cannot itself be described.
-        """
-        from ..specs.structures import CompositeSpec, describe
-
-        return CompositeSpec(members=tuple(describe(member) for member in self.members))

@@ -80,13 +80,3 @@ class MissCache(L1Augmentation):
 
     def occupancy(self) -> int:
         return self._store.occupancy()
-
-    def describe(self):
-        """Declarative spec for this miss cache (spec ⇄ object round trip)."""
-        from ..specs.structures import MissCacheSpec
-
-        return MissCacheSpec(
-            entries=self.entries,
-            policy=self._store.policy.value,
-            track_depths=self.hit_depths is not None,
-        )

@@ -213,27 +213,6 @@ class StreamBuffer(L1Augmentation):
     def head_line(self) -> Optional[int]:
         return self._queue[0][0] if self._queue else None
 
-    def describe(self):
-        """Declarative spec, or :class:`~repro.specs.SpecError` when the
-        buffer holds a live ``fetch_sink`` callable (not serializable)."""
-        from ..specs.structures import SpecError, StreamBufferSpec
-
-        if self.fetch_sink is not None:
-            raise SpecError(
-                "StreamBuffer with a fetch_sink callable cannot be expressed "
-                "as a declarative spec"
-            )
-        return StreamBufferSpec(
-            entries=self.entries,
-            max_run=self.max_run,
-            track_run_offsets=self.run_offsets is not None,
-            model_availability=self.model_availability,
-            fill_latency=self.fill_latency,
-            issue_interval=self.issue_interval,
-            head_only=self.head_only,
-            allocation_filter=self.allocation_filter,
-        )
-
 
 class MultiWayStreamBuffer(L1Augmentation):
     """Several stream buffers in parallel with LRU allocation (§4.2).
@@ -349,25 +328,3 @@ class MultiWayStreamBuffer(L1Augmentation):
     def way_buffers(self) -> List[StreamBuffer]:
         """The underlying per-way buffers (testing aid)."""
         return list(self._buffers)
-
-    def describe(self):
-        """Declarative spec derived from way 0 (ways are built alike)."""
-        from ..specs.structures import MultiWayStreamBufferSpec, SpecError
-
-        template = self._buffers[0]
-        if template.fetch_sink is not None:
-            raise SpecError(
-                "MultiWayStreamBuffer with a fetch_sink callable cannot be "
-                "expressed as a declarative spec"
-            )
-        return MultiWayStreamBufferSpec(
-            ways=self.ways,
-            entries=template.entries,
-            max_run=template.max_run,
-            track_run_offsets=template.run_offsets is not None,
-            model_availability=template.model_availability,
-            fill_latency=template.fill_latency,
-            issue_interval=template.issue_interval,
-            head_only=template.head_only,
-            allocation_filter=template.allocation_filter,
-        )

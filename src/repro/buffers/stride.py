@@ -162,23 +162,6 @@ class StrideStreamBuffer(L1Augmentation):
     def head_line(self) -> Optional[int]:
         return self._queue[0] if self._queue else None
 
-    def describe(self):
-        """Declarative spec, or :class:`~repro.specs.SpecError` when the
-        buffer holds a live ``fetch_sink`` callable (not serializable)."""
-        from ..specs.structures import SpecError, StrideBufferSpec
-
-        if self.fetch_sink is not None:
-            raise SpecError(
-                "StrideStreamBuffer with a fetch_sink callable cannot be "
-                "expressed as a declarative spec"
-            )
-        return StrideBufferSpec(
-            entries=self.entries,
-            max_stride=self.max_stride,
-            min_stride=self.min_stride,
-            track_run_offsets=self.run_offsets is not None,
-        )
-
 
 class MultiWayStrideBuffer(L1Augmentation):
     """Several stride buffers in parallel with LRU allocation.
@@ -274,21 +257,3 @@ class MultiWayStrideBuffer(L1Augmentation):
     @property
     def prefetches_issued(self) -> int:
         return sum(b.prefetches_issued for b in self._buffers)
-
-    def describe(self):
-        """Declarative spec derived from way 0 (ways are built alike)."""
-        from ..specs.structures import MultiWayStrideBufferSpec, SpecError
-
-        template = self._buffers[0]
-        if template.fetch_sink is not None:
-            raise SpecError(
-                "MultiWayStrideBuffer with a fetch_sink callable cannot be "
-                "expressed as a declarative spec"
-            )
-        return MultiWayStrideBufferSpec(
-            ways=self.ways,
-            entries=template.entries,
-            max_stride=template.max_stride,
-            min_stride=template.min_stride,
-            track_run_offsets=template.run_offsets is not None,
-        )

@@ -98,14 +98,3 @@ class VictimCache(L1Augmentation):
     def resident_lines(self):
         """Iterate resident lines (used by the exclusivity property test)."""
         return self._store.resident_lines()
-
-    def describe(self):
-        """Declarative spec for this victim cache (spec ⇄ object round trip)."""
-        from ..specs.structures import VictimCacheSpec
-
-        return VictimCacheSpec(
-            entries=self.entries,
-            policy=self._store.policy.value,
-            swap_on_hit=self.swap_on_hit,
-            track_depths=self.hit_depths is not None,
-        )

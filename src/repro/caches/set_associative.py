@@ -84,9 +84,6 @@ class SetAssociativeCache(Cache):
 
     # -- set-associative specifics -----------------------------------------
 
-    def set_index_of(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
-
     def set_contents_lru_to_mru(self, index: int) -> List[int]:
         """Snapshot of one set ordered LRU first (testing aid)."""
         return list(self._sets[index])

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..buffers.base import CompositeAugmentation, L1Augmentation
 from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
+from ..buffers.stride import MultiWayStrideBuffer, StrideStreamBuffer
 from ..caches.direct_mapped import DirectMappedCache
 from ..common.config import SystemConfig, baseline_system
 from ..common.stats import safe_div
@@ -36,10 +37,6 @@ class L2Stats:
         self.demand_misses = 0
         self.prefetch_accesses = 0
         self.prefetch_misses = 0
-
-    @property
-    def demand_miss_rate(self) -> float:
-        return safe_div(self.demand_misses, self.demand_accesses)
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-int snapshot of every counter (telemetry record shape)."""
@@ -79,10 +76,6 @@ class SystemResult:
     @property
     def total_references(self) -> int:
         return self.instructions + self.data_references
-
-    @property
-    def l1_misses(self) -> int:
-        return self.istats.demand_misses + self.dstats.demand_misses
 
     @property
     def imiss_rate(self) -> float:
@@ -137,30 +130,16 @@ class MemorySystem:
     # -- construction helpers ---------------------------------------------------
 
     def _wire_prefetch_sinks(self, augmentation: Optional[L1Augmentation], l1_shift: int) -> None:
-        """Route every stream-buffer prefetch through the L2 tag store."""
+        """Route every prefetching buffer's fetches through the L2 tag store."""
         shift_to_l2 = self._l2_shift - l1_shift
 
         def sink(l1_line: int) -> None:
             self._pending_prefetches.append(l1_line >> shift_to_l2)
 
-        for buffer in self._stream_buffers(augmentation):
+        for buffer in _prefetching_buffers(augmentation):
             if buffer.fetch_sink is None:
                 buffer.fetch_sink = sink
                 self._has_prefetch_sinks = True
-
-    @staticmethod
-    def _stream_buffers(augmentation: Optional[L1Augmentation]) -> Iterable[StreamBuffer]:
-        if augmentation is None:
-            return
-        stack = [augmentation]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, StreamBuffer):
-                yield node
-            elif isinstance(node, MultiWayStreamBuffer):
-                stack.extend(node.way_buffers())
-            elif isinstance(node, CompositeAugmentation):
-                stack.extend(node.members)
 
     # -- simulation --------------------------------------------------------------
 
@@ -175,9 +154,7 @@ class MemorySystem:
         if outcome is AccessOutcome.MISS:
             self._l2_demand(byte_address >> self._l2_shift)
         if self._has_prefetch_sinks and self._pending_prefetches:
-            for l2_line in self._pending_prefetches:
-                self._l2_prefetch(l2_line)
-            self._pending_prefetches.clear()
+            self._drain_prefetches()
         return outcome
 
     def run(self, trace: Iterable[Tuple[int, int]]) -> SystemResult:
@@ -279,14 +256,38 @@ class MemorySystem:
 
     # -- L2 traffic ---------------------------------------------------------------
 
-    def _l2_demand(self, l2_line: int) -> None:
+    def _l2_demand(self, l2_line: int) -> bool:
+        """Demand-fetch one L2 line; True on an L2 hit."""
         self.l2stats.demand_accesses += 1
-        if not self.l2.access(l2_line):
-            self.l2stats.demand_misses += 1
-            self.l2.fill(l2_line)
+        if self.l2.access(l2_line):
+            return True
+        self.l2stats.demand_misses += 1
+        self.l2.fill(l2_line)
+        return False
 
     def _l2_prefetch(self, l2_line: int) -> None:
         self.l2stats.prefetch_accesses += 1
         if not self.l2.access(l2_line):
             self.l2stats.prefetch_misses += 1
             self.l2.fill(l2_line)
+
+    def _drain_prefetches(self) -> None:
+        """Send the prefetches queued behind a demand fetch to the L2."""
+        for l2_line in self._pending_prefetches:
+            self._l2_prefetch(l2_line)
+        self._pending_prefetches.clear()
+
+
+def _prefetching_buffers(augmentation: Optional[L1Augmentation]) -> Iterator[L1Augmentation]:
+    """Every single-way buffer that fetches from the L2, at any nesting."""
+    if augmentation is None:
+        return
+    stack = [augmentation]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (StreamBuffer, StrideStreamBuffer)):
+            yield node
+        elif isinstance(node, (MultiWayStreamBuffer, MultiWayStrideBuffer)):
+            stack.extend(node.way_buffers())
+        elif isinstance(node, CompositeAugmentation):
+            stack.extend(node.members)

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from ..buffers.base import L1Augmentation
-from ..caches.direct_mapped import DirectMappedCache
-from ..common.config import SystemConfig, baseline_system
+from ..common.config import SystemConfig
 from ..common.stats import safe_div
 from ..common.types import AccessKind, AccessOutcome
-from .level import CacheLevel
+from .system import MemorySystem
 
 __all__ = ["TimelineResult", "TimelineSimulator"]
 
@@ -72,43 +71,28 @@ class TimelineSimulator:
         iaugmentation: Optional[L1Augmentation] = None,
         daugmentation: Optional[L1Augmentation] = None,
     ):
-        self.config = config if config is not None else baseline_system()
-        self.ilevel = CacheLevel(self.config.icache, iaugmentation, name="L1I")
-        self.dlevel = CacheLevel(self.config.dcache, daugmentation, name="L1D")
-        self.l2 = DirectMappedCache(self.config.l2)
+        # The clock runs over a MemorySystem's levels, L2 and prefetch
+        # wiring (the drain-after-demand order included), so the two
+        # models see identical L2 contents and the system's L2 counters
+        # hold this replay's traffic.
+        self.system = MemorySystem(config, iaugmentation, daugmentation)
+        self.config = self.system.config
+        self.ilevel = self.system.ilevel
+        self.dlevel = self.system.dlevel
         self._ishift = self.config.icache.offset_bits
         self._dshift = self.config.dcache.offset_bits
         self._l2_shift = self.config.l2.offset_bits
         self.result = TimelineResult()
         self.now = 0
-        # Stream-buffer prefetches ride the pipelined interface without
-        # stalling the CPU, but they do fill the L2 — mirror the
-        # MemorySystem wiring (including the drain-after-demand order)
-        # so the two models see identical L2 contents.
-        self._pending_prefetches: list = []
-        self._wire_prefetch_sinks(iaugmentation, self._ishift)
-        self._wire_prefetch_sinks(daugmentation, self._dshift)
 
-    def _wire_prefetch_sinks(self, augmentation: Optional[L1Augmentation], l1_shift: int) -> None:
-        from .system import MemorySystem
-
-        shift_to_l2 = self._l2_shift - l1_shift
-
-        def sink(l1_line: int) -> None:
-            self._pending_prefetches.append(l1_line >> shift_to_l2)
-
-        for buffer in MemorySystem._stream_buffers(augmentation):
-            if buffer.fetch_sink is None:
-                buffer.fetch_sink = sink
-
-    def prewarm_l2(self, trace: Iterable[Tuple[int, int]]) -> None:
-        """Preload the L2 footprint (see MemorySystem.prewarm_l2)."""
-        for _, byte_address in trace:
-            self.l2.access_and_fill(byte_address >> self._l2_shift)
+    def prewarm_l2(self, trace: Iterable[Tuple[int, int]]) -> int:
+        """Preload the L2 footprint (see :meth:`MemorySystem.prewarm_l2`)."""
+        return self.system.prewarm_l2(trace)
 
     def run(self, trace: Iterable[Tuple[int, int]]) -> TimelineResult:
         timing = self.config.timing
         result = self.result
+        system = self.system
         for kind, byte_address in trace:
             if kind == AccessKind.IFETCH:
                 result.instructions += 1
@@ -122,7 +106,7 @@ class TimelineSimulator:
             if outcome is AccessOutcome.MISS:
                 penalty = timing.l1_miss_penalty
                 result.l1_penalty_cycles += penalty
-                if not self.l2.access_and_fill(byte_address >> self._l2_shift):
+                if not system._l2_demand(byte_address >> self._l2_shift):
                     result.l2_penalty_cycles += timing.l2_miss_penalty
                     penalty += timing.l2_miss_penalty
                 self.now += penalty
@@ -131,9 +115,7 @@ class TimelineSimulator:
                 result.removed_miss_cycles += timing.removed_miss_penalty
                 result.availability_stall_cycles += stall
                 self.now += timing.removed_miss_penalty + stall
-            if self._pending_prefetches:
-                for l2_line in self._pending_prefetches:
-                    self.l2.access_and_fill(l2_line)
-                self._pending_prefetches.clear()
+            if system._pending_prefetches:
+                system._drain_prefetches()
         result.cycles = self.now
         return result

@@ -8,10 +8,11 @@ parameterized access patterns (Zipfian, hotspot, bursty, pointer-chase,
 sequential, uniform-random), and the multi-tenant ``TenantMixSpec``
 mixer; ``SystemSpec`` binds workload +
 :class:`~repro.common.config.SystemConfig` + structure into one value
-that fully determines a simulation point.  ``build``/``describe`` give
-a lossless spec ⇄ live-object round trip, and canonical JSON makes
-specs the stable currency of the parallel engine, the result store, the
-serve daemon, and telemetry records.
+that fully determines a simulation point.  Structures flow one way:
+``build`` turns a spec into the live structure it names, and nothing
+turns a live structure back into a spec.  Canonical JSON makes specs
+the stable currency of the parallel engine, the result store, the serve
+daemon, and telemetry records.
 """
 
 from .structures import (
@@ -25,11 +26,9 @@ from .structures import (
     StructureSpec,
     VictimCacheSpec,
     build,
-    describe,
     parse_structure_code,
     register_structure,
     registered_kinds,
-    structure_code,
     structure_from_dict,
 )
 from .system import SystemSpec, spec_hash
@@ -66,10 +65,8 @@ __all__ = [
     "register_structure",
     "registered_kinds",
     "build",
-    "describe",
     "structure_from_dict",
     "parse_structure_code",
-    "structure_code",
     "WorkloadSpec",
     "NamedWorkloadSpec",
     "SequentialSpec",

@@ -10,22 +10,15 @@ from the record alone.
 
 The contract, pinned by ``tests/test_specs.py``:
 
-* ``build(spec)`` constructs the live structure the spec names;
-* ``describe(structure)`` recovers the spec from a live structure, and
-  ``describe(build(spec)) == spec`` for every registered spec;
+* ``build(spec)`` constructs the live structure the spec names, honouring
+  every field.  It is the one bridge between specs and live structures:
+  structures flow spec -> structure, never back;
 * ``StructureSpec.from_dict(spec.as_dict()) == spec`` and the JSON
   rendering (:meth:`StructureSpec.to_json`) is canonical — key-sorted,
   so equal specs serialize to equal strings.
 
-Structures carrying state that cannot be rebuilt from data — a
-``fetch_sink`` callable wired to a live L2 — are *undescribable*;
-:func:`describe` raises :class:`SpecError` for those, and callers that
-need to fan out fall back to serial execution.
-
 The legacy string codes (``"mc4"``, ``"vc4"``, ``"sb4"``, ``"sb4x4"``)
-parse into specs via :func:`parse_structure_code`;
-:func:`structure_code` is the partial inverse, returning the short code
-for default-option specs and None otherwise.
+parse into specs via :func:`parse_structure_code`.
 """
 
 from __future__ import annotations
@@ -51,15 +44,13 @@ __all__ = [
     "register_structure",
     "registered_kinds",
     "build",
-    "describe",
     "structure_from_dict",
     "parse_structure_code",
-    "structure_code",
 ]
 
 
 class SpecError(ConfigurationError):
-    """A structure/spec pair that cannot round-trip declaratively."""
+    """A spec that fails validation: a wrong type, an unknown kind or field, a bad value."""
 
 
 #: kind tag -> spec class, populated by :func:`register_structure`.
@@ -159,30 +150,6 @@ def build(spec: Optional[StructureSpec]):
             f"expected a StructureSpec or None, got {type(spec).__name__}: {spec!r}"
         )
     return spec.build()
-
-
-def describe(structure) -> Optional[StructureSpec]:
-    """Spec for a live structure (None for None): the inverse of :func:`build`.
-
-    Every registered structure class implements ``describe()`` returning
-    its spec; anything else — unknown classes, structures holding live
-    callables — raises :class:`SpecError`.
-    """
-    if structure is None:
-        return None
-    describer = getattr(structure, "describe", None)
-    if describer is None:
-        raise SpecError(
-            f"{type(structure).__name__} has no describe(): it cannot be "
-            "expressed as a declarative spec"
-        )
-    spec = describer()
-    if spec is not None and not isinstance(spec, StructureSpec):
-        raise SpecError(
-            f"{type(structure).__name__}.describe() returned {type(spec).__name__}, "
-            "not a StructureSpec"
-        )
-    return spec
 
 
 # -- the registered spec classes ----------------------------------------------
@@ -399,24 +366,3 @@ def parse_structure_code(code: Optional[str]) -> Optional[StructureSpec]:
     raise ConfigurationError(
         f"unknown structure spec {code!r}; expected none/mc<N>/vc<N>/sb<N>/sb<W>x<N>"
     )
-
-
-def structure_code(spec: Optional[StructureSpec]) -> Optional[str]:
-    """Short legacy code for a default-option spec, else None.
-
-    The partial inverse of :func:`parse_structure_code`: only the spec
-    points the old string scheme could name get a code back.
-    """
-    if spec is None:
-        return "none"
-    if isinstance(spec, MissCacheSpec) and spec == MissCacheSpec(spec.entries):
-        return f"mc{spec.entries}"
-    if isinstance(spec, VictimCacheSpec) and spec == VictimCacheSpec(spec.entries):
-        return f"vc{spec.entries}"
-    if isinstance(spec, StreamBufferSpec) and spec == StreamBufferSpec(spec.entries):
-        return f"sb{spec.entries}"
-    if isinstance(spec, MultiWayStreamBufferSpec) and spec == MultiWayStreamBufferSpec(
-        spec.ways, spec.entries
-    ):
-        return f"sb{spec.ways}x{spec.entries}"
-    return None

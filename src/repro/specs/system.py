@@ -23,7 +23,7 @@ from typing import Dict, Mapping, Optional
 
 from ..common.config import BASELINE_L2_LINE, CacheConfig, SystemConfig, baseline_system
 from ..common.errors import ConfigurationError
-from .structures import SpecError, StructureSpec, describe, structure_from_dict
+from .structures import SpecError, StructureSpec, structure_from_dict
 from .workloads import WorkloadSpec, unkeyed_reason, workload_from_dict, workload_spec_of
 
 __all__ = ["SystemSpec", "spec_hash"]
@@ -73,7 +73,7 @@ class SystemSpec:
         trace,
         cache_config: CacheConfig,
         side: str = "d",
-        structure=None,
+        structure: Optional[StructureSpec] = None,
         warmup: int = 0,
         classify: bool = False,
     ) -> "SystemSpec":
@@ -85,21 +85,17 @@ class SystemSpec:
         spec (a hand-made one) raises :class:`ConfigurationError` naming
         :func:`~repro.specs.workloads.unkeyed_reason` — simulate such a
         stream directly with :func:`repro.experiments.runner.run_level`.
-        ``structure
-        may be a live structure (described on the spot) or already a
-        spec.  The L2 line size is widened to the L1 line when the
-        sweep's geometry exceeds the baseline L2 line — single-level
-        replays never touch the L2, so only the config invariant
-        (L2 line >= L1 line) matters.
+        ``structure`` is a :class:`StructureSpec` or None; anything else,
+        a live structure included, raises :class:`SpecError`.  The L2
+        line size is widened to the L1 line when the sweep's geometry
+        exceeds the baseline L2 line — single-level replays never touch
+        the L2, so only the config invariant (L2 line >= L1 line)
+        matters.
         """
-        structure_spec = (
-            structure if structure is None or isinstance(structure, StructureSpec)
-            else describe(structure)
-        )
         return cls(
             trace=_trace_spec(trace),
             config=_level_config(cache_config),
-            structure=structure_spec,
+            structure=structure,
             side=side,
             warmup=warmup,
             classify=classify,

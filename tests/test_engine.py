@@ -21,10 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro import telemetry
-from repro.buffers.miss_cache import MissCache
-from repro.buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
+from repro.buffers.stream_buffer import StreamBuffer
 from repro.buffers.victim_cache import VictimCache
-from repro.caches.fully_associative import ReplacementPolicy
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS, engine
@@ -48,10 +46,7 @@ from repro.specs import (
     SystemSpec,
     VictimCacheSpec,
     WorkloadSpec,
-    build,
-    describe,
     parse_structure_code,
-    structure_code,
 )
 from repro.telemetry.core import ParallelFallbackWarning
 from repro.experiments.grid import GridSpec, sweep_grid
@@ -92,34 +87,11 @@ class TestTraceKey:
 
 
 class TestStructureSpecs:
-    """The CLI/serve short codes parse into specs and round-trip through live structures."""
-
-    @pytest.mark.parametrize("spec", ["none", "mc4", "vc4", "sb4", "sb4x4", None])
-    def test_roundtrip(self, spec):
-        structure = build(parse_structure_code(spec))
-        expected = "none" if spec is None else spec
-        assert structure_code(describe(structure)) == expected
+    """The CLI/serve short codes parse into specs, and jobs carrying specs pickle."""
 
     def test_unknown_spec_raises(self):
         with pytest.raises(ConfigurationError, match="structure spec"):
             parse_structure_code("warp9")
-
-    def test_non_default_structures_have_no_short_code(self):
-        # describable as specs (see test_specs.py), but outside the
-        # short-code scheme.
-        assert structure_code(describe(MissCache(4, track_depths=True))) is None
-        assert structure_code(describe(VictimCache(4, swap_on_hit=False))) is None
-        assert structure_code(describe(VictimCache(4, policy=ReplacementPolicy.FIFO))) is None
-        assert structure_code(describe(StreamBuffer(4, allocation_filter=True))) is None
-        assert (
-            structure_code(describe(MultiWayStreamBuffer(4, 4, model_availability=True)))
-            is None
-        )
-
-    def test_undescribable_structure_has_no_short_code(self):
-        # A live fetch_sink callable cannot be serialized into a spec.
-        with pytest.raises(SpecError):
-            describe(StreamBuffer(4, fetch_sink=lambda line: None))
 
     def test_jobs_are_picklable(self):
         key = NamedWorkloadSpec("ccom", SCALE, 0)

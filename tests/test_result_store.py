@@ -26,13 +26,12 @@ from repro.experiments.sweeps import EntrySweep, RunLengthSweep
 from repro.experiments.workloads import materialized_workload
 from repro.hierarchy.level import CacheLevel
 from repro.hierarchy.system import MemorySystem
-from repro.specs import NamedWorkloadSpec, StreamBufferSpec, SystemSpec
+from repro.specs import NamedWorkloadSpec, StreamBufferSpec, SystemSpec, VictimCacheSpec
 from repro.store import (
     RESULT_SCHEMA_VERSION,
     ResultKey,
     ResultStore,
     current_store,
-    set_store,
 )
 
 SCALE = 3_000
@@ -119,6 +118,22 @@ class TestResultKey:
         """Entries written before SystemJob existed still hit: the key of a
         LevelJob is byte-for-byte what it was."""
         assert _store_key(level_job()).digest() == "96938cc83147aa1497c96edcae125984"
+
+    def test_structure_job_digests_are_pinned(self):
+        """Keys carrying structure specs stay byte-for-byte what they were:
+        a level job with a victim cache and the §5 improved system."""
+        trace = materialized_workload(NamedWorkloadSpec("ccom", SCALE))
+        level = LevelJob(
+            SystemSpec.for_level(trace, CacheConfig(4096, 16), structure=VictimCacheSpec(4))
+        )
+        improved = SystemJob(
+            SystemSpec.for_system(trace),
+            IMPROVED_ISTRUCTURE,
+            IMPROVED_DSTRUCTURE,
+            prewarm_l2=True,
+        )
+        assert _store_key(level).digest() == "412b99d491c13735a81c415ab42e8a7b"
+        assert _store_key(improved).digest() == "e15f9a0fe58d44a64fed39d2097180da"
 
     def test_system_job_key_covers_every_parameter(self):
         system = SystemSpec.for_system(materialized_workload(NamedWorkloadSpec("ccom", SCALE)))

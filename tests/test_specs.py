@@ -1,6 +1,6 @@
 """Property tests for the declarative spec layer (repro.specs).
 
-The spec layer's contract: ``describe(build(spec)) == spec`` for every
+The spec layer's contract: ``build(spec)`` honours every field of every
 registered structure spec, serialization is lossless and canonical
 (``from_json(to_json(spec)) == spec``, equal specs give equal strings),
 and the telemetry config hash is a pure function of the spec — stable
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import pickle
 import subprocess
@@ -19,6 +20,11 @@ import sys
 import pytest
 
 import repro
+from repro.buffers.base import CompositeAugmentation
+from repro.buffers.miss_cache import MissCache
+from repro.buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
+from repro.buffers.stride import MultiWayStrideBuffer, StrideStreamBuffer
+from repro.buffers.victim_cache import VictimCache
 from repro.common.config import CacheConfig, baseline_system
 from repro.specs import (
     CompositeSpec,
@@ -33,11 +39,9 @@ from repro.specs import (
     SystemSpec,
     VictimCacheSpec,
     build,
-    describe,
     parse_structure_code,
     registered_kinds,
     spec_hash,
-    structure_code,
     structure_from_dict,
 )
 from repro.telemetry import config_hash
@@ -78,11 +82,49 @@ SPEC_POINTS = [
 
 point_ids = [f"{type(s).__name__}-{i}" for i, s in enumerate(SPEC_POINTS)]
 
+#: Spec class -> the live class ``build`` must return.
+BUILT_CLASS = {
+    MissCacheSpec: MissCache,
+    VictimCacheSpec: VictimCache,
+    StreamBufferSpec: StreamBuffer,
+    MultiWayStreamBufferSpec: MultiWayStreamBuffer,
+    StrideBufferSpec: StrideStreamBuffer,
+    MultiWayStrideBufferSpec: MultiWayStrideBuffer,
+    CompositeSpec: CompositeAugmentation,
+}
+
+#: Spec field -> how a built structure shows it, where that is not an
+#: attribute of the same name.  A field that is neither raises
+#: AttributeError, so a new spec field cannot go unchecked.
+FIELD_READERS = {
+    "policy": lambda structure: structure._store.policy.value,
+    "track_depths": lambda structure: structure.hit_depths is not None,
+    "track_run_offsets": lambda structure: structure.run_offsets is not None,
+}
+
+
+def assert_honours_every_field(spec, structure):
+    assert type(structure) is BUILT_CLASS[type(spec)]
+    for field in dataclasses.fields(spec):
+        expected = getattr(spec, field.name)
+        if field.name == "members":
+            assert len(structure.members) == len(expected)
+            for member_spec, member in zip(expected, structure.members):
+                assert_honours_every_field(member_spec, member)
+        elif field.name == "ways":
+            assert structure.ways == len(structure.way_buffers()) == expected
+        else:
+            # A multi-way spec's per-buffer fields must reach every way.
+            targets = structure.way_buffers() if hasattr(structure, "ways") else [structure]
+            read = FIELD_READERS.get(field.name, operator.attrgetter(field.name))
+            for target in targets:
+                assert read(target) == expected, field.name
+
 
 class TestStructureRoundTrip:
     @pytest.mark.parametrize("spec", SPEC_POINTS, ids=point_ids)
-    def test_describe_inverts_build(self, spec):
-        assert describe(build(spec)) == spec
+    def test_build_honours_every_field(self, spec):
+        assert_honours_every_field(spec, build(spec))
 
     @pytest.mark.parametrize("spec", SPEC_POINTS, ids=point_ids)
     def test_dict_round_trip(self, spec):
@@ -104,7 +146,6 @@ class TestStructureRoundTrip:
 
     def test_none_is_the_bare_baseline(self):
         assert build(None) is None
-        assert describe(None) is None
 
     def test_every_registered_kind_is_covered(self):
         covered = {type(spec).kind for spec in SPEC_POINTS}
@@ -145,17 +186,6 @@ class TestStructureValidation:
         with pytest.raises(SpecError, match="members"):
             CompositeSpec(members=(VictimCacheSpec(4), "sb4"))
 
-    def test_undescribable_structure_raises(self):
-        from repro.buffers.stream_buffer import StreamBuffer
-
-        buffer = StreamBuffer(4, fetch_sink=lambda line: None)
-        with pytest.raises(SpecError):
-            describe(buffer)
-
-    def test_describe_rejects_unknown_objects(self):
-        with pytest.raises(SpecError, match="describe"):
-            describe(object())
-
 
 class TestLegacyCodes:
     @pytest.mark.parametrize(
@@ -170,11 +200,6 @@ class TestLegacyCodes:
     )
     def test_codes_round_trip(self, code, spec):
         assert parse_structure_code(code) == spec
-        assert structure_code(spec) == code
-
-    def test_non_default_options_have_no_code(self):
-        assert structure_code(VictimCacheSpec(4, swap_on_hit=False)) is None
-        assert structure_code(StrideBufferSpec(4)) is None
 
 
 class TestSystemSpec:
@@ -206,15 +231,16 @@ class TestSystemSpec:
         assert self._spec().to_json() == self._spec().to_json()
 
     def test_for_level_from_live_objects(self, small_by_name):
+        """A materialized trace yields its workload spec; a live structure
+        is not a spec and is rejected."""
         trace = small_by_name["ccom"]
-        from repro.buffers.victim_cache import VictimCache
-
         spec = SystemSpec.for_level(
-            trace, CacheConfig(4096, 16), side="d", structure=VictimCache(4)
+            trace, CacheConfig(4096, 16), side="d", structure=VictimCacheSpec(4)
         )
         assert spec.trace == NamedWorkloadSpec("ccom", scale=4_000, seed=0)
-        assert spec.structure == VictimCacheSpec(4)
         assert SystemSpec.from_json(spec.to_json()) == spec
+        with pytest.raises(SpecError, match="must be a StructureSpec"):
+            SystemSpec.for_level(trace, CacheConfig(4096, 16), structure=VictimCache(4))
 
     def test_for_level_widens_l2_line(self, small_by_name):
         spec = SystemSpec.for_level(small_by_name["ccom"], CacheConfig(16384, 256))

@@ -8,6 +8,14 @@ from repro.buffers.victim_cache import VictimCache
 from repro.common.config import CacheConfig, SystemConfig, baseline_system
 from repro.common.types import IFETCH, LOAD, STORE, AccessOutcome
 from repro.hierarchy.system import L2Stats, MemorySystem
+from repro.hierarchy.timeline import TimelineSimulator
+from repro.specs import (
+    CompositeSpec,
+    MultiWayStrideBufferSpec,
+    StrideBufferSpec,
+    VictimCacheSpec,
+    build,
+)
 
 
 class TestRouting:
@@ -99,6 +107,37 @@ class TestStreamBufferPrefetchRouting:
         system.access(LOAD, 0x8000 + 4096)  # same L1 set churn
         system.access(LOAD, 16)         # L1 line 1, L2 line 0: already loaded
         assert system.l2stats.demand_misses == before + 1  # only the 0x8000+4096 line
+
+
+STRIDE_STRUCTURES = [
+    StrideBufferSpec(4),
+    MultiWayStrideBufferSpec(4, 4),
+    CompositeSpec((VictimCacheSpec(4), MultiWayStrideBufferSpec(4, 4))),
+]
+
+
+def _prefetches_issued(structure):
+    members = getattr(structure, "members", [structure])
+    return sum(getattr(member, "prefetches_issued", 0) for member in members)
+
+
+class TestStridePrefetchRouting:
+    """Stride buffers fetch through the L2 like stream buffers do."""
+
+    @pytest.mark.parametrize("spec", STRIDE_STRUCTURES, ids=lambda spec: spec.kind)
+    def test_every_stride_prefetch_reaches_the_l2(self, spec, small_by_name):
+        structure = build(spec)
+        result = MemorySystem(daugmentation=structure).run(small_by_name["ccom"])
+        assert _prefetches_issued(structure) > 0
+        assert result.l2stats.prefetch_accesses == _prefetches_issued(structure)
+
+    @pytest.mark.parametrize("spec", STRIDE_STRUCTURES, ids=lambda spec: spec.kind)
+    def test_timeline_l2_sees_stride_prefetches(self, spec, small_by_name):
+        structure = build(spec)
+        timeline = TimelineSimulator(daugmentation=structure)
+        timeline.run(small_by_name["ccom"])
+        assert _prefetches_issued(structure) > 0
+        assert timeline.system.l2stats.prefetch_accesses == _prefetches_issued(structure)
 
 
 class TestRunAndResult:
