@@ -168,7 +168,7 @@ def _victim_depths(
     ``p`` counts the still-resident lines pushed after ``p``:
     ``inserts_in(p, u)`` minus the hit-lookups in ``(p, u)`` that
     invalidated one of those pushes (hits whose matched insert sits
-    after ``p`` — a per-query threshold rank count).
+    after ``p`` — a rank count over the hits' matched inserts).
 
     Returns ``(hit, depth)`` per miss; ``depth`` is valid only at hits.
     """
@@ -209,9 +209,7 @@ def _victim_depths(
     hits_before = np.cumsum(hit_mask) - hit_mask  # exclusive prefix
     values = np.full(total, total, dtype=_INT64)
     values[hit_tokens] = matched
-    thresholds = np.zeros(total, dtype=_INT64)
-    thresholds[hit_tokens] = matched
-    dominated = _rank_left_leq(values, queries=hit_tokens, thresholds=thresholds)
+    dominated = _rank_left_leq(values, queries=hit_tokens)
     invalidated_above = hits_before[hit_tokens] - dominated[hit_tokens]
     depth[hit] = pushed_after - invalidated_above
     return hit, depth

@@ -14,10 +14,10 @@ in a handful of whole-trace array passes instead:
 * **3C miss classification** (:func:`classify_misses`) — the classifier's
   fully-associative LRU shadow hits iff a reference's *reuse distance*
   (distinct lines referenced since its previous occurrence) is below the
-  shadow capacity.  Previous occurrences come from a stable argsort by
-  line (:func:`prev_occurrence`); reuse distances reduce to a
-  rank-counting problem solved level-by-level over a merge tree with
-  ``np.searchsorted`` (:func:`_rank_left_leq`) in O(n log n).
+  shadow capacity.  Previous occurrences come from one sort of packed
+  line-and-position keys (:func:`prev_occurrence`); reuse distances
+  reduce to a rank-counting problem solved level-by-level over a merge
+  tree with ``np.searchsorted`` (:func:`_rank_left_leq`) in O(n log n).
 
 The two job bodies here, the bare level point and the bare split-L1/L2
 system, read each L1 side's direct-mapped pass from the products the
@@ -137,29 +137,31 @@ def prev_occurrence(lines: np.ndarray) -> np.ndarray:
     """Position of each reference's previous reference to the same line.
 
     ``-1`` marks a line's first occurrence.  Same trick as the hit mask,
-    grouping by line value instead of slot index.
+    grouping by line value instead of slot index, with one plain (several
+    times faster) sort of ``(line - min) << bits | position`` keys in
+    place of a stable argsort, which stays for lines too far apart for
+    the key to fit in 63 bits.
     """
     n = len(lines)
     prev = np.full(n, -1, dtype=_INT64)
-    if n:
+    if n < 2:
+        return prev
+    low = int(lines.min())
+    bits = (n - 1).bit_length()
+    if (int(lines.max()) - low).bit_length() + bits <= 63:
+        packed = np.sort(((lines - low) << bits) | np.arange(n, dtype=_INT64))
+        order = packed & ((1 << bits) - 1)
+        grouped = packed >> bits
+    else:
         order = np.argsort(lines, kind="stable")
-        same = lines[order][1:] == lines[order][:-1]
-        prev[order[1:][same]] = order[:-1][same]
+        grouped = lines[order]
+    same = grouped[1:] == grouped[:-1]
+    prev[order[1:][same]] = order[:-1][same]
     return prev
 
 
-def _rank_left_leq(
-    values: np.ndarray,
-    queries: Optional[np.ndarray] = None,
-    thresholds: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``rank[i] = #{j < i : values[j] <= thresholds[i]}`` for non-negative ints.
-
-    *thresholds* defaults to *values* itself, giving the classic
-    ``values[j] <= values[i]`` self-rank; the assist kernels pass a
-    separate per-query threshold array (any entries in ``[-1,
-    values.max()]``) to count dominating positions against a different
-    cut per query.
+def _rank_left_leq(values: np.ndarray, queries: Optional[np.ndarray] = None) -> np.ndarray:
+    """``rank[i] = #{j < i : values[j] <= values[i]}`` for non-negative ints.
 
     Every pair ``j < i`` falls in exactly one level of a merge tree where
     ``j`` sits in the left half and ``i`` in the right half of the same
@@ -187,7 +189,6 @@ def _rank_left_leq(
     offset = sentinel + 1
     padded = np.full(size, sentinel, dtype=_INT64)
     padded[:n] = values
-    cuts = padded if thresholds is None else np.asarray(thresholds, dtype=_INT64)
     block_sorted = padded.copy()
     positions = np.arange(size, dtype=_INT64)
     shift = 0  # width == 1 << shift
@@ -204,7 +205,7 @@ def _rank_left_leq(
             augmented = block_sorted + ((positions >> shift) * offset)
             rank[at_level] += (
                 np.searchsorted(
-                    augmented, cuts[at_level] + (pair_of << 1) * offset, side="right"
+                    augmented, padded[at_level] + (pair_of << 1) * offset, side="right"
                 )
                 - pair_of * (2 * width)
             )

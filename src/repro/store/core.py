@@ -31,6 +31,12 @@ Design points:
   re-checks the stored key like a disk read, and it holds each result in
   its encoded form, decoding on every hit, so no caller ever shares a
   mutable result object.  :meth:`ResultStore.clear` empties it.
+* **One digest per key content.**  A key's digest (its file name) is
+  computed once per key content per process: a memo of up to
+  :data:`DIGEST_MEMO_ENTRIES` digests (emptied when full) answers every
+  equal key built later, so a warm lookup costs one front-tier probe.
+  Keys whose extras hold other than ``str``/``int``/``bool``/``None``
+  values (a structure dict, a float) are hashed once per key object.
 
 The active store is resolved from the ``REPRO_RESULT_STORE`` environment
 variable (or ``repro-experiments --result-store``, which sets it so
@@ -78,6 +84,9 @@ ENV_RESULT_STORE = "REPRO_RESULT_STORE"
 #: Entries each store's in-memory front tier holds (least recently used go first).
 FRONT_TIER_ENTRIES = 1024
 
+#: Key digests the process remembers (four front tiers' worth).
+DIGEST_MEMO_ENTRIES = 4 * FRONT_TIER_ENTRIES
+
 #: Guards every store's front tier: the serve daemon's event loop, lookup
 #: threads and simulation threads all read through one store.
 _FRONT_LOCK = threading.Lock()
@@ -90,6 +99,16 @@ if hasattr(os, "register_at_fork"):
         after_in_parent=_FRONT_LOCK.release,
         after_in_child=_FRONT_LOCK.release,
     )
+
+#: The digest memo: key content (see ``ResultKey._content``) -> digest.
+#: No lock: each access is one atomic dict call, every value is a pure
+#: function of its key, and racing threads overshoot the bound by one each.
+_DIGESTS: Dict[tuple, str] = {}
+
+#: Extras values whose equality implies equal JSON (``1 == 1.0`` and
+#: ``0.0 == -0.0`` do not, so floats are left out).
+_MEMO_VALUE_TYPES = frozenset((str, int, bool, type(None)))
+_STR = frozenset((str,))
 
 
 @dataclass(frozen=True)
@@ -117,13 +136,37 @@ class ResultKey:
         }
 
     def digest(self) -> str:
-        """The entry's file name; computed once per key object."""
+        """The entry's file name; computed once per key content."""
         return self._digest
+
+    def _content(self) -> Optional[tuple]:
+        """The memo's key, or None: the fields and the typed extras (``True``
+        and ``1`` are equal in Python, not in JSON, so types are part of it)."""
+        names = tuple(self.extras)
+        values = tuple(self.extras.values())
+        kinds = tuple(map(type, values))
+        fields = (self.job_kind, self.spec_hash, self.trace_fingerprint, *names)
+        if not _STR.issuperset(map(type, fields)) or not _MEMO_VALUE_TYPES.issuperset(kinds):
+            return None
+        return (RESULT_SCHEMA_VERSION, fields, kinds, values)
 
     @cached_property
     def _digest(self) -> str:
-        payload = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        content = self._content()
+        digest = None if content is None else _DIGESTS.get(content)
+        if digest is None:
+            digest = _hash_key(self.as_dict())
+            if content is not None:
+                if len(_DIGESTS) >= DIGEST_MEMO_ENTRIES:
+                    _DIGESTS.clear()
+                _DIGESTS[content] = digest
+        return digest
+
+
+def _hash_key(key_dict: Mapping) -> str:
+    """The digest itself: SHA-256 of the key's canonical JSON, 32 hex digits."""
+    payload = json.dumps(key_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
 @dataclass

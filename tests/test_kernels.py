@@ -137,24 +137,45 @@ def test_lru_shadow_matches_live_cache():
         assert lru_shadow_hit_mask(lines, capacity).tolist() == expected
 
 
-def test_rank_left_leq_with_thresholds_matches_brute_force():
+def test_rank_left_leq_with_queries_matches_brute_force():
     from repro.kernels.numpy_backend import _rank_left_leq
 
     rng = random.Random(21)
     for _ in range(20):
         n = rng.randrange(2, 120)
         values = np.array([rng.randrange(25) for _ in range(n)], dtype=np.int64)
-        thresholds = np.array(
-            [rng.randrange(-1, int(values.max()) + 1) for _ in range(n)],
-            dtype=np.int64,
-        )
         queries = np.array(
             sorted(rng.sample(range(n), rng.randrange(1, n + 1))), dtype=np.int64
         )
-        got = _rank_left_leq(values, queries=queries, thresholds=thresholds)
+        got = _rank_left_leq(values, queries=queries)
         for q in queries.tolist():
-            expected = int(sum(values[j] <= thresholds[q] for j in range(q)))
+            expected = int(sum(values[j] <= values[q] for j in range(q)))
             assert got[q] == expected
+
+
+def test_prev_occurrence_matches_stable_argsort():
+    """The packed-key sort gives the stable argsort's answer, and lines too
+    wide for the packed key take the argsort itself."""
+    from repro.kernels.numpy_backend import prev_occurrence
+
+    def by_argsort(lines):
+        prev = np.full(len(lines), -1, dtype=np.int64)
+        order = np.argsort(lines, kind="stable")
+        same = lines[order][1:] == lines[order][:-1]
+        prev[order[1:][same]] = order[:-1][same]
+        return prev
+
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 7, 300, 5000):
+        for low, high in ((0, max(n // 4, 1)), (-50, 50), (1 << 40, (1 << 40) + 64)):
+            lines = rng.integers(low, high, n, dtype=np.int64)
+            assert (prev_occurrence(lines) == by_argsort(lines)).all()
+    # Lines 2**59 apart, and then a span of nearly 2**63, leave the packed
+    # key too few bits for 300 positions: the argsort answers.
+    lines = rng.integers(0, 8, 300, dtype=np.int64) << 59
+    assert (prev_occurrence(lines) == by_argsort(lines)).all()
+    lines[:2] = (-(1 << 62), (1 << 62) - 1)
+    assert (prev_occurrence(lines) == by_argsort(lines)).all()
 
 
 # -- equivalence: assist structures over the miss stream ----------------------

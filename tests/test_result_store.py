@@ -152,6 +152,113 @@ class TestResultKey:
         }
 
 
+class TestDigestMemo:
+    """A key's digest is computed once per key content per process."""
+
+    @staticmethod
+    def count_hashes(monkeypatch):
+        import repro.store.core as core
+
+        calls = []
+        real = core._hash_key
+        monkeypatch.setattr(core, "_hash_key", lambda key_dict: calls.append(1) or real(key_dict))
+        return calls
+
+    @staticmethod
+    def jobs():
+        """Fresh job objects, equal to those of the previous call."""
+        job = level_job()
+        return [
+            job,
+            level_job(side="i"),
+            EntrySweepJob(system=job.system, kind="victim", max_entries=4),
+            RunSweepJob(system=job.system, ways=2, entries=2, max_run=8),
+            SystemJob(SystemSpec.for_system(job.system.trace), prewarm_l2=True),
+        ]
+
+    def test_warm_batch_hashes_no_key(self, store, sim_counter, monkeypatch):
+        import repro.store.core as core
+
+        monkeypatch.setattr(core, "_DIGESTS", {})  # so no earlier test fills it
+        cold = run_jobs(self.jobs())
+        before = sim_counter["levels"]
+        calls = self.count_hashes(monkeypatch)
+        assert run_jobs(self.jobs()) == cold
+        assert calls == []
+        assert sim_counter["levels"] == before
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        import repro.store.core as core
+
+        monkeypatch.setattr(core, "DIGEST_MEMO_ENTRIES", 3)
+        monkeypatch.setattr(core, "_DIGESTS", {})
+        keys = [ResultKey("LevelJob", f"s{index}", "t", {"x": index}) for index in range(10)]
+        for key in keys:
+            assert key.digest() == core._hash_key(key.as_dict())
+            assert len(core._DIGESTS) <= 3
+        calls = self.count_hashes(monkeypatch)
+        fresh = ResultKey("LevelJob", "s9", "t", {"x": 9})
+        assert fresh.digest() == keys[9].digest()
+        assert calls == []  # the newest key is remembered
+        assert ResultKey("LevelJob", "s0", "t", {"x": 0}).digest() == keys[0].digest()
+        assert calls == [1]  # the first was forgotten and is hashed again
+
+    def test_threads_share_the_memo_without_lock(self, monkeypatch):
+        """Racing inserts and resets: every digest stays the formula's, and
+        the memo overshoots its bound by at most one entry per thread."""
+        import sys
+
+        import repro.store.core as core
+
+        monkeypatch.setattr(core, "DIGEST_MEMO_ENTRIES", 8)
+        monkeypatch.setattr(core, "_DIGESTS", {})
+        errors, sizes = [], []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(400):
+                    key = ResultKey("LevelJob", f"s{rng.randrange(40)}", "t", {"x": 1})
+                    assert key.digest() == core._hash_key(key.as_dict())
+                    sizes.append(len(core._DIGESTS))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert max(sizes) <= 8 + len(threads)
+
+    def test_unmemoizable_extras_keep_their_digests(self, monkeypatch):
+        """Structure dicts cannot be hashed, and values that Python calls
+        equal but JSON writes differently must not share an entry: all
+        keep the digest the formula gives them."""
+        import repro.store.core as core
+
+        monkeypatch.setattr(core, "_DIGESTS", {})
+        structure = {"dstructure": {"kind": "victim", "entries": 4}, "prewarm_l2": True}
+        pinned = {
+            "6d81fa8d84c2d0a257f92ee20d2ed301": ("SystemJob", structure),
+            "a39234669f1cf0930702c97a483969a9": ("LevelJob", {"x": True}),
+            "2be1ded87bd8a35a59fd6f1a03e7b58c": ("LevelJob", {"x": 1}),
+            "c6a4e70ba4a8bf6a3cf54ab5eb74be10": ("LevelJob", {"x": 0.0}),
+            "06f4e9dabc6bd1f3c60513b9fbb9887a": ("LevelJob", {"x": -0.0}),
+        }
+        for _ in range(2):  # computed, then remembered where it can be
+            for digest, (kind, extras) in pinned.items():
+                assert ResultKey(kind, "s", "t", extras).digest() == digest
+        assert len(core._DIGESTS) == 2  # only the bool and the int
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "result",
