@@ -15,6 +15,11 @@ reuse-distance rank pass, which yields every capacity at once.  Each
 kernel call builds its ``LevelProducts`` inside the timed call, so these
 pairs time cold computation.
 
+``test_rank_products_cold`` times the three products that ask the LRU
+stack-depth question (miss-stream LRU depths, victim depths and the 3C
+classification) on a fresh 25k-reference pattern stream: the rank share
+of a cold sweep point.
+
 The last benchmark is the shape that shares work: one trace's design
 sweep (eleven structures and both entry sweeps) through ``execute_job``,
 on a freshly materialized trace each round, so its first point computes
@@ -33,9 +38,9 @@ from repro.common.config import CacheConfig
 from repro.experiments import workloads
 from repro.experiments.engine import EntrySweepJob, LevelJob, execute_job
 from repro.experiments.runner import run_level
-from repro.experiments.sweeps import victim_cache_sweep
+from repro.experiments.sweeps import miss_cache_sweep, victim_cache_sweep
 from repro.kernels import ENV_BACKEND, PYTHON
-from repro.specs import NamedWorkloadSpec, SystemSpec
+from repro.specs import NamedWorkloadSpec, SystemSpec, ZipfianSpec
 from repro.specs.structures import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
@@ -149,6 +154,25 @@ def test_victim_entry_sweep_one_pass_kernel(benchmark, dstream, dstream_array):
     )
     assert sweep.hits_by_entries == reference.hits_by_entries
     assert sweep.total_misses == reference.total_misses
+
+
+def test_rank_products_cold(benchmark):
+    stream = ZipfianSpec(length=25_000, seed=11).trace().stream_array("d")
+
+    def rank_products():
+        products = LevelProducts(stream, CONFIG)
+        products.lru_depths()
+        products.victim_depths()
+        products.classification(0)
+        return products
+
+    products = benchmark.pedantic(rank_products, rounds=5, iterations=1)
+    addresses = stream.tolist()
+    reference = run_level(addresses, CONFIG, classify=True)
+    assert products.classification(0) == reference.classifier.summary()
+    for kind, sweep_fn in (("miss", miss_cache_sweep), ("victim", victim_cache_sweep)):
+        sweep, _ = entry_sweep(products, kind, MAX_ENTRIES)
+        assert sweep == sweep_fn(addresses, CONFIG, max_entries=MAX_ENTRIES), kind
 
 
 #: The design-sweep grid's structures per trace, plus both entry sweeps.

@@ -168,7 +168,9 @@ def _victim_depths(
     ``p`` counts the still-resident lines pushed after ``p``:
     ``inserts_in(p, u)`` minus the hit-lookups in ``(p, u)`` that
     invalidated one of those pushes (hits whose matched insert sits
-    after ``p`` — a rank count over the hits' matched inserts).
+    after ``p``).  Only hits are ranked: the earlier hits whose matched
+    insert precedes ``p`` are a rank count over the hits' matched
+    inserts, in hit order, and the other tokens never enter it.
 
     Returns ``(hit, depth)`` per miss; ``depth`` is valid only at hits.
     """
@@ -201,16 +203,10 @@ def _victim_depths(
 
     inserts_before = np.cumsum(is_insert) - is_insert  # exclusive prefix
     pushed_after = inserts_before[hit_tokens] - inserts_before[matched] - 1
-    # Hits before u whose matched insert also precedes u's own push p:
-    # those invalidated lines deeper than u's line and don't reduce its
-    # depth.  values[h] = matched insert of hit h, off-scale elsewhere.
-    hit_mask = np.zeros(total, dtype=bool)
-    hit_mask[hit_tokens] = True
-    hits_before = np.cumsum(hit_mask) - hit_mask  # exclusive prefix
-    values = np.full(total, total, dtype=_INT64)
-    values[hit_tokens] = matched
-    dominated = _rank_left_leq(values, queries=hit_tokens)
-    invalidated_above = hits_before[hit_tokens] - dominated[hit_tokens]
+    # Earlier hits whose matched insert also precedes u's own push p
+    # invalidated lines deeper than u's and don't reduce its depth.
+    dominated = _rank_left_leq(matched)
+    invalidated_above = np.arange(len(matched), dtype=_INT64) - dominated
     depth[hit] = pushed_after - invalidated_above
     return hit, depth
 

@@ -16,8 +16,9 @@ in a handful of whole-trace array passes instead:
   (distinct lines referenced since its previous occurrence) is below the
   shadow capacity.  Previous occurrences come from one sort of packed
   line-and-position keys (:func:`prev_occurrence`); reuse distances
-  reduce to a rank-counting problem solved level-by-level over a merge
-  tree with ``np.searchsorted`` (:func:`_rank_left_leq`) in O(n log n).
+  reduce to a rank-counting problem (:func:`_rank_left_leq`): a prefix
+  sum for the first occurrences, which every query counts, and a merge
+  tree of block sorts in O(n log n) for the rest.
 
 The two job bodies here, the bare level point and the bare split-L1/L2
 system, read each L1 side's direct-mapped pass from the products the
@@ -161,20 +162,17 @@ def prev_occurrence(lines: np.ndarray) -> np.ndarray:
 
 
 def _rank_left_leq(values: np.ndarray, queries: Optional[np.ndarray] = None) -> np.ndarray:
-    """``rank[i] = #{j < i : values[j] <= values[i]}`` for non-negative ints.
+    """``rank[i] = #{j < i : values[j] <= values[i]}`` for non-negative ints,
+    at the *queries* positions (all when None); zero elsewhere.
 
-    Every pair ``j < i`` falls in exactly one level of a merge tree where
-    ``j`` sits in the left half and ``i`` in the right half of the same
-    block, so summing per-level counts gives the full rank.  At each
-    level the blocks are already sorted (maintained by block-wise
-    ``np.sort``), and one global ``searchsorted`` answers every query at
-    once: adding ``half_id * offset`` to both sides keeps the whole
-    block-sorted array globally ordered while confining each query to
-    its own pair's left half (earlier pairs contribute a fixed,
-    subtracted count).  O(n log n) total, no sequential state.
-
-    *queries* restricts which positions are counted (all when None);
-    the returned array holds garbage zeros at non-queried positions.
+    Only what a query can count reaches the merge tree
+    (:func:`_merge_tree_rank`).  Every query counts the elements at or
+    below the least queried value (for the LRU callers' ``prev + 1``,
+    the first occurrences): one exclusive prefix sum, the whole answer
+    of a query at that value.  No query counts an element above the
+    greatest queried value or after the last query: those drop out.
+    The tree packs a value beside a position in 63 bits, which stream
+    positions (the callers' ``prev + 1`` and matched inserts) always fit.
     """
     n = len(values)
     rank = np.zeros(n, dtype=_INT64)
@@ -184,37 +182,55 @@ def _rank_left_leq(values: np.ndarray, queries: Optional[np.ndarray] = None) -> 
         queries = np.arange(n, dtype=_INT64)
     elif not len(queries):
         return rank
-    size = 1 << (n - 1).bit_length()
-    sentinel = int(values.max()) + 1  # above every real value: never counted
-    offset = sentinel + 1
-    padded = np.full(size, sentinel, dtype=_INT64)
-    padded[:n] = values
-    block_sorted = padded.copy()
-    positions = np.arange(size, dtype=_INT64)
-    shift = 0  # width == 1 << shift
-    while (1 << shift) < size:
-        width = 1 << shift
-        # Queries with the `width` position bit set sit in a right half.
-        at_level = queries[(queries & width) != 0]
-        if len(at_level):
-            pair_of = at_level >> (shift + 1)
-            # half_id = position // width: left half of pair k gets
-            # 2k*offset, right half (2k+1)*offset — globally sorted, and
-            # a query offset by 2k*offset sees earlier pairs in full
-            # (2*width*k elements) plus its own left half partially.
-            augmented = block_sorted + ((positions >> shift) * offset)
-            rank[at_level] += (
-                np.searchsorted(
-                    augmented, padded[at_level] + (pair_of << 1) * offset, side="right"
-                )
-                - pair_of * (2 * width)
-            )
-        shift += 1
-        if (1 << shift) < size:
-            block_sorted = np.sort(
-                block_sorted.reshape(-1, 1 << shift), axis=1
-            ).ravel()
+    asked = values[queries]
+    low, high = int(asked.min()), int(asked.max())
+    below = values <= low
+    rank[queries] = (np.cumsum(below) - below)[queries]
+    if high > low:
+        assert high.bit_length() + (n - 1).bit_length() <= 63, "values too wide to pack"
+        scope = values[: int(queries.max()) + 1]
+        kept = (scope > low) & (scope <= high)
+        ranked = queries[asked > low]
+        at = (np.cumsum(kept) - 1)[ranked]  # each query's index among the kept
+        rank[ranked] += _merge_tree_rank(scope[kept], at)
     return rank
+
+
+def _merge_tree_rank(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """:func:`_rank_left_leq` over every element, one count per query.
+
+    Every pair ``j < i`` falls in exactly one level of a merge tree where
+    ``j`` sits in the left half and ``i`` in the right half of the same
+    block, so summing per-level counts gives the full rank.  Each level
+    sorts its blocks (block-wise ``np.sort``) of ``value << bits |
+    position`` keys, so ties put the left half first.  An element of a
+    right half then has as many left-half elements at or below it as its
+    index in the merged block exceeds its index in its own sorted half.
+    The last block may be short: nothing is padded.  O(n log n) total,
+    no sequential state.  Values must be below ``2 ** (63 - bits)``.
+    """
+    n = len(values)
+    counts = np.zeros(len(queries), dtype=_INT64)
+    if n < 2:
+        return counts
+    bits = (n - 1).bit_length()
+    slots = np.arange(n, dtype=_INT64)
+    keys = (values << bits) | slots
+    own = np.zeros(n, dtype=_INT64)  # each element's index in its sorted half
+    merged = np.empty(n, dtype=_INT64)
+    width = 1
+    while width < n:
+        block = width << 1
+        full = n - n % block
+        keys[:full] = np.sort(keys[:full].reshape(-1, block), axis=1).ravel()
+        keys[full:] = np.sort(keys[full:])
+        merged[keys & ((1 << bits) - 1)] = slots & (block - 1)
+        right = (queries & width) != 0
+        at = queries[right]
+        counts[right] += merged[at] - own[at]
+        own, merged = merged, own
+        width = block
+    return counts
 
 
 def _shadow_hits(
@@ -234,13 +250,19 @@ def _shadow_hits(
 
     With *queries*, the mask is only valid at the queried positions —
     classification uses this to pay the rank pass for the misses it
-    actually has to label, not every reference.
+    actually has to label, not every reference.  A window ``(p, i)``
+    shorter than *capacity* cannot hold *capacity* distinct lines, so
+    only the queries with longer windows are ranked; the rest hit.
     """
     seen = prev >= 0
     if len(lines) - int(np.count_nonzero(seen)) <= capacity:
         # Footprint fits: the shadow never evicts, every revisit hits.
         return seen
-    distinct_since = _rank_left_leq(prev + 1, queries) - (prev + 1)
+    if queries is None:
+        queries = np.flatnonzero(seen)
+    ranked = queries[queries - prev[queries] > capacity]
+    # Unranked positions read a rank of 0, so a negative distance: a hit.
+    distinct_since = _rank_left_leq(prev + 1, ranked) - (prev + 1)
     return seen & (distinct_since < capacity)
 
 

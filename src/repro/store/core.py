@@ -28,7 +28,8 @@ Design points:
   small fully-associative buffer in front of the slower level — so a key
   read again is answered without touching the disk.  Only successful
   disk reads fill it (``put`` never does, and drops the key instead), it
-  re-checks the stored key like a disk read, and it holds each result in
+  re-checks the stored key like a disk read (against the verified key's
+  memo content, so a hit builds no key dict), and it holds each result in
   its encoded form, decoding on every hit, so no caller ever shares a
   mutable result object.  :meth:`ResultStore.clear` empties it.
 * **One digest per key content.**  A key's digest (its file name) is
@@ -140,15 +141,27 @@ class ResultKey:
         return self._digest
 
     def _content(self) -> Optional[tuple]:
-        """The memo's key, or None: the fields and the typed extras (``True``
-        and ``1`` are equal in Python, not in JSON, so types are part of it)."""
+        """The memo's key under the current schema, or None."""
+        typed = self._typed_fields
+        return None if typed is None else (RESULT_SCHEMA_VERSION, typed)
+
+    def _identity(self) -> object:
+        """What the front tier compares: the memo content (equal contents
+        mean equal :meth:`as_dict` forms), or the key dict without one."""
+        content = self._content()
+        return self.as_dict() if content is None else content
+
+    @cached_property
+    def _typed_fields(self) -> Optional[tuple]:
+        """The fields and the typed extras, or None (``True`` and ``1`` are
+        equal in Python, not in JSON, so types are part of it)."""
         names = tuple(self.extras)
         values = tuple(self.extras.values())
         kinds = tuple(map(type, values))
         fields = (self.job_kind, self.spec_hash, self.trace_fingerprint, *names)
         if not _STR.issuperset(map(type, fields)) or not _MEMO_VALUE_TYPES.issuperset(kinds):
             return None
-        return (RESULT_SCHEMA_VERSION, fields, kinds, values)
+        return fields, kinds, values
 
     @cached_property
     def _digest(self) -> str:
@@ -204,18 +217,18 @@ class ResultStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self._warned_write = False
-        #: The front tier: digest -> (stored key, encoded result, entry
-        #: bytes), least recently used first.
-        self._front: "OrderedDict[str, Tuple[Dict, Dict, int]]" = OrderedDict()
+        #: The front tier: digest -> (verified key's ``_identity()``,
+        #: encoded result, entry bytes), least recently used first.
+        self._front: "OrderedDict[str, Tuple[object, Dict, int]]" = OrderedDict()
 
     # -- paths ----------------------------------------------------------------
 
     def _version_dir(self) -> Path:
-        return self.root / f"v{RESULT_SCHEMA_VERSION}"
+        return self.root / _version_name()
 
-    def _entry_path(self, key: ResultKey) -> Path:
-        digest = key.digest()
-        return self._version_dir() / digest[:2] / f"{digest}.json"
+    def _entry_file(self, digest: str) -> str:
+        """An entry's path as one formatted string (``get``/``put`` skip pathlib)."""
+        return f"{self.root}/{_version_name()}/{digest[:2]}/{digest}.json"
 
     # -- read/write -----------------------------------------------------------
 
@@ -232,9 +245,10 @@ class ResultStore:
         cached, nbytes = self.peek(key)
         if cached is not None:
             return cached, nbytes
-        path = self._entry_path(key)
+        digest = key.digest()
         try:
-            raw = path.read_bytes()
+            with open(self._entry_file(digest), "rb") as handle:
+                raw = handle.read()
             payload = json.loads(raw)
             if not isinstance(payload, dict):
                 return None, 0
@@ -246,9 +260,8 @@ class ResultStore:
             result = decode_result(payload["result"])
         except (OSError, ValueError, KeyError, TypeError):
             return None, 0
-        digest = key.digest()
         with _FRONT_LOCK:
-            self._front[digest] = (payload["key"], payload["result"], len(raw))
+            self._front[digest] = (key._identity(), payload["result"], len(raw))
             self._front.move_to_end(digest)
             if len(self._front) > FRONT_TIER_ENTRIES:
                 self._front.popitem(last=False)
@@ -263,7 +276,7 @@ class ResultStore:
                 return None, 0
             self._front.move_to_end(digest)
         stored_key, encoded, nbytes = entry
-        if stored_key != key.as_dict():
+        if stored_key != key._identity():
             return None, 0
         return decode_result(encoded), nbytes
 
@@ -291,16 +304,13 @@ class ResultStore:
         with _FRONT_LOCK:
             self._front.pop(key.digest(), None)
         try:
-            path = self._entry_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                mode="w",
-                encoding="utf-8",
-                dir=path.parent,
-                prefix=".tmp-",
-                suffix=".json",
-                delete=False,
-            )
+            path = self._entry_file(key.digest())
+            directory = os.path.dirname(path)
+            try:
+                handle = _temp_entry(directory)
+            except FileNotFoundError:  # the first write to this fan-out directory
+                os.makedirs(directory, exist_ok=True)
+                handle = _temp_entry(directory)
             try:
                 with handle:
                     json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
@@ -402,6 +412,19 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.root)!r})"
+
+
+def _version_name() -> str:
+    """The current schema's directory name, read per call so a schema bump
+    moves a live store to the new directory."""
+    return f"v{RESULT_SCHEMA_VERSION}"
+
+
+def _temp_entry(directory: str):
+    """An open temp file in *directory*, renamed into place once written."""
+    return tempfile.NamedTemporaryFile(
+        mode="w", encoding="utf-8", dir=directory, prefix=".tmp-", suffix=".json", delete=False
+    )
 
 
 # -- the active store ---------------------------------------------------------

@@ -153,6 +153,53 @@ def test_rank_left_leq_with_queries_matches_brute_force():
             assert got[q] == expected
 
 
+def _query_draw(rng, n, queried):
+    """The *queried* positions of an n-element rank call (None: all)."""
+    if queried == "none":
+        return None
+    if queried == "empty" or not n:
+        return np.zeros(0, dtype=np.int64)
+    if queried == "one":
+        return rng.integers(0, n, 1)
+    # "some" draws from every position, "prefix" from the first few only,
+    # so elements after the last query are common.
+    upto = n if queried == "some" else int(rng.integers(1, n + 1))
+    return np.sort(rng.choice(upto, size=int(rng.integers(1, upto + 1)), replace=False))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(0, 3000),
+    ceiling=st.sampled_from([1, 2, 7, 300, 1 << 20]),
+    queried=st.sampled_from(["none", "empty", "one", "some", "prefix"]),
+    spikes=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4096, ceiling=1, queried="none", spikes=False, seed=0)  # all zeros
+@example(n=3000, ceiling=7, queried="prefix", spikes=True, seed=1)
+@example(n=2049, ceiling=1 << 20, queried="some", spikes=True, seed=2)
+def test_rank_left_leq_property(n, ceiling, queried, spikes, seed):
+    """The rank equals brute force at every queried position and is zero
+    elsewhere: ties, all-zero values, values above every queried one
+    (*spikes*), elements after the last query, and a tree several levels
+    deep over lengths that are not powers of two."""
+    from repro.kernels.numpy_backend import _rank_left_leq
+
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, ceiling, n, dtype=np.int64)
+    queries = _query_draw(rng, n, queried)
+    if spikes and n:
+        asked = np.zeros(n, dtype=bool)
+        asked[np.arange(n) if queries is None else queries] = True
+        spiked = np.flatnonzero(~asked & (rng.random(n) < 0.3))
+        values[spiked] = int(values.max()) + 1 + rng.integers(0, 3, len(spiked))
+    below = np.tril(values[None, :] <= values[:, None], k=-1).sum(axis=1)
+    expected = np.zeros(n, dtype=np.int64)
+    where = np.arange(n) if queries is None else queries
+    expected[where] = below[where]
+    assert (_rank_left_leq(values, queries) == expected).all()
+
+
 def test_prev_occurrence_matches_stable_argsort():
     """The packed-key sort gives the stable argsort's answer, and lines too
     wide for the packed key take the argsort itself."""
@@ -302,6 +349,58 @@ def test_one_pass_entry_sweep_matches_per_capacity_runs():
         for k in (1, 5, 10):
             _, stats = level_point(products, spec_cls(entries=k))
             assert kernel.hits_by_entries[k] == stats.removed_misses, (kind, k)
+
+
+#: A 256-line direct-mapped cache: lines 256 apart share a slot.
+ADVERSARIAL_CONFIG = CacheConfig(4096, 16)
+
+
+ADVERSARIAL_STREAMS = {
+    # §3's ping-pong: two lines fighting over one slot, and rotations of
+    # three to five, so each victim-cache hit sits one or more deep.
+    "ping_pong": [0, 256] * 40 + [0, 256, 512] * 20 + [0, 256, 512, 768, 1024] * 12,
+    "all_distinct": list(range(600)),
+    "one_line": [7] * 300,
+    # Every miss fills an empty slot: no refill evicts, so no victim.
+    "victims_cold": list(range(256)) * 3,
+}
+
+
+@pytest.mark.parametrize("stream", sorted(ADVERSARIAL_STREAMS))
+def test_victim_and_lru_depths_on_adversarial_streams(stream):
+    """The unbounded depths price every capacity as the interpreter does."""
+    from repro.experiments.sweeps import miss_cache_sweep, victim_cache_sweep
+    from repro.kernels.assist import LevelProducts, entry_sweep
+
+    addresses = [line * ADVERSARIAL_CONFIG.line_size for line in ADVERSARIAL_STREAMS[stream]]
+    products = LevelProducts(addresses, ADVERSARIAL_CONFIG)
+    for kind, sweep_fn in (("miss", miss_cache_sweep), ("victim", victim_cache_sweep)):
+        reference = sweep_fn(addresses, ADVERSARIAL_CONFIG, max_entries=8)
+        kernel, _ = entry_sweep(products, kind, 8)
+        assert kernel.hits_by_entries == reference.hits_by_entries, (stream, kind)
+    for entries in (1, 2, 4):
+        for spec in (VictimCacheSpec(entries=entries), MissCacheSpec(entries=entries)):
+            _assert_level_equivalent(addresses, ADVERSARIAL_CONFIG, spec, context=(stream,))
+
+
+@pytest.mark.parametrize(
+    "window, conflicts",
+    [
+        ([4, 8, 12], 1),  # capacity - 1 distinct lines: a hit, never ranked
+        ([4, 8, 12, 16], 0),  # capacity distinct lines: a capacity miss
+        ([4, 8, 4, 8], 3),  # capacity references over two lines: a hit
+    ],
+)
+def test_classification_at_the_shadow_capacity(window, conflicts):
+    """Line 0 re-referenced after a window of capacity - 1 or capacity
+    references, on a 4-line cache whose 3C shadow also holds 4 lines.
+    Every line shares slot 0, so every reference misses."""
+    config = CacheConfig(64, 16)
+    addresses = [line * config.line_size for line in [0, *window, 0]]
+    _assert_level_equivalent(addresses, config, context=(tuple(window),))
+    summary = run_level(addresses, config, classify=True).classifier.summary()
+    assert summary["misses"] == len(window) + 2
+    assert summary["conflict"] == conflicts
 
 
 @settings(deadline=None, max_examples=60)

@@ -79,10 +79,13 @@ def level_job(name="ccom", side="d"):
 
 
 def count_file_reads(monkeypatch):
-    """Paths read through ``Path.read_bytes`` from now on."""
+    """Paths the store opens from now on."""
+    import repro.store.core as core
+
     reads = []
-    real_read = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or real_read(path))
+    monkeypatch.setattr(
+        core, "open", lambda path, *args: reads.append(path) or open(path, *args), raising=False
+    )
     return reads
 
 
@@ -286,7 +289,7 @@ class TestRoundTrip:
 
 class TestCorruptionTolerance:
     def entry_path(self, store, key):
-        return store._entry_path(key)
+        return Path(store._entry_file(key.digest()))
 
     @pytest.mark.parametrize(
         "garbage",
